@@ -33,7 +33,7 @@ over ``extra_info`` metrics: every fresh benchmark reporting both metrics
 must satisfy ``numerator / denominator >= X``.  Ratios of two quantities
 measured in the same process cancel machine speed, so floors hold across
 runner generations where absolute throughput would not — e.g.
-``--floor "compiled_steps_per_s/interpreted_steps_per_s>=4"`` is the
+``--floor "compiled_steps_per_s/interpreted_steps_per_s>=0.8"`` is the
 compiled-execution speedup contract.  A floor that matches no benchmark is
 a configuration error (exit 2), not a silent pass.
 
@@ -231,7 +231,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "measured on the same runner class)")
     parser.add_argument("--floor", action="append", default=[], metavar="NUM/DEN>=X",
                         help="assert an extra_info ratio floor, e.g. "
-                             "'compiled_steps_per_s/interpreted_steps_per_s>=4' "
+                             "'compiled_steps_per_s/interpreted_steps_per_s>=0.8' "
                              "(repeatable; applies to every fresh benchmark "
                              "reporting both metrics)")
     parser.add_argument("--append-history", metavar="PATH",

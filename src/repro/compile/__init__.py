@@ -1,21 +1,19 @@
 """Compiled per-topology execution plans for the serving/rollout hot path.
 
 The interpreted stack is written for clarity: every policy inference walks a
-Module tree, every environment step runs ``K`` independent scalar simulator
-calls, and every MNA analysis re-stamps its matrix from Python objects.
-This package trades that flexibility for speed **without trading away a
-single bit of behaviour**:
+Module tree and every environment step runs ``K`` independent scalar
+simulator calls.  This package trades that flexibility for speed **without
+trading away a single bit of behaviour**:
 
 * :func:`compile_policy` / :class:`CompiledPolicyPlan` — trace one
   ``ActorCriticPolicy`` batched forward into a flat list of array ops with
   the topology's adjacency operators baked in; replay does zero
   Module/Tensor dispatch and is probed bitwise against the interpreted
   ``act_batch`` at build time.
-* :class:`BatchedMNAPlan` — stamp all ``K`` per-env MNA systems of one
-  topology into a single stacked ``(K, n, n)`` tensor built once (structure
-  at plan time, parameter-dependent entries restamped per step) and solve
-  them with one stacked LAPACK call; Newton DC iterates only the
-  not-yet-converged slice.
+* :class:`OpAmpKernel` / :class:`CmOtaKernel` — batched simulator kernels;
+  their MNA methods sweep all ``K`` per-env small-signal circuits through
+  one :class:`~repro.simulation.mna.BatchedMNAPlan`, the MNA engine the
+  scalar simulators run at ``K = 1``.
 * :class:`CompiledEpisodePlan` — the batched ``VectorCircuitEnv.step``:
   vectorized action snapping, a batched simulator kernel, vectorized cache
   keys, and batched observation assembly around a slim sequential
@@ -33,7 +31,6 @@ interpreted code.
 
 from repro.compile.errors import UntraceableError
 from repro.compile.plan_cache import DEFAULT_PLAN_CACHE_SIZE, PlanCache, PlanCacheStats
-from repro.compile.mna_plan import BatchedMNAPlan, solve_chunk_rows
 from repro.compile.policy_plan import CompiledPolicyPlan, compile_policy
 from repro.compile.sim_kernels import (
     CmOtaKernel,
@@ -48,8 +45,6 @@ __all__ = [
     "PlanCache",
     "PlanCacheStats",
     "DEFAULT_PLAN_CACHE_SIZE",
-    "BatchedMNAPlan",
-    "solve_chunk_rows",
     "CompiledPolicyPlan",
     "compile_policy",
     "CompiledEpisodePlan",

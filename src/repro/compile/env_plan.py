@@ -39,7 +39,6 @@ How the parity is kept
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -57,19 +56,13 @@ from repro.simulation.base import SimulationResult
 #: three deterministic ones: center, lower bound, upper bound).
 _PROBE_RANDOM_POINTS = 5
 
-#: numpy's add.reduce is strictly left-to-right only below its 8-wide unroll;
-#: the inlined scalar reward replica relies on that to match
-#: ``np.array(errors).sum()`` bitwise, so wider spec spaces take the
-#: interpreted reward call instead.
-_MAX_SEQUENTIAL_SUM = 8
-
 
 def _bitwise_equal(a: float, b: float) -> bool:
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 class _SpecMath:
-    """Baked per-spec constants for the vectorized observation/reward math."""
+    """Baked per-spec constants for the vectorized observation math."""
 
     def __init__(self, spec_space) -> None:
         self.space = spec_space
@@ -191,22 +184,8 @@ class CompiledEpisodePlan:
         if missing:
             raise UntraceableError(f"kernel does not produce specs {missing}")
 
-        # --- reward path ----------------------------------------------
-        reward_fn = first.reward_fn
-        self._reward_fn = reward_fn
+        self._reward_fn = first.reward_fn
         self._is_fom_mode = first.is_fom_mode
-        self._p2s_inline = (
-            type(reward_fn) is P2SReward
-            and len(reward_fn.spec_space) < _MAX_SEQUENTIAL_SUM
-        )
-        if self._p2s_inline:
-            self._reward_specs = [
-                (spec.name, spec.objective is Objective.MINIMIZE)
-                for spec in reward_fn.spec_space
-            ]
-            missing = [n for n, _ in self._reward_specs if n not in kernel_names]
-            if missing:
-                raise UntraceableError(f"kernel does not produce reward specs {missing}")
 
         # --- graph feature scatter -------------------------------------
         graph = first.data_processor.graph
@@ -382,7 +361,7 @@ class CompiledEpisodePlan:
                 result = self._simulate_row(index, kernel_result, keys)
             env._measured = dict(result.specs)
             measured = env._measured
-            outcome = self._reward_outcome(measured, env._targets, result.valid)
+            outcome = self._reward_fn(measured, env._targets, valid=result.valid)
             goal_reached = outcome.goal_reached and not self._is_fom_mode
             env._done = bool(goal_reached or env._step_count >= env.max_steps)
 
@@ -527,70 +506,6 @@ class CompiledEpisodePlan:
             cache._entries.popitem(last=False)
             cache.stats.evictions += 1
         return result
-
-    # ------------------------------------------------------------------
-    # Reward replay
-    # ------------------------------------------------------------------
-    def _reward_outcome(
-        self, measured: Dict[str, float], targets: Dict[str, float], valid: bool
-    ) -> RewardOutcome:
-        if not self._p2s_inline:
-            return self._reward_fn(measured, targets, valid=valid)
-        # Inlined scalar twin of P2SReward.__call__ / _defensive_errors /
-        # met_fraction — identical Python-float arithmetic without the
-        # per-call numpy array construction.
-        reward_fn = self._reward_fn
-        errors: Dict[str, float] = {}
-        complete = True
-        for name, minimize in self._reward_specs:
-            measured_value = measured.get(name)
-            target_value = float(targets[name])
-            if (
-                measured_value is None
-                or not math.isfinite(float(measured_value))
-                or not math.isfinite(target_value)
-            ):
-                errors[name] = -1.0
-                complete = False
-                continue
-            m = float(measured_value)
-            denominator = abs(m) + abs(target_value)
-            if denominator <= 0.0:
-                errors[name] = 0.0
-                continue
-            difference = (m - target_value) / denominator
-            if minimize:
-                difference = -difference
-            errors[name] = float(min(difference, 0.0))
-        if not valid or not complete:
-            return RewardOutcome(
-                reward=reward_fn.invalid_penalty,
-                goal_reached=False,
-                normalized_errors=errors,
-                met_fraction=0.0,
-            )
-        # np.array([...]).sum() folds left-to-right starting from the FIRST
-        # element (never a 0.0 seed — that would turn a leading -0.0 into
-        # +0.0), so the replica folds the same way.
-        raw: Optional[float] = None
-        goal_reached = True
-        met = 0
-        for name, minimize in self._reward_specs:
-            error = errors[name]
-            raw = error if raw is None else raw + error
-            if not error >= 0.0:
-                goal_reached = False
-            m = float(measured[name])
-            t = float(targets[name])
-            if (m <= t + 0.0) if minimize else (m >= t - 0.0):
-                met += 1
-        reward = reward_fn.goal_bonus if goal_reached else float(raw)
-        return RewardOutcome(
-            reward=reward,
-            goal_reached=goal_reached,
-            normalized_errors=errors,
-            met_fraction=met / len(self._reward_specs),
-        )
 
 
 __all__ = ["CompiledEpisodePlan"]

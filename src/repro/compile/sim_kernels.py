@@ -17,10 +17,11 @@ rules applied throughout:
 * scalar library calls (``np.sqrt``, ``np.arctan2``, ``np.degrees``,
   ``np.clip``) vectorize bitwise-identically.
 
-The MNA-method op-amp kernel additionally stamps all ``K`` small-signal
-systems through one :class:`~repro.compile.BatchedMNAPlan` (the per-topology
-stacked solve) and replays the scalar unity-crossing post-processing per
-row.
+The MNA-method kernels sweep all ``K`` small-signal circuits through one
+:class:`~repro.simulation.mna.BatchedMNAPlan` — the engine the scalar
+``ac_analysis`` runs at ``K = 1`` — and post-process each lane with the
+scalar simulators' own
+:func:`~repro.simulation.mna.frequency_response_metrics`.
 
 Kernels are constructed by :func:`build_simulator_kernel`, which recognizes
 the exact simulator types it has a twin for and raises
@@ -38,8 +39,7 @@ import numpy as np
 
 from repro.circuits.netlist import Netlist
 from repro.compile.errors import UntraceableError
-from repro.compile.mna_plan import BatchedMNAPlan
-from repro.simulation.mna import ConvergenceError
+from repro.simulation.mna import BatchedMNAPlan, ConvergenceError, frequency_response_metrics
 from repro.simulation.opamp_sim import OpAmpSimulator
 from repro.simulation.ota_sim import CmOtaSimulator
 from repro.simulation.technology import CmosTechnology
@@ -276,7 +276,6 @@ class OpAmpKernel:
             template = simulator.build_small_signal_circuit(base_netlist)
             self._mna_plan = BatchedMNAPlan.from_template(template, self.num_envs)
             self._frequencies = np.logspace(1, 11, 401)
-            self._log_frequencies = np.log(self._frequencies)
 
     def bind_lane_technologies(self, technologies) -> None:
         """Give each batch lane its own technology (see ``_bind_cmos_lanes``)."""
@@ -379,7 +378,7 @@ class OpAmpKernel:
         first_stage_cap: np.ndarray,
         miller_cap: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched twin of ``OpAmpSimulator._mna_frequency_response``."""
+        """Lane-wise ``OpAmpSimulator._mna_frequency_response`` in one stacked sweep."""
         plan = self._mna_plan
         assert plan is not None
         plan.set_values("GM1", -gm1)
@@ -388,36 +387,11 @@ class OpAmpKernel:
         plan.set_values("GM6", gm6)
         plan.set_values("R2", _where_max(r_second, 1.0))
         plan.set_values("CC", _where_max(miller_cap, 1e-18))
-        solutions = plan.ac_sweep(self._frequencies)
-
-        K = self.num_envs
-        gain = np.zeros(K)
-        unity = np.zeros(K)
-        margin = np.zeros(K)
-        frequencies = self._frequencies
-        for k in range(K):
-            response = solutions[k].voltage("out")
-            magnitude = np.abs(response)
-            gain[k] = float(magnitude[0])
-            above = magnitude >= 1.0
-            if not above.any() or above.all():
-                unity[k] = float(frequencies[-1] if above.all() else 0.0)
-                margin[k] = 0.0
-                continue
-            last_above = int(np.nonzero(above)[0][-1])
-            if last_above + 1 >= magnitude.size:
-                unity_freq = float(frequencies[-1])
-            else:
-                f_lo, f_hi = frequencies[last_above], frequencies[last_above + 1]
-                m_lo, m_hi = magnitude[last_above], magnitude[last_above + 1]
-                weight = np.log(m_lo) / (np.log(m_lo) - np.log(m_hi))
-                unity_freq = float(np.exp(np.log(f_lo) + weight * (np.log(f_hi) - np.log(f_lo))))
-            phase = np.unwrap(np.angle(response))
-            phase_at_unity = float(np.interp(np.log(unity_freq), self._log_frequencies, phase))
-            reference_phase = float(phase[0])
-            phase_margin = 180.0 + math.degrees(phase_at_unity - reference_phase)
-            unity[k] = unity_freq
-            margin[k] = float(np.clip(phase_margin, 0.0, 180.0))
+        metrics = [
+            frequency_response_metrics(self._frequencies, solution.voltage("out"))
+            for solution in plan.ac_sweep(self._frequencies)
+        ]
+        gain, unity, margin = (np.array(column) for column in zip(*metrics))
         return gain, unity, margin
 
 
@@ -526,32 +500,16 @@ class CmOtaKernel:
     def _mna_response(
         self, effective_gm: np.ndarray, output_resistance: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched twin of ``CmOtaSimulator._mna_frequency_response``."""
+        """Lane-wise ``CmOtaSimulator._mna_frequency_response`` in one stacked sweep."""
         plan = self._mna_plan
         assert plan is not None
         plan.set_values("GM", -effective_gm)
         plan.set_values("ROUT", _where_max(output_resistance, 1.0))
-        solutions = plan.ac_sweep(self._frequencies)
-
-        K = self.num_envs
-        gain = np.zeros(K)
-        unity = np.zeros(K)
-        frequencies = self._frequencies
-        for k in range(K):
-            magnitude = np.abs(solutions[k].voltage("out"))
-            gain[k] = float(magnitude[0])
-            above = magnitude >= 1.0
-            if not above.any() or above.all():
-                unity[k] = float(frequencies[-1] if above.all() else 0.0)
-                continue
-            last_above = int(np.nonzero(above)[0][-1])
-            if last_above + 1 >= magnitude.size:
-                unity[k] = float(frequencies[-1])
-                continue
-            f_lo, f_hi = frequencies[last_above], frequencies[last_above + 1]
-            m_lo, m_hi = magnitude[last_above], magnitude[last_above + 1]
-            weight = np.log(m_lo) / (np.log(m_lo) - np.log(m_hi))
-            unity[k] = float(np.exp(np.log(f_lo) + weight * (np.log(f_hi) - np.log(f_lo))))
+        metrics = [
+            frequency_response_metrics(self._frequencies, solution.voltage("out"))
+            for solution in plan.ac_sweep(self._frequencies)
+        ]
+        gain, unity, _ = (np.array(column) for column in zip(*metrics))
         return gain, unity
 
 

@@ -21,9 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
-import numpy as np
-
-from repro.circuits.specs import SpecificationSpace
+from repro.circuits.specs import Objective, SpecificationSpace
 
 #: Bonus granted when every specification of the target group is satisfied.
 GOAL_BONUS = 10.0
@@ -112,25 +110,70 @@ class P2SReward:
         targets: Mapping[str, float],
         valid: bool = True,
     ) -> RewardOutcome:
-        named_errors, complete = _defensive_errors(self.spec_space, measured, targets)
+        """Score one measurement against one target group.
+
+        One pass in plain Python floats computes each spec's clipped
+        normalized error (:meth:`Specification.normalized_error`; ``-1.0``
+        for a missing or non-finite value, which makes the outcome invalid),
+        the shaping sum and the met count.  The sum folds the errors left to
+        right from the first element (the ``-0.0`` start is the exact
+        identity of float addition, so a lone ``-0.0`` error stays ``-0.0``).
+        Below 8 specs that is bitwise numpy's ``np.array(errors).sum()``
+        (numpy sums pairwise from 8 elements on), and every catalog spec
+        space has 2–4.  A missing *target* raises ``KeyError`` naming every
+        missing spec.
+        """
+        errors: Dict[str, float] = {}
+        complete = True
+        raw = -0.0
+        goal_reached = True
+        met = 0
+        for spec in self.spec_space:
+            name = spec.name
+            measured_value = measured.get(name)
+            try:
+                target_value = float(targets[name])
+            except KeyError:
+                missing = [s.name for s in self.spec_space if s.name not in targets]
+                raise KeyError(f"missing target specifications: {missing}") from None
+            if (
+                measured_value is None
+                or not math.isfinite(float(measured_value))
+                or not math.isfinite(target_value)
+            ):
+                errors[name] = -1.0
+                complete = False
+                continue
+            value = float(measured_value)
+            minimize = spec.objective is Objective.MINIMIZE
+            # Inlined Specification.normalized_error (a method call per spec
+            # would cost more than the arithmetic).
+            denominator = abs(value) + abs(target_value)
+            if denominator <= 0.0:
+                error = 0.0
+            else:
+                difference = (value - target_value) / denominator
+                error = float(min(-difference if minimize else difference, 0.0))
+            errors[name] = error
+            raw += error
+            if not error >= 0.0:
+                goal_reached = False
+            if (value <= target_value) if minimize else (value >= target_value):
+                met += 1
         if not valid or not complete:
             # Missing or non-finite required specs are an invalid outcome in
             # disguise; both take the invalid-penalty path.
             return RewardOutcome(
                 reward=self.invalid_penalty,
                 goal_reached=False,
-                normalized_errors=named_errors,
+                normalized_errors=errors,
                 met_fraction=0.0,
             )
-        errors = np.array([named_errors[name] for name in self.spec_space.names])
-        raw = float(errors.sum())
-        goal_reached = bool(np.all(errors >= 0.0))
-        reward = self.goal_bonus if goal_reached else raw
         return RewardOutcome(
-            reward=reward,
+            reward=self.goal_bonus if goal_reached else raw,
             goal_reached=goal_reached,
-            normalized_errors=named_errors,
-            met_fraction=self.spec_space.met_fraction(measured, targets),
+            normalized_errors=errors,
+            met_fraction=met / len(self.spec_space),
         )
 
 

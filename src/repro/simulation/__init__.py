@@ -4,7 +4,8 @@ This package replaces the proprietary simulators the paper relies on
 (Cadence Spectre for the op-amp, Keysight ADS harmonic balance for the RF PA)
 with from-scratch equivalents:
 
-* :mod:`repro.simulation.mna` — a modified-nodal-analysis DC/AC engine,
+* :mod:`repro.simulation.mna` — a modified-nodal-analysis DC/AC engine
+  (:class:`BatchedMNAPlan` solves one or many same-topology circuits),
 * :mod:`repro.simulation.opamp_sim` — the two-stage op-amp evaluator,
 * :mod:`repro.simulation.pa_sim` — fine (HB-like) and coarse (DC-estimate)
   RF PA evaluators used by the transfer-learning workflow.
@@ -17,7 +18,13 @@ from repro.simulation.folded_cascode_sim import (
 )
 from repro.simulation.gan_hemt import GanHemtModel, GanOperatingPoint
 from repro.simulation.lna_sim import LnaOperatingPoint, LnaSimulator
-from repro.simulation.mna import AcSolution, ConvergenceError, DcSolution, MnaCircuit
+from repro.simulation.mna import (
+    AcSolution,
+    BatchedMNAPlan,
+    ConvergenceError,
+    DcSolution,
+    MnaCircuit,
+)
 from repro.simulation.mosfet import MosfetModel, OperatingPoint, Region
 from repro.simulation.opamp_sim import OpAmpOperatingPoint, OpAmpSimulator
 from repro.simulation.ota_sim import CmOtaOperatingPoint, CmOtaSimulator
@@ -31,6 +38,7 @@ from repro.simulation.technology import CMOS_45NM, GAN_150NM, CmosTechnology, Ga
 
 __all__ = [
     "AcSolution",
+    "BatchedMNAPlan",
     "CMOS_45NM",
     "CircuitSimulator",
     "CmOtaOperatingPoint",

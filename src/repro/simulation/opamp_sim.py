@@ -20,8 +20,13 @@ Two evaluation paths are provided:
   "tens of milliseconds" Spectre AC/DC runs in the paper).
 * ``method="mna"`` — builds the small-signal equivalent circuit and sweeps it
   with the :mod:`repro.simulation.mna` engine, extracting gain, unity-gain
-  frequency and phase margin numerically.  Used to validate the analytic
-  path (see ``tests/simulation/test_opamp_mna_crosscheck.py``).
+  frequency and phase margin numerically
+  (:func:`~repro.simulation.mna.frequency_response_metrics`).  It backs the
+  ``opamp-mna-v0`` environment and validates the analytic path (see
+  ``tests/simulation/test_opamp_mna_crosscheck.py``).  The compiled vector
+  environment sweeps the same circuit for all its lanes in one stacked
+  :class:`~repro.simulation.mna.BatchedMNAPlan` and post-processes each lane
+  with the same function, so both routes return identical bits.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 
 from repro.circuits.netlist import Netlist
 from repro.simulation.base import SimulationResult
-from repro.simulation.mna import MnaCircuit
+from repro.simulation.mna import MnaCircuit, frequency_response_metrics
 from repro.simulation.mosfet import MosfetModel
 from repro.simulation.technology import CMOS_45NM, CmosTechnology
 
@@ -276,27 +281,4 @@ class OpAmpSimulator:
         circuit = self.build_small_signal_circuit(netlist, op)
         frequencies = np.logspace(1, 11, 401)
         solution = circuit.ac_analysis(frequencies)
-        response = solution.voltage("out")
-        magnitude = np.abs(response)
-        gain = float(magnitude[0])
-        # Unity-gain crossing by log interpolation.
-        above = magnitude >= 1.0
-        if not above.any() or above.all():
-            unity_freq = float(frequencies[-1] if above.all() else 0.0)
-            phase_margin = 0.0
-        else:
-            last_above = int(np.nonzero(above)[0][-1])
-            if last_above + 1 >= magnitude.size:
-                unity_freq = float(frequencies[-1])
-            else:
-                f_lo, f_hi = frequencies[last_above], frequencies[last_above + 1]
-                m_lo, m_hi = magnitude[last_above], magnitude[last_above + 1]
-                # Interpolate log(f) against log(m) for the |H| = 1 crossing.
-                weight = np.log(m_lo) / (np.log(m_lo) - np.log(m_hi))
-                unity_freq = float(np.exp(np.log(f_lo) + weight * (np.log(f_hi) - np.log(f_lo))))
-            phase = np.unwrap(np.angle(response))
-            phase_at_unity = float(np.interp(np.log(unity_freq), np.log(frequencies), phase))
-            reference_phase = float(phase[0])
-            phase_margin = 180.0 + math.degrees(phase_at_unity - reference_phase)
-            phase_margin = float(np.clip(phase_margin, 0.0, 180.0))
-        return gain, unity_freq, phase_margin
+        return frequency_response_metrics(frequencies, solution.voltage("out"))

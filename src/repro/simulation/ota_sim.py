@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.circuits.netlist import Netlist
 from repro.simulation.base import SimulationResult
-from repro.simulation.mna import MnaCircuit
+from repro.simulation.mna import MnaCircuit, frequency_response_metrics
 from repro.simulation.mosfet import MosfetModel
 from repro.simulation.opamp_sim import _parallel
 from repro.simulation.technology import CMOS_45NM, CmosTechnology
@@ -188,22 +188,5 @@ class CmOtaSimulator:
         circuit = self.build_small_signal_circuit(netlist, op)
         frequencies = np.logspace(1, 11, 401)
         solution = circuit.ac_analysis(frequencies)
-        magnitude = np.abs(solution.voltage("out"))
-        gain = float(magnitude[0])
-        # Unity-gain crossing by log interpolation (same scheme as the
-        # two-stage op-amp evaluator).
-        above = magnitude >= 1.0
-        if not above.any() or above.all():
-            unity_freq = float(frequencies[-1] if above.all() else 0.0)
-        else:
-            last_above = int(np.nonzero(above)[0][-1])
-            if last_above + 1 >= magnitude.size:
-                unity_freq = float(frequencies[-1])
-            else:
-                f_lo, f_hi = frequencies[last_above], frequencies[last_above + 1]
-                m_lo, m_hi = magnitude[last_above], magnitude[last_above + 1]
-                weight = np.log(m_lo) / (np.log(m_lo) - np.log(m_hi))
-                unity_freq = float(
-                    np.exp(np.log(f_lo) + weight * (np.log(f_hi) - np.log(f_lo)))
-                )
+        gain, unity_freq, _ = frequency_response_metrics(frequencies, solution.voltage("out"))
         return gain, unity_freq

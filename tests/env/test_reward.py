@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.specs import Objective, Specification, SpecificationSpace
-from repro.env.reward import GOAL_BONUS, FomReward, P2SReward
+from repro.env.reward import (
+    GOAL_BONUS,
+    FomReward,
+    P2SReward,
+    RewardOutcome,
+    _defensive_errors,
+)
 
 
 @pytest.fixture
@@ -201,3 +208,71 @@ def test_property_p2s_reward_is_bonus_or_nonpositive(gain, power, target_gain, t
         assert outcome.reward == GOAL_BONUS
     else:
         assert -len(spec_space) <= outcome.reward < 0.0 or outcome.reward == 0.0
+
+
+def _numpy_p2s(reward, measured, targets, valid=True):
+    """The pre-inlining ``P2SReward.__call__``: numpy sum and ``all``."""
+    errors, complete = _defensive_errors(reward.spec_space, measured, targets)
+    if not valid or not complete:
+        return RewardOutcome(reward.invalid_penalty, False, errors, 0.0)
+    values = np.array([errors[name] for name in reward.spec_space.names])
+    goal_reached = bool(np.all(values >= 0.0))
+    return RewardOutcome(
+        reward=reward.goal_bonus if goal_reached else float(values.sum()),
+        goal_reached=goal_reached,
+        normalized_errors=errors,
+        met_fraction=reward.spec_space.met_fraction(measured, targets),
+    )
+
+
+def _outcome_bits(outcome):
+    return (
+        np.float64(outcome.reward).tobytes(),
+        outcome.goal_reached,
+        list(outcome.normalized_errors),
+        np.array(list(outcome.normalized_errors.values()), dtype=np.float64).tobytes(),
+        np.float64(outcome.met_fraction).tobytes(),
+    )
+
+
+@pytest.mark.parametrize("num_specs", [2, 4, 7])
+def test_p2s_reward_matches_numpy_formula_bitwise(num_specs):
+    """Pins the plain-float reward to the numpy formula it replaced.
+
+    Covers random values in both objective directions, signed zeros (the
+    ``0/0`` guard and a sum of ``-0.0`` errors), NaN/inf values, ±1.7e308
+    pairs whose ``inf/inf`` error is NaN, missing measured specs and
+    ``valid=False``.
+    """
+    spec_space = SpecificationSpace(
+        [
+            Specification(
+                f"s{i}", 1.0, 2.0, Objective.MINIMIZE if i % 2 else Objective.MAXIMIZE
+            )
+            for i in range(num_specs)
+        ]
+    )
+    reward = P2SReward(spec_space)
+    names = spec_space.names
+    rng = np.random.default_rng(num_specs)
+    specials = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 1e-300, 1.7e308, -1.7e308]
+    for trial in range(2000):
+        measured = {n: float(rng.lognormal(0.0, 2.0) * rng.choice([-1.0, 1.0])) for n in names}
+        targets = {n: float(rng.lognormal(0.0, 2.0)) for n in names}
+        if trial % 4 == 1:
+            for values in (measured, targets):
+                name = names[rng.integers(num_specs)]
+                values[name] = specials[rng.integers(len(specials))]
+        elif trial % 4 == 2:
+            # Every error a signed zero: met or 0/0 on each spec.
+            sign = rng.choice([-1.0, 1.0])
+            measured = {n: sign * 0.0 for n in names}
+            targets = {n: rng.choice([-0.0, 0.0]) for n in names}
+        elif trial % 4 == 3:
+            del measured[names[rng.integers(num_specs)]]
+        valid = bool(trial % 7)
+        assert _outcome_bits(reward(measured, targets, valid=valid)) == _outcome_bits(
+            _numpy_p2s(reward, measured, targets, valid=valid)
+        )
+    with pytest.raises(KeyError, match=f"missing target specifications: \\['{names[-1]}'\\]"):
+        reward(measured, {n: 1.0 for n in names[:-1]})

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import mna_reference as reference
 import numpy as np
 import pytest
 
@@ -70,6 +71,23 @@ class TestDcLinear:
             circuit.add_inductor("L1", "a", "0", -1e-9)
 
 
+def _diode_connected_nmos(model: MosfetModel) -> MnaCircuit:
+    circuit = MnaCircuit("diode")
+    circuit.add_voltage_source("VDD", "vdd", "0", dc=1.2)
+    circuit.add_resistor("R1", "vdd", "d", 10e3)
+    circuit.add_mosfet("M1", drain="d", gate="d", source="0", model=model)
+    return circuit
+
+
+def _common_source_amplifier(model: MosfetModel) -> MnaCircuit:
+    circuit = MnaCircuit("cs_amp")
+    circuit.add_voltage_source("VDD", "vdd", "0", dc=1.2)
+    circuit.add_voltage_source("VG", "g", "0", dc=0.55)
+    circuit.add_resistor("RD", "vdd", "out", 20e3)
+    circuit.add_mosfet("M1", drain="out", gate="g", source="0", model=model)
+    return circuit
+
+
 class TestDcNonlinear:
     def test_diode_connected_nmos_with_resistor(self):
         """NMOS with gate tied to drain, fed from VDD through a resistor.
@@ -77,10 +95,7 @@ class TestDcNonlinear:
         The solution must satisfy square-law current = resistor current.
         """
         model = MosfetModel(CMOS_45NM, "nmos", width=10e-6, fingers=4)
-        circuit = MnaCircuit("diode")
-        circuit.add_voltage_source("VDD", "vdd", "0", dc=1.2)
-        circuit.add_resistor("R1", "vdd", "d", 10e3)
-        circuit.add_mosfet("M1", drain="d", gate="d", source="0", model=model)
+        circuit = _diode_connected_nmos(model)
         solution = circuit.dc_operating_point(initial_guess={"d": 0.6})
         vd = solution.voltage("d")
         assert CMOS_45NM.vth_n < vd < 1.2
@@ -91,16 +106,31 @@ class TestDcNonlinear:
     def test_common_source_amplifier_operating_point(self):
         """Resistively loaded common-source stage lands between the rails."""
         model = MosfetModel(CMOS_45NM, "nmos", width=5e-6, fingers=2)
-        circuit = MnaCircuit("cs_amp")
-        circuit.add_voltage_source("VDD", "vdd", "0", dc=1.2)
-        circuit.add_voltage_source("VG", "g", "0", dc=0.55)
-        circuit.add_resistor("RD", "vdd", "out", 20e3)
-        circuit.add_mosfet("M1", drain="out", gate="g", source="0", model=model)
+        circuit = _common_source_amplifier(model)
         solution = circuit.dc_operating_point(initial_guess={"out": 0.8})
         vout = solution.voltage("out")
         assert 0.0 < vout < 1.2
         drain_current = model.drain_current(0.55, vout)
         assert drain_current == pytest.approx((1.2 - vout) / 20e3, rel=1e-4)
+
+    @pytest.mark.parametrize(
+        "build, model, guess",
+        [
+            (_diode_connected_nmos, MosfetModel(CMOS_45NM, "nmos", 10e-6, 4), {"d": 0.6}),
+            (_common_source_amplifier, MosfetModel(CMOS_45NM, "nmos", 5e-6, 2), {"out": 0.8}),
+        ],
+    )
+    @pytest.mark.parametrize("use_guess", [True, False])
+    def test_initial_guess_matches_reference_bitwise(self, build, model, guess, use_guess):
+        circuit = build(model)
+        guess = guess if use_guess else None
+        solution = circuit.dc_operating_point(initial_guess=guess)
+        expected = reference.dc_operating_point(circuit, initial_guess=guess)
+        for field in ("node_voltages", "source_currents"):
+            got, want = getattr(solution, field), getattr(expected, field)
+            assert list(got) == list(want)
+            assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+        assert solution.iterations == expected.iterations
 
     def test_nonconvergence_raises(self):
         circuit = MnaCircuit("bad")
