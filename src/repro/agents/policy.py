@@ -25,6 +25,13 @@ The baselines reproduce the prior RL methods as the paper describes them
   appended to the graph embedding just before the output layers.  Flags allow
   the original paper's weaker variants (partial topology, static technology
   node features) to be reproduced for the ablation benches.
+
+Every forward is batch-first: the trunks, heads and action distribution run
+over a :class:`~repro.env.spaces.BatchedObservation`, with one autograd path
+(acting, and PPO's minibatch :meth:`ActorCriticPolicy.evaluate_actions`) and
+one bitwise-equal pure-numpy path (grad-free deployment).  The
+single-observation :meth:`ActorCriticPolicy.act` and
+:meth:`ActorCriticPolicy.select_action` are row 0 of a batch of one.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.env.spaces import NUM_ACTION_CHOICES, BatchedObservation, Observation
-from repro.nn.distributions import BatchedMultiCategorical, MultiCategorical, sample_from_probs
+from repro.nn.distributions import BatchedMultiCategorical, sample_from_probs
 from repro.nn.graph_layers import GraphEncoder
 from repro.nn.layers import MLP, log_softmax_array
 from repro.nn.module import Module
@@ -126,94 +133,28 @@ class _FeatureTrunk(Module):
 
         self.output_dim = merged_dim
 
-    def _flat_input(self, observation: Observation) -> Tensor:
-        parts = [observation.spec_features]
+    def _node_features(self, batch: BatchedObservation) -> np.ndarray:
+        if self.config.use_dynamic_node_features:
+            return batch.node_features
+        return batch.static_node_features
+
+    def _flat_features(self, batch: BatchedObservation) -> np.ndarray:
         if self.config.include_parameters:
-            parts.append(observation.normalized_parameters)
-        return Tensor(np.concatenate(parts).reshape(1, -1))
+            return batch.flat_matrix()
+        return batch.spec_features
 
-    def forward(self, observation: Observation) -> Tensor:
-        pieces = []
-        if self.config.use_graph:
-            if self.config.use_dynamic_node_features:
-                node_features = observation.node_features
-            else:
-                node_features = observation.static_node_features
-            graph_embedding = self.graph_encoder(
-                Tensor(node_features), observation.adjacency
-            )
-            pieces.append(graph_embedding)
-        flat = self._flat_input(observation)
-        if self.config.use_spec_encoder:
-            pieces.append(self.spec_encoder(flat))
-        else:
-            pieces.append(flat)
-        if len(pieces) == 1:
-            return pieces[0]
-        return concatenate(pieces, axis=-1)
-
-    def forward_array(self, observation: Observation) -> np.ndarray:
-        """Pure-numpy trunk forward (grad-free inference fast path).
-
-        Mirrors :meth:`forward` operation-for-operation, so the returned
-        ``(1, output_dim)`` features are bitwise identical to
-        ``forward(observation).numpy()`` — without building any tensors.
-        """
-        pieces = []
-        if self.config.use_graph:
-            if self.config.use_dynamic_node_features:
-                node_features = observation.node_features
-            else:
-                node_features = observation.static_node_features
-            pieces.append(self.graph_encoder.forward_array(node_features, observation.adjacency))
-        parts = [observation.spec_features]
-        if self.config.include_parameters:
-            parts.append(observation.normalized_parameters)
-        flat = np.concatenate(parts).reshape(1, -1)
-        if self.config.use_spec_encoder:
-            pieces.append(self.spec_encoder.forward_array(flat))
-        else:
-            pieces.append(flat)
-        if len(pieces) == 1:
-            return pieces[0]
-        return np.concatenate(pieces, axis=-1)
-
-    def forward_array_batch(self, batch: BatchedObservation) -> np.ndarray:
-        """Pure-numpy twin of :meth:`forward_batch`, shape ``(B, output_dim)``."""
-        pieces = []
-        if self.config.use_graph:
-            if self.config.use_dynamic_node_features:
-                node_features = batch.node_features
-            else:
-                node_features = batch.static_node_features
-            pieces.append(self.graph_encoder.forward_array(node_features, batch.adjacency))
-        flat = batch.flat_matrix() if self.config.include_parameters else batch.spec_features
-        if self.config.use_spec_encoder:
-            pieces.append(self.spec_encoder.forward_array(flat))
-        else:
-            pieces.append(flat)
-        if len(pieces) == 1:
-            return pieces[0]
-        return np.concatenate(pieces, axis=-1)
-
-    def forward_batch(self, batch: BatchedObservation) -> Tensor:
+    def forward(self, batch: BatchedObservation) -> Tensor:
         """Batched trunk features, shape ``(B, output_dim)``.
 
         One autograd graph covers the whole batch — the GNN branch runs a
         stacked ``(B, n, d)`` forward over the shared adjacency and the flat
-        branch a single ``(B, flat)`` matmul — so the per-environment Python
-        and graph-construction overhead is paid once per *batch* instead of
-        once per environment.
+        branch a single ``(B, flat)`` matmul — so the Python and
+        graph-construction overhead is paid once per *batch*.
         """
         pieces = []
         if self.config.use_graph:
-            if self.config.use_dynamic_node_features:
-                node_features = batch.node_features
-            else:
-                node_features = batch.static_node_features
-            pieces.append(self.graph_encoder(Tensor(node_features), batch.adjacency))
-        flat = Tensor(batch.flat_matrix() if self.config.include_parameters
-                      else batch.spec_features)
+            pieces.append(self.graph_encoder(Tensor(self._node_features(batch)), batch.adjacency))
+        flat = Tensor(self._flat_features(batch))
         if self.config.use_spec_encoder:
             pieces.append(self.spec_encoder(flat))
         else:
@@ -221,6 +162,27 @@ class _FeatureTrunk(Module):
         if len(pieces) == 1:
             return pieces[0]
         return concatenate(pieces, axis=-1)
+
+    def forward_array(self, batch: BatchedObservation) -> np.ndarray:
+        """Pure-numpy twin of :meth:`forward` (grad-free inference fast path).
+
+        Mirrors :meth:`forward` operation-for-operation, so the returned
+        ``(B, output_dim)`` features are bitwise identical to
+        ``forward(batch).numpy()`` — without building any tensors.
+        """
+        pieces = []
+        if self.config.use_graph:
+            pieces.append(
+                self.graph_encoder.forward_array(self._node_features(batch), batch.adjacency)
+            )
+        flat = self._flat_features(batch)
+        if self.config.use_spec_encoder:
+            pieces.append(self.spec_encoder.forward_array(flat))
+        else:
+            pieces.append(flat)
+        if len(pieces) == 1:
+            return pieces[0]
+        return np.concatenate(pieces, axis=-1)
 
 
 class ActorCriticPolicy(Module):
@@ -251,68 +213,11 @@ class ActorCriticPolicy(Module):
         )
 
     # ------------------------------------------------------------------
-    # Forward passes
-    # ------------------------------------------------------------------
-    def action_distribution(self, observation: Observation) -> MultiCategorical:
-        """Per-parameter categorical distribution over the three moves."""
-        features = self.actor_trunk(observation)
-        logits = self.actor_head(features).reshape(
-            self.config.num_parameters, NUM_ACTION_CHOICES
-        )
-        return MultiCategorical(logits)
-
-    def value(self, observation: Observation) -> Tensor:
-        """State-value estimate (scalar tensor)."""
-        features = self.critic_trunk(observation)
-        return self.critic_head(features).reshape(1)[0]
-
-    # ------------------------------------------------------------------
-    # Acting / evaluating
-    # ------------------------------------------------------------------
-    def act(
-        self,
-        observation: Observation,
-        rng: np.random.Generator,
-        deterministic: bool = False,
-        inference: bool = True,
-    ) -> Tuple[np.ndarray, float, float]:
-        """Select an action; returns ``(action, log_prob, value)`` (detached).
-
-        All three outputs are plain floats/arrays, so by default the forward
-        passes run under :func:`repro.nn.inference_mode` (no graph recording;
-        identical numbers).  Pass ``inference=False`` to force the
-        grad-recording path — PPO re-evaluates actions during its update via
-        :meth:`evaluate_actions`, so this is only useful for benchmarking the
-        two paths against each other.
-        """
-        if inference:
-            with inference_mode():
-                return self.act(observation, rng, deterministic=deterministic, inference=False)
-        distribution = self.action_distribution(observation)
-        if deterministic:
-            action = distribution.mode()
-        else:
-            action = distribution.sample(rng)
-        log_prob = float(distribution.log_prob(action).item())
-        value = float(self.value(observation).item())
-        return action, log_prob, value
-
-    def evaluate_actions(
-        self, observation: Observation, action: np.ndarray
-    ) -> Tuple[Tensor, Tensor, Tensor]:
-        """Differentiable ``(log_prob, value, entropy)`` for PPO updates."""
-        distribution = self.action_distribution(observation)
-        log_prob = distribution.log_prob(action)
-        entropy = distribution.entropy()
-        value = self.value(observation)
-        return log_prob, value, entropy
-
-    # ------------------------------------------------------------------
-    # Batched acting (the VectorCircuitEnv fast path)
+    # Forward passes (batch-first: one observation is a batch of one)
     # ------------------------------------------------------------------
     def action_distribution_batch(self, batch: BatchedObservation) -> BatchedMultiCategorical:
         """Batched ``(B, M, 3)`` action distribution over stacked observations."""
-        features = self.actor_trunk.forward_batch(batch)
+        features = self.actor_trunk(batch)
         logits = self.actor_head(features).reshape(
             len(batch), self.config.num_parameters, NUM_ACTION_CHOICES
         )
@@ -320,9 +225,24 @@ class ActorCriticPolicy(Module):
 
     def value_batch(self, batch: BatchedObservation) -> Tensor:
         """Batched state-value estimates, shape ``(B,)``."""
-        features = self.critic_trunk.forward_batch(batch)
+        features = self.critic_trunk(batch)
         return self.critic_head(features).reshape(len(batch))
 
+    def actor_logits_array_batch(self, batch: BatchedObservation) -> np.ndarray:
+        """Batched actor logits ``(B, M, 3)`` via the pure-numpy forward.
+
+        Bitwise identical to ``action_distribution_batch(batch).logits`` —
+        every layer mirrors its graded arithmetic exactly — at a fraction of
+        the cost: no critic, no graph bookkeeping, no tensor wrappers.
+        """
+        features = self.actor_trunk.forward_array(batch)
+        return self.actor_head.forward_array(features).reshape(
+            len(batch), self.config.num_parameters, NUM_ACTION_CHOICES
+        )
+
+    # ------------------------------------------------------------------
+    # Acting / evaluating
+    # ------------------------------------------------------------------
     def act_batch(
         self,
         batch: BatchedObservation,
@@ -330,15 +250,15 @@ class ActorCriticPolicy(Module):
         deterministic: bool = False,
         inference: bool = True,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched :meth:`act`: ``(actions (B, M), log_probs (B,), values (B,))``.
+        """Select actions: ``(actions (B, M), log_probs (B,), values (B,))`` (detached).
 
-        Numerically equivalent to calling :meth:`act` per environment (same
-        weights, same float64 operations over each row) while paying the
-        network-forward overhead once per batch.  Stochastic sampling draws
-        from ``rng`` in batch order, so the random stream differs from B
-        sequential :meth:`act` calls — seed accounting, not results quality.
-        By default the forward runs under :func:`repro.nn.inference_mode`
-        (see :meth:`act`).
+        Stochastic sampling draws one ``(B, M, 1)`` block from ``rng`` in
+        batch order.  All outputs are plain arrays, so by default the forward
+        passes run under :func:`repro.nn.inference_mode` (no graph recording;
+        identical numbers).  Pass ``inference=False`` to force the
+        grad-recording path — PPO re-evaluates actions during its update via
+        :meth:`evaluate_actions`, so this is only useful for benchmarking the
+        two paths against each other.
         """
         if inference:
             with inference_mode():
@@ -352,65 +272,47 @@ class ActorCriticPolicy(Module):
         values = self.value_batch(batch).numpy().copy()
         return actions, log_probs, values
 
+    def act(
+        self,
+        observation: Observation,
+        rng: np.random.Generator,
+        deterministic: bool = False,
+        inference: bool = True,
+    ) -> Tuple[np.ndarray, float, float]:
+        """:meth:`act_batch` on a batch of one: ``(action, log_prob, value)``."""
+        actions, log_probs, values = self.act_batch(
+            BatchedObservation.stack([observation]), rng, deterministic, inference
+        )
+        return actions[0], float(log_probs[0]), float(values[0])
+
+    def evaluate_actions(
+        self, batch: BatchedObservation, actions: np.ndarray
+    ) -> Tuple[Tensor, Tensor, Tensor]:
+        """Differentiable ``(log_probs, values, entropies)``, each ``(B,)``, for PPO."""
+        distribution = self.action_distribution_batch(batch)
+        log_probs = distribution.log_prob(actions)
+        entropies = distribution.entropy()
+        values = self.value_batch(batch)
+        return log_probs, values, entropies
+
     # ------------------------------------------------------------------
     # Grad-free action selection (the deployment fast path)
     # ------------------------------------------------------------------
-    def actor_logits_array(self, observation: Observation) -> np.ndarray:
-        """Actor logits ``(M, 3)`` via the pure-numpy forward (no tensors).
-
-        Bitwise identical to ``action_distribution(observation).logits`` —
-        every layer mirrors its graded arithmetic exactly — at a fraction of
-        the cost: no critic, no graph bookkeeping, no tensor wrappers.
-        """
-        features = self.actor_trunk.forward_array(observation)
-        return self.actor_head.forward_array(features).reshape(
-            self.config.num_parameters, NUM_ACTION_CHOICES
-        )
-
-    def actor_logits_array_batch(self, batch: BatchedObservation) -> np.ndarray:
-        """Batched actor logits ``(B, M, 3)`` via the pure-numpy forward."""
-        features = self.actor_trunk.forward_array_batch(batch)
-        return self.actor_head.forward_array(features).reshape(
-            len(batch), self.config.num_parameters, NUM_ACTION_CHOICES
-        )
-
-    def select_action(
-        self,
-        observation: Observation,
-        rng: Optional[np.random.Generator] = None,
-        deterministic: bool = True,
-    ) -> np.ndarray:
-        """Action selection without log-prob/value bookkeeping or any graph.
-
-        This is what deployment actually needs: the greedy (or sampled)
-        action, nothing else.  Actions are identical to
-        ``act(..., deterministic=...)[0]`` — greedy selection argmaxes the
-        same probability array :class:`MultiCategorical` builds (identical
-        tie-breaking), and sampling shares its
-        :func:`~repro.nn.distributions.sample_from_probs` implementation,
-        consuming the same draws from ``rng``.
-        """
-        # The probabilities are derived exactly as MultiCategorical does
-        # (exp of the log-softmax twin), so greedy tie-breaking and sampled
-        # draws match the distribution-based act() path bit for bit.
-        probs = np.exp(log_softmax_array(self.actor_logits_array(observation)))
-        if deterministic:
-            return np.argmax(probs, axis=-1).astype(np.int64)
-        if rng is None:
-            raise ValueError("stochastic action selection requires an rng")
-        return sample_from_probs(probs, rng)
-
     def select_action_batch(
         self,
         batch: BatchedObservation,
         rng: Optional[np.random.Generator] = None,
         deterministic: bool = True,
     ) -> np.ndarray:
-        """Batched :meth:`select_action`: one ``(B, M)`` action matrix.
+        """Action selection without log-prob/value bookkeeping or any graph.
 
-        Sampling mirrors :class:`BatchedMultiCategorical` (one ``(B, M, 1)``
-        draw block from ``rng``); greedy selection is a per-row argmax of the
-        batched logits.
+        This is what deployment actually needs: the greedy (or sampled)
+        ``(B, M)`` actions, nothing else.  They are identical to
+        ``act_batch(..., deterministic=...)[0]`` — the probabilities are
+        derived exactly as :class:`BatchedMultiCategorical` does (exp of the
+        log-softmax twin), so greedy tie-breaking matches, and sampling shares
+        its :func:`~repro.nn.distributions.sample_from_probs` implementation,
+        consuming the same draws from ``rng``.
         """
         probs = np.exp(log_softmax_array(self.actor_logits_array_batch(batch)))
         if deterministic:
@@ -418,6 +320,17 @@ class ActorCriticPolicy(Module):
         if rng is None:
             raise ValueError("stochastic action selection requires an rng")
         return sample_from_probs(probs, rng)
+
+    def select_action(
+        self,
+        observation: Observation,
+        rng: Optional[np.random.Generator] = None,
+        deterministic: bool = True,
+    ) -> np.ndarray:
+        """:meth:`select_action_batch` on a batch of one: an ``(M,)`` action."""
+        return self.select_action_batch(
+            BatchedObservation.stack([observation]), rng, deterministic
+        )[0]
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,11 @@ The trainer alternates between
 2. computing rewards-to-go and GAE(λ) advantage estimates, and
 3. several epochs of minibatch updates maximizing the clipped surrogate
    objective (Eq. 3) with Adam, plus a value-regression loss and an entropy
-   bonus.
+   bonus.  Each minibatch is stacked into one
+   :class:`~repro.env.spaces.BatchedObservation` and evaluated by a single
+   batched :meth:`~repro.agents.policy.ActorCriticPolicy.evaluate_actions`
+   call, so the loss is one vector expression and one autograd graph per
+   minibatch.
 
 Training progress is recorded as the three curves the paper plots in Fig. 3:
 mean episode reward, mean episode length, and (optionally, every
@@ -20,7 +24,7 @@ from __future__ import annotations
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -28,9 +32,10 @@ from repro.agents.deployment import evaluate_deployment
 from repro.agents.policy import ActorCriticPolicy
 from repro.agents.rollout import RolloutBuffer
 from repro.env.circuit_env import CircuitDesignEnv
+from repro.env.spaces import BatchedObservation
 from repro.nn.functional import explained_variance
 from repro.nn.optim import Adam, clip_grad_norm
-from repro.nn.tensor import minimum
+from repro.nn.tensor import Tensor, minimum
 from repro.parallel.vector_env import VectorCircuitEnv
 
 
@@ -271,57 +276,58 @@ class PPOTrainer:
         buffer.compute_returns_and_advantages(normalize=config.normalize_advantages)
         assert buffer.advantages is not None and buffer.returns is not None
 
-        policy_losses: List[float] = []
-        value_losses: List[float] = []
-        entropies: List[float] = []
+        policy_losses: List[np.ndarray] = []
+        value_losses: List[np.ndarray] = []
+        entropies: List[np.ndarray] = []
         value_predictions = np.zeros(len(buffer))
 
         for _ in range(config.update_epochs):
             for indices in buffer.minibatch_indices(self.rng, config.minibatch_size):
-                loss_terms = []
-                for index in indices:
-                    transition = buffer.transitions[index]
-                    advantage = float(buffer.advantages[index])
-                    target_return = float(buffer.returns[index])
-                    log_prob, value, entropy = self.policy.evaluate_actions(
-                        transition.observation, transition.action
-                    )
-                    value_predictions[index] = float(value.item())
-                    ratio = (log_prob - transition.log_prob).exp()
-                    unclipped = ratio * advantage
-                    clipped = (
-                        ratio.clip(1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon)
-                        * advantage
-                    )
-                    policy_loss = -minimum(unclipped, clipped)
-                    value_error = value - target_return
-                    value_loss = value_error * value_error
-                    loss = (
-                        policy_loss
-                        + config.value_coef * value_loss
-                        - config.entropy_coef * entropy
-                    )
-                    loss_terms.append(loss)
-                    policy_losses.append(float(policy_loss.item()))
-                    value_losses.append(float(value_loss.item()))
-                    entropies.append(float(entropy.item()))
-                if not loss_terms:
-                    continue
-                total = loss_terms[0]
-                for term in loss_terms[1:]:
-                    total = total + term
-                total = total * (1.0 / len(loss_terms))
+                loss, policy_loss, value_loss, entropy, values = self._minibatch_loss(
+                    buffer, indices
+                )
+                value_predictions[indices] = values
+                policy_losses.append(policy_loss)
+                value_losses.append(value_loss)
+                entropies.append(entropy)
                 self.optimizer.zero_grad()
-                total.backward()
+                loss.backward()
                 clip_grad_norm(self.policy.parameters(), config.max_grad_norm)
                 self.optimizer.step()
 
         return {
-            "policy_loss": float(np.mean(policy_losses)),
-            "value_loss": float(np.mean(value_losses)),
-            "entropy": float(np.mean(entropies)),
+            "policy_loss": float(np.mean(np.concatenate(policy_losses))),
+            "value_loss": float(np.mean(np.concatenate(value_losses))),
+            "entropy": float(np.mean(np.concatenate(entropies))),
             "explained_variance": explained_variance(value_predictions, buffer.returns),
         }
+
+    def _minibatch_loss(
+        self, buffer: RolloutBuffer, indices: np.ndarray
+    ) -> Tuple[Tensor, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The clipped-surrogate loss of one minibatch, from one batched forward.
+
+        Returns the scalar loss (the mean of the per-transition losses) and
+        the per-transition policy losses, value losses, entropies and value
+        predictions as arrays.
+        """
+        config = self.config
+        transitions = [buffer.transitions[index] for index in indices]
+        batch = BatchedObservation.stack([t.observation for t in transitions])
+        actions = np.stack([t.action for t in transitions])
+        old_log_probs = np.array([t.log_prob for t in transitions])
+        advantages = buffer.advantages[indices]
+        log_probs, values, entropies = self.policy.evaluate_actions(batch, actions)
+        ratio = (log_probs - old_log_probs).exp()
+        unclipped = ratio * advantages
+        clipped = ratio.clip(1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon) * advantages
+        policy_loss = -minimum(unclipped, clipped)
+        value_error = values - buffer.returns[indices]
+        value_loss = value_error * value_error
+        loss = (
+            policy_loss + config.value_coef * value_loss - config.entropy_coef * entropies
+        ).mean()
+        return loss, policy_loss.numpy(), value_loss.numpy(), entropies.numpy(), values.numpy()
 
     # ------------------------------------------------------------------
     # Full training loop

@@ -1,15 +1,9 @@
 """Compiled per-topology execution plans for the serving/rollout hot path.
 
-The interpreted stack is written for clarity: every policy inference walks a
-Module tree and every environment step runs ``K`` independent scalar
-simulator calls.  This package trades that flexibility for speed **without
-trading away a single bit of behaviour**:
+The interpreted stack is written for clarity: every environment step runs
+``K`` independent scalar simulator calls.  This package trades that
+flexibility for speed **without trading away a single bit of behaviour**:
 
-* :func:`compile_policy` / :class:`CompiledPolicyPlan` — trace one
-  ``ActorCriticPolicy`` batched forward into a flat list of array ops with
-  the topology's adjacency operators baked in; replay does zero
-  Module/Tensor dispatch and is probed bitwise against the interpreted
-  ``act_batch`` at build time.
 * :class:`OpAmpKernel` / :class:`CmOtaKernel` — batched simulator kernels;
   their MNA methods sweep all ``K`` per-env small-signal circuits through
   one :class:`~repro.simulation.mna.BatchedMNAPlan`, the MNA engine the
@@ -23,15 +17,13 @@ trading away a single bit of behaviour**:
   uncompilable configuration falls back to the interpreted path once and
   quietly ("degrades gracefully, never wrongly").
 
-Anything the tracer cannot reproduce bitwise — subclassed modules, unshared
-simulators, cache subclasses, unknown simulator types, or a build-time probe
-mismatch — raises :class:`UntraceableError` and the caller keeps using the
+Anything the tracer cannot reproduce bitwise — unshared simulators, cache
+subclasses, unknown simulator types, or a build-time probe mismatch — raises :class:`UntraceableError` and the caller keeps using the
 interpreted code.
 """
 
 from repro.compile.errors import UntraceableError
 from repro.compile.plan_cache import DEFAULT_PLAN_CACHE_SIZE, PlanCache, PlanCacheStats
-from repro.compile.policy_plan import CompiledPolicyPlan, compile_policy
 from repro.compile.sim_kernels import (
     CmOtaKernel,
     KernelResult,
@@ -45,8 +37,6 @@ __all__ = [
     "PlanCache",
     "PlanCacheStats",
     "DEFAULT_PLAN_CACHE_SIZE",
-    "CompiledPolicyPlan",
-    "compile_policy",
     "CompiledEpisodePlan",
     "KernelResult",
     "OpAmpKernel",

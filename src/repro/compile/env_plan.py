@@ -39,6 +39,7 @@ How the parity is kept
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -101,7 +102,10 @@ class CompiledEpisodePlan:
 
     def __init__(self, vector_env) -> None:
         envs = list(vector_env.envs)
-        self._vector_env = vector_env
+        # The vector env owns this plan (through its PlanCache); a strong
+        # back-reference would make the pair a cycle that outlives its last
+        # user until the cyclic garbage collector happens to run.
+        self._vector_env = weakref.proxy(vector_env)
         self._envs = envs
         self.num_envs = len(envs)
         self.steps_compiled = 0

@@ -3,19 +3,18 @@
 The contract of :mod:`repro.compile` is "degrades gracefully, never
 wrongly": any configuration the tracer cannot prove it can replay
 bitwise-identically raises :class:`UntraceableError` at *build* time, and
-callers (``VectorCircuitEnv``, ``compile_policy``) fall back to the
-interpreted path.  Replay never guesses.
+the caller (``VectorCircuitEnv``) falls back to the interpreted path.  Replay never guesses.
 """
 
 from __future__ import annotations
 
 
 class UntraceableError(RuntimeError):
-    """Raised when a policy/env configuration cannot be compiled faithfully.
+    """Raised when an env configuration cannot be compiled faithfully.
 
     Carries a human-readable ``reason`` describing the first untraceable
-    construct encountered (unknown layer type, unsupported simulator,
-    subclassed cache, failed build-time parity probe, ...).
+    construct encountered (unsupported simulator, subclassed cache, failed
+    build-time parity probe, ...).
     """
 
     def __init__(self, reason: str) -> None:

@@ -6,7 +6,7 @@ exact layer types the multimodal policy network needs (Linear/MLP, GCN, GAT,
 multi-head attention, Adam, categorical action distributions).
 """
 
-from repro.nn.distributions import Categorical, MultiCategorical
+from repro.nn.distributions import BatchedMultiCategorical
 from repro.nn.functional import explained_variance, huber_loss, mse_loss
 from repro.nn.graph_layers import (
     GATLayer,
@@ -33,7 +33,7 @@ from repro.nn.tensor import (
 
 __all__ = [
     "Adam",
-    "Categorical",
+    "BatchedMultiCategorical",
     "GATLayer",
     "GCNLayer",
     "GraphEncoder",
@@ -41,7 +41,6 @@ __all__ = [
     "Linear",
     "MLP",
     "Module",
-    "MultiCategorical",
     "Optimizer",
     "SGD",
     "Sequential",

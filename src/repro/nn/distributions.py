@@ -3,10 +3,12 @@
 The paper uses a discrete action space in which every tunable device
 parameter is either increased by one step, kept, or decreased by one step at
 each time step.  The policy head therefore outputs an ``M x 3`` matrix of
-logits (``M`` = number of tunable parameters), interpreted row-wise as
-independent categorical distributions.  :class:`MultiCategorical` wraps that
-matrix and provides sampling, log-probabilities and entropy — all the
-quantities PPO needs (Eq. 3).
+logits per observation (``M`` = number of tunable parameters), interpreted
+row-wise as independent categorical distributions.  The policy is
+batch-first, so :class:`BatchedMultiCategorical` wraps the ``(B, M, 3)``
+logits of a batch of observations and provides sampling, log-probabilities
+and entropy — all the quantities PPO needs (Eq. 3).  A single observation
+is a batch of one.
 """
 
 from __future__ import annotations
@@ -21,10 +23,9 @@ def sample_from_probs(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray
 
     One draw block of shape ``probs.shape[:-1] + (1,)`` is consumed from
     ``rng``.  This is the single sampling implementation behind
-    :class:`MultiCategorical`, :class:`BatchedMultiCategorical`, and the
-    policy's grad-free ``select_action`` fast paths — sharing it is what
-    keeps their "same draws from the same rng" parity contract safe against
-    drift.
+    :class:`BatchedMultiCategorical` and the policy's grad-free
+    ``select_action_batch`` fast path — sharing it is what keeps their "same
+    draws from the same rng" parity contract safe against drift.
     """
     cumulative = probs.cumsum(axis=-1)
     draws = rng.random(size=probs.shape[:-1] + (1,))
@@ -33,103 +34,13 @@ def sample_from_probs(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray
     return (draws > cumulative[..., :-1]).sum(axis=-1).astype(np.int64)
 
 
-class Categorical:
-    """Single categorical distribution over ``K`` classes from logits."""
-
-    def __init__(self, logits: Tensor) -> None:
-        if logits.ndim != 1:
-            raise ValueError(f"Categorical expects 1-D logits, got shape {logits.shape}")
-        self.logits = logits
-        self._log_probs = logits.log_softmax(axis=-1)
-
-    @property
-    def probs(self) -> np.ndarray:
-        return np.exp(self._log_probs.data)
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(rng.choice(len(self.probs), p=self.probs))
-
-    def log_prob(self, action: int) -> Tensor:
-        return self._log_probs[int(action)]
-
-    def entropy(self) -> Tensor:
-        probs = Tensor(self.probs)
-        return -(probs * self._log_probs).sum()
-
-    def mode(self) -> int:
-        return int(np.argmax(self.probs))
-
-
-class MultiCategorical:
-    """Independent categorical distribution per device parameter.
-
-    Parameters
-    ----------
-    logits:
-        ``(M, K)`` tensor of unnormalized log-probabilities; in this project
-        ``K = 3`` (decrease / keep / increase).
-    """
-
-    def __init__(self, logits: Tensor) -> None:
-        if logits.ndim != 2:
-            raise ValueError(f"MultiCategorical expects 2-D logits, got shape {logits.shape}")
-        self.logits = logits
-        self._log_probs = logits.log_softmax(axis=-1)
-
-    @property
-    def num_parameters(self) -> int:
-        return self.logits.shape[0]
-
-    @property
-    def num_choices(self) -> int:
-        return self.logits.shape[1]
-
-    @property
-    def probs(self) -> np.ndarray:
-        """Row-stochastic ``(M, K)`` probability matrix (detached)."""
-        return np.exp(self._log_probs.data)
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Sample one choice index per parameter; returns an ``(M,)`` int array."""
-        return sample_from_probs(self.probs, rng)
-
-    def mode(self) -> np.ndarray:
-        """Greedy (most likely) choice per parameter."""
-        return np.argmax(self.probs, axis=1).astype(np.int64)
-
-    def log_prob(self, actions: np.ndarray) -> Tensor:
-        """Joint log-probability of a full action vector (sum over rows)."""
-        actions = np.asarray(actions, dtype=np.int64)
-        if actions.shape != (self.num_parameters,):
-            raise ValueError(
-                f"actions must have shape ({self.num_parameters},), got {actions.shape}"
-            )
-        if np.any(actions < 0) or np.any(actions >= self.num_choices):
-            raise ValueError("action index out of range")
-        rows = np.arange(self.num_parameters)
-        return self._log_probs[rows, actions].sum()
-
-    def entropy(self) -> Tensor:
-        """Total entropy (sum of per-parameter entropies)."""
-        probs = Tensor(self.probs)
-        return -(probs * self._log_probs).sum()
-
-    def kl_divergence(self, other: "MultiCategorical") -> float:
-        """KL(self || other), summed over parameters (detached diagnostic)."""
-        p = self.probs
-        log_p = self._log_probs.data
-        log_q = other._log_probs.data
-        return float((p * (log_p - log_q)).sum())
-
-
 class BatchedMultiCategorical:
-    """A batch of :class:`MultiCategorical` distributions, one per environment.
+    """Independent categorical distributions per device parameter, per row.
 
-    Wraps ``(B, M, K)`` logits — the output of the policy's batched forward
-    pass over a :class:`~repro.env.spaces.BatchedObservation` — and performs
-    sampling, log-probabilities and entropies for the whole batch with single
-    array operations, instead of one Python-level distribution per
-    environment.
+    Wraps ``(B, M, K)`` logits — the output of the policy's forward pass over
+    a :class:`~repro.env.spaces.BatchedObservation`; in this project ``K = 3``
+    (decrease / keep / increase) — and performs sampling, log-probabilities
+    and entropies for the whole batch with single array operations.
     """
 
     def __init__(self, logits: Tensor) -> None:
@@ -157,10 +68,6 @@ class BatchedMultiCategorical:
         """Row-stochastic ``(B, M, K)`` probability tensor (detached)."""
         return np.exp(self._log_probs.data)
 
-    def __getitem__(self, index: int) -> MultiCategorical:
-        """Per-environment distribution (shares the batched graph's logits)."""
-        return MultiCategorical(self.logits[index])
-
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """One ``(B, M)`` action matrix via inverse-CDF sampling."""
         return sample_from_probs(self.probs, rng)
@@ -170,7 +77,7 @@ class BatchedMultiCategorical:
         return np.argmax(self.probs, axis=-1).astype(np.int64)
 
     def log_prob(self, actions: np.ndarray) -> Tensor:
-        """Per-environment joint log-probabilities, shape ``(B,)``."""
+        """Per-row joint log-probabilities, shape ``(B,)``."""
         actions = np.asarray(actions, dtype=np.int64)
         expected = (self.batch_size, self.num_parameters)
         if actions.shape != expected:
@@ -182,6 +89,11 @@ class BatchedMultiCategorical:
         return self._log_probs[batch_index, param_index, actions].sum(axis=-1)
 
     def entropy(self) -> Tensor:
-        """Per-environment total entropies, shape ``(B,)``."""
-        probs = Tensor(self.probs)
-        return -(probs * self._log_probs).sum(axis=(-2, -1))
+        """Per-row total entropies, shape ``(B,)``.
+
+        The probabilities stay in the graph (``exp`` of the log-softmax):
+        with them detached, ``d/dlogits`` of ``-sum(p log p)`` collapses to
+        ``sum_k p_k (delta_kj - p_j) = 0`` and an entropy bonus would have no
+        effect on training.
+        """
+        return -(self._log_probs.exp() * self._log_probs).sum(axis=(-2, -1))

@@ -11,7 +11,7 @@ parameters as node features) with either of two GNNs:
   which the paper reports as modelling circuit-node interactions better than
   GCN (GAT-FC beats GCN-FC in Fig. 3 / Table 2).
 
-Both operate on dense ``(n_nodes, features)`` tensors since analog circuit
+Both operate on dense ``(..., n_nodes, features)`` tensors since analog circuit
 graphs are tiny (tens of nodes), and both are differentiated end-to-end by the
 autograd engine in :mod:`repro.nn.tensor`.
 """
@@ -155,9 +155,8 @@ class GATLayer(Module):
     def attention_mask(adjacency: np.ndarray) -> np.ndarray:
         """Binary attention mask (adjacency + self-loops) used by every head.
 
-        Exposed so the compiled-plan tracer (:mod:`repro.compile`) can bake
-        the mask once per topology; both forwards derive it through this
-        helper so the baked constant is bitwise-identical by construction.
+        Both forwards derive it through this helper, so they mask
+        identically by construction.
         """
         adjacency = np.asarray(adjacency, dtype=np.float64)
         return ((adjacency + np.eye(adjacency.shape[0])) > 0).astype(np.float64)
@@ -241,25 +240,15 @@ class GraphReadout(Module):
         self.mode = mode
 
     def forward(self, node_embeddings: Tensor) -> Tensor:
-        """Pool ``(n, f)`` into ``(1, n_out)`` or batched ``(B, n, f)`` into ``(B, n_out)``."""
-        if node_embeddings.ndim == 3:
-            batch = node_embeddings.shape[0]
-            if self.mode == "mean":
-                return node_embeddings.mean(axis=1)
-            if self.mode == "sum":
-                return node_embeddings.sum(axis=1)
-            if self.mode == "max":
-                return node_embeddings.max(axis=1)
-            return node_embeddings.reshape(batch, -1)
+        """Pool batched ``(B, n, f)`` node embeddings into ``(B, n_out)``."""
+        self._check_batched(node_embeddings.shape)
         if self.mode == "mean":
-            pooled = node_embeddings.mean(axis=0, keepdims=True)
-        elif self.mode == "sum":
-            pooled = node_embeddings.sum(axis=0, keepdims=True)
-        elif self.mode == "max":
-            pooled = node_embeddings.max(axis=0, keepdims=True)
-        else:
-            pooled = node_embeddings.reshape(1, -1)
-        return pooled
+            return node_embeddings.mean(axis=1)
+        if self.mode == "sum":
+            return node_embeddings.sum(axis=1)
+        if self.mode == "max":
+            return node_embeddings.max(axis=1)
+        return node_embeddings.reshape(node_embeddings.shape[0], -1)
 
     def forward_array(self, node_embeddings: np.ndarray) -> np.ndarray:
         """Grad-free pooling over a plain array (same arithmetic as ``forward``).
@@ -267,21 +256,19 @@ class GraphReadout(Module):
         ``mean`` mirrors ``Tensor.mean`` — ``sum * (1 / count)`` — rather than
         ``ndarray.mean`` so the result is bitwise equal to the graded path.
         """
-        if node_embeddings.ndim == 3:
-            if self.mode == "mean":
-                return node_embeddings.sum(axis=1) * (1.0 / node_embeddings.shape[1])
-            if self.mode == "sum":
-                return node_embeddings.sum(axis=1)
-            if self.mode == "max":
-                return node_embeddings.max(axis=1)
-            return node_embeddings.reshape(node_embeddings.shape[0], -1)
+        self._check_batched(node_embeddings.shape)
         if self.mode == "mean":
-            return node_embeddings.sum(axis=0, keepdims=True) * (1.0 / node_embeddings.shape[0])
+            return node_embeddings.sum(axis=1) * (1.0 / node_embeddings.shape[1])
         if self.mode == "sum":
-            return node_embeddings.sum(axis=0, keepdims=True)
+            return node_embeddings.sum(axis=1)
         if self.mode == "max":
-            return node_embeddings.max(axis=0, keepdims=True)
-        return node_embeddings.reshape(1, -1)
+            return node_embeddings.max(axis=1)
+        return node_embeddings.reshape(node_embeddings.shape[0], -1)
+
+    @staticmethod
+    def _check_batched(shape: tuple) -> None:
+        if len(shape) != 3:
+            raise ValueError(f"readout expects (B, n, f) node embeddings, got shape {shape}")
 
 
 class GraphEncoder(Module):
@@ -345,38 +332,29 @@ class GraphEncoder(Module):
             return self.layer_sizes[-1] * self.num_nodes
         return self.layer_sizes[-1]
 
-    def bake_operator(self, adjacency: np.ndarray) -> np.ndarray:
-        """Derive the layer-ready operator for ``adjacency`` (no caching).
-
-        GCN layers consume the symmetrically normalized adjacency, GAT layers
-        the raw float adjacency.  Exposed so the compiled-plan tracer
-        (:mod:`repro.compile`) bakes exactly the operator the interpreted
-        forward would derive.
-        """
-        if self.kind == "gcn":
-            return normalized_adjacency(adjacency)
-        return np.asarray(adjacency, dtype=np.float64)
-
     def _resolve_operator(self, adjacency: np.ndarray) -> np.ndarray:
         """The layer-ready operator for ``adjacency``, via the one-entry cache.
 
-        Shared by the graded and grad-free forwards so both always derive
-        (and cache) the operator identically.
+        GCN layers consume the symmetrically normalized adjacency, GAT layers
+        the raw float adjacency.  Shared by the graded and grad-free forwards
+        so both always derive (and cache) the operator identically.
         """
         if self._operator_source is not adjacency or self._operator is None:
-            operator = self.bake_operator(adjacency)
+            if self.kind == "gcn":
+                operator = normalized_adjacency(adjacency)
+            else:
+                operator = np.asarray(adjacency, dtype=np.float64)
             self._operator_source = adjacency if isinstance(adjacency, np.ndarray) else None
             self._operator = operator
         return self._operator
 
     def forward(self, node_features: Tensor, adjacency: np.ndarray) -> Tensor:
-        """Return a ``(1, out_features)`` graph embedding.
+        """Map ``(B, n, features)`` node features to ``(B, out_features)``.
 
-        ``adjacency`` is the raw symmetric adjacency matrix; normalization
-        (GCN) or masking (GAT) is handled internally.  A batched
-        ``(B, n, features)`` input produces a ``(B, out_features)`` embedding
-        — the topology (one adjacency) is shared across the batch, which is
-        exactly the :class:`~repro.parallel.VectorCircuitEnv` situation.
+        ``adjacency`` is the raw symmetric ``(n, n)`` adjacency matrix, shared
+        by the whole batch (one topology, exactly the
+        :class:`~repro.parallel.VectorCircuitEnv` situation); normalization
+        (GCN) or masking (GAT) is handled internally.
         """
         operator = self._resolve_operator(adjacency)
         hidden = node_features

@@ -558,22 +558,27 @@ class Tensor:
         grad = np.asarray(grad, dtype=np.float64)
 
         ordering: list[Tensor] = []
-        visited: set[int] = set()
-
-        def topo(node: "Tensor") -> None:
-            if id(node) in visited:
-                return
-            visited.add(id(node))
-            for parent in node._parents:
-                topo(parent)
-            ordering.append(node)
-
-        topo(self)
+        _topological_order(self, set(), ordering)
 
         self._accumulate(grad)
         for node in reversed(ordering):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+
+
+def _topological_order(node: Tensor, visited: set[int], ordering: list[Tensor]) -> None:
+    """Append ``node``'s graph to ``ordering``, parents before children.
+
+    A module-level function rather than a closure: a nested recursive
+    closure references itself, and that cycle would keep the whole graph
+    (data and gradients) alive until the cyclic garbage collector runs.
+    """
+    if id(node) in visited:
+        return
+    visited.add(id(node))
+    for parent in node._parents:
+        _topological_order(parent, visited, ordering)
+    ordering.append(node)
 
 
 # ----------------------------------------------------------------------

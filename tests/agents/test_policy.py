@@ -7,7 +7,7 @@ import pytest
 
 from repro import make_policy
 from repro.agents.policy import ActorCriticPolicy, PolicyConfig
-from repro.env.spaces import NUM_ACTION_CHOICES
+from repro.env.spaces import NUM_ACTION_CHOICES, BatchedObservation
 
 
 @pytest.fixture
@@ -15,6 +15,12 @@ def observation(opamp_env):
     return opamp_env.reset(
         target_specs={"gain": 400.0, "bandwidth": 1e7, "phase_margin": 57.0, "power": 2e-3}
     )
+
+
+@pytest.fixture
+def batch(observation):
+    """The observation as a batch of one."""
+    return BatchedObservation.stack([observation])
 
 
 class TestConfigValidation:
@@ -43,16 +49,16 @@ class TestConfigValidation:
 
 class TestForwardPasses:
     @pytest.mark.parametrize("policy_id", ["gcn_fc", "gat_fc", "baseline_a", "baseline_b"])
-    def test_distribution_shape(self, opamp_env, observation, policy_id, rng):
+    def test_distribution_shape(self, opamp_env, batch, policy_id, rng):
         policy = make_policy(policy_id, opamp_env, rng)
-        distribution = policy.action_distribution(observation)
-        assert distribution.probs.shape == (opamp_env.num_parameters, NUM_ACTION_CHOICES)
-        np.testing.assert_allclose(distribution.probs.sum(axis=1), 1.0)
+        distribution = policy.action_distribution_batch(batch)
+        assert distribution.probs.shape == (1, opamp_env.num_parameters, NUM_ACTION_CHOICES)
+        np.testing.assert_allclose(distribution.probs.sum(axis=-1), 1.0)
 
-    def test_value_is_scalar(self, opamp_env, observation, rng):
+    def test_value_is_scalar(self, opamp_env, batch, rng):
         policy = make_policy("gcn_fc", opamp_env, rng)
-        value = policy.value(observation)
-        assert value.size == 1
+        value = policy.value_batch(batch)
+        assert value.shape == (1,)
         assert np.isfinite(value.item())
 
     def test_act_returns_valid_action(self, opamp_env, observation, rng):
@@ -67,19 +73,19 @@ class TestForwardPasses:
         action_b, _, _ = policy.act(observation, np.random.default_rng(999), deterministic=True)
         np.testing.assert_array_equal(action_a, action_b)
 
-    def test_evaluate_actions_consistent_with_act(self, opamp_env, observation, rng):
+    def test_evaluate_actions_consistent_with_act(self, opamp_env, observation, batch, rng):
         policy = make_policy("gcn_fc", opamp_env, rng)
         action, log_prob, value = policy.act(observation, rng)
-        log_prob_eval, value_eval, entropy = policy.evaluate_actions(observation, action)
+        log_prob_eval, value_eval, entropy = policy.evaluate_actions(batch, action[None])
         assert float(log_prob_eval.item()) == pytest.approx(log_prob)
         assert float(value_eval.item()) == pytest.approx(value)
         assert float(entropy.item()) >= 0.0
 
-    def test_gradients_reach_both_branches(self, opamp_env, observation, rng):
+    def test_gradients_reach_both_branches(self, opamp_env, observation, batch, rng):
         policy = make_policy("gcn_fc", opamp_env, rng)
         action, _, _ = policy.act(observation, rng)
-        log_prob, value, entropy = policy.evaluate_actions(observation, action)
-        (log_prob + value + entropy).backward()
+        log_prob, value, entropy = policy.evaluate_actions(batch, action[None])
+        (log_prob + value + entropy).sum().backward()
         grads = [name for name, p in policy.named_parameters() if p.grad is not None]
         assert any("graph_encoder" in name for name in grads)
         assert any("spec_encoder" in name for name in grads)
@@ -111,11 +117,11 @@ class TestArchitectureDifferences:
         observation = opamp_env.reset(
             target_specs={"gain": 400.0, "bandwidth": 1e7, "phase_margin": 57.0, "power": 2e-3}
         )
-        before = policy.action_distribution(observation).probs.copy()
+        before = policy.action_distribution_batch(BatchedObservation.stack([observation])).probs
         # Change only the netlist-derived dynamic features.
         modified = observation
         modified.node_features[:, -2:] += 0.3
-        after = policy.action_distribution(modified).probs
+        after = policy.action_distribution_batch(BatchedObservation.stack([modified])).probs
         np.testing.assert_allclose(before, after)
 
     def test_make_policy_by_name(self, opamp_env, rng):
@@ -126,13 +132,13 @@ class TestArchitectureDifferences:
 
 
 class TestTransferability:
-    def test_state_dict_roundtrip_preserves_behaviour(self, opamp_env, observation, rng):
+    def test_state_dict_roundtrip_preserves_behaviour(self, opamp_env, batch, rng):
         source = make_policy("gcn_fc", opamp_env, np.random.default_rng(0))
         target = make_policy("gcn_fc", opamp_env, np.random.default_rng(1))
         target.load_state_dict(source.state_dict())
         np.testing.assert_allclose(
-            source.action_distribution(observation).probs,
-            target.action_distribution(observation).probs,
+            source.action_distribution_batch(batch).probs,
+            target.action_distribution_batch(batch).probs,
         )
 
     def test_policy_works_on_rf_pa_env(self, rf_pa_env, rng):

@@ -70,16 +70,17 @@ def test_legacy_policy_factories_warn_but_work(opamp_env, rng):
 def test_legacy_make_policy_dispatch_warns_and_matches_registry(opamp_env):
     import repro
     from repro.agents.policy import ActorCriticPolicy, make_policy
+    from repro.env.spaces import BatchedObservation
 
     target = {"gain": 400.0, "bandwidth": 1e7, "phase_margin": 57.0, "power": 2e-3}
-    observation = opamp_env.reset(target_specs=target)
+    batch = BatchedObservation.stack([opamp_env.reset(target_specs=target)])
     with pytest.warns(DeprecationWarning, match="make_policy"):
         legacy = make_policy("gat_fc", opamp_env, np.random.default_rng(5))
     assert isinstance(legacy, ActorCriticPolicy)
     registry = repro.make_policy("gat_fc", opamp_env, np.random.default_rng(5))
     np.testing.assert_allclose(
-        legacy.action_distribution(observation).probs,
-        registry.action_distribution(observation).probs,
+        legacy.action_distribution_batch(batch).probs,
+        registry.action_distribution_batch(batch).probs,
     )
 
 

@@ -10,6 +10,7 @@ from repro.agents.policy import ActorCriticPolicy
 from repro.api import Optimizer, UnknownComponentError
 from repro.api.registry import Registry
 from repro.env.circuit_env import CircuitDesignEnv
+from repro.env.spaces import BatchedObservation
 
 
 class TestCatalogRoundTrips:
@@ -147,10 +148,10 @@ class TestPolicyEquivalence:
         from repro.agents.policy import POLICY_FACTORIES
 
         target = {"gain": 400.0, "bandwidth": 1e7, "phase_margin": 57.0, "power": 2e-3}
-        observation = opamp_env.reset(target_specs=target)
+        batch = BatchedObservation.stack([opamp_env.reset(target_specs=target)])
         new = repro.make_policy("gcn_fc", opamp_env, np.random.default_rng(4))
         old = POLICY_FACTORIES["gcn_fc"](opamp_env, np.random.default_rng(4))
         np.testing.assert_allclose(
-            new.action_distribution(observation).probs,
-            old.action_distribution(observation).probs,
+            new.action_distribution_batch(batch).probs,
+            old.action_distribution_batch(batch).probs,
         )

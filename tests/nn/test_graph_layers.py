@@ -127,7 +127,7 @@ class TestGATLayer:
 
 class TestGraphReadout:
     def test_modes(self):
-        embeddings = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        embeddings = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
         np.testing.assert_allclose(GraphReadout("mean")(embeddings).data, [[2.0, 3.0]])
         np.testing.assert_allclose(GraphReadout("sum")(embeddings).data, [[4.0, 6.0]])
         np.testing.assert_allclose(GraphReadout("max")(embeddings).data, [[3.0, 4.0]])
@@ -139,19 +139,26 @@ class TestGraphReadout:
         with pytest.raises(ValueError):
             GraphReadout("median")
 
+    def test_rejects_unbatched_embeddings(self):
+        unbatched = np.array([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ValueError):
+            GraphReadout("mean")(Tensor(unbatched))
+        with pytest.raises(ValueError):
+            GraphReadout("mean").forward_array(unbatched)
+
 
 class TestGraphEncoder:
     @pytest.mark.parametrize("kind", ["gcn", "gat"])
     def test_embedding_shape(self, rng, kind):
         encoder = GraphEncoder((4, 8, 6), rng, kind=kind)
-        out = encoder(Tensor(np.random.default_rng(0).normal(size=(7, 4))), ring_adjacency(7))
+        out = encoder(Tensor(np.random.default_rng(0).normal(size=(1, 7, 4))), ring_adjacency(7))
         assert out.shape == (1, 6)
         assert encoder.out_features == 6
 
     def test_concat_readout_out_features(self, rng):
         encoder = GraphEncoder((4, 8), rng, readout="concat", num_nodes=7)
         assert encoder.out_features == 56
-        out = encoder(Tensor(np.zeros((7, 4))), ring_adjacency(7))
+        out = encoder(Tensor(np.zeros((1, 7, 4))), ring_adjacency(7))
         assert out.shape == (1, 56)
 
     def test_concat_requires_num_nodes(self, rng):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.env.spaces import BatchedObservation
 from repro.nn.distributions import BatchedMultiCategorical
 from repro.nn.tensor import Tensor
 from repro.parallel import VectorCircuitEnv
@@ -37,9 +38,9 @@ class TestBatchedForward:
         policy = repro.make_policy(policy_id, venv.envs[0], np.random.default_rng(11))
         batched = policy.action_distribution_batch(observations)
         for i in range(len(observations)):
-            single = policy.action_distribution(observations[i])
+            single = policy.action_distribution_batch(BatchedObservation.stack([observations[i]]))
             np.testing.assert_allclose(
-                batched.probs[i], single.probs, rtol=1e-12, atol=1e-14
+                batched.probs[i], single.probs[0], rtol=1e-12, atol=1e-14
             )
 
     @pytest.mark.parametrize("policy_id", POLICY_IDS)
@@ -48,9 +49,8 @@ class TestBatchedForward:
         policy = repro.make_policy(policy_id, venv.envs[0], np.random.default_rng(11))
         values = policy.value_batch(observations).numpy()
         for i in range(len(observations)):
-            np.testing.assert_allclose(
-                values[i], policy.value(observations[i]).item(), rtol=1e-12, atol=1e-14
-            )
+            single = policy.value_batch(BatchedObservation.stack([observations[i]]))
+            np.testing.assert_allclose(values[i], single.item(), rtol=1e-12, atol=1e-14)
 
     def test_deterministic_actions_match_per_env(self, batch):
         venv, observations = batch
@@ -84,8 +84,8 @@ class TestBatchedMultiCategorical:
         joint = batched.log_prob(actions).numpy()
         entropies = batched.entropy().numpy()
         for i in range(4):
-            row = batched[i]
-            np.testing.assert_allclose(joint[i], row.log_prob(actions[i]).item(), rtol=1e-12)
+            row = BatchedMultiCategorical(logits[i:i + 1])
+            np.testing.assert_allclose(joint[i], row.log_prob(actions[i:i + 1]).item(), rtol=1e-12)
             np.testing.assert_allclose(entropies[i], row.entropy().item(), rtol=1e-12)
 
     def test_rejects_bad_shapes(self):
