@@ -7,8 +7,10 @@ parameters for given specifications" (Sec. 4).  This module implements
   group and return its trajectory (the data behind Fig. 5 and Fig. 6),
 * :func:`deploy_policy_batch` — run many specification-group episodes
   lock-step on a :class:`~repro.parallel.VectorCircuitEnv`, paying one
-  batched policy forward per step instead of one per episode (episode-level
-  results identical to sequential :func:`deploy_policy`), and
+  batched policy forward and one ``step_selected`` call over the
+  still-active lanes per step instead of one of each per episode (on a
+  ``compile=True`` vector env that step runs the compiled episode plan;
+  episode-level results identical to sequential :func:`deploy_policy`), and
 * :func:`evaluate_deployment` — deploy over a batch of sampled specification
   groups and report the two headline Table 2 metrics: *design accuracy*
   (fraction of groups for which all specs are met within the step budget)
@@ -163,11 +165,15 @@ def deploy_policy_batch(
     """Deploy one episode per target group, micro-batched over a vector env.
 
     Targets are processed in chunks of ``vector_env.num_envs``: each chunk's
-    episodes run lock-step — one batched grad-free policy forward per step —
-    with finished episodes dropping out of the batch, so every episode is
-    exactly the step sequence the sequential :func:`deploy_policy` would have
-    produced (deterministic deployment results are episode-level identical;
-    the shared simulation cache changes cost, never values).
+    episodes run lock-step — one batched grad-free policy forward and one
+    :meth:`~repro.parallel.VectorCircuitEnv.step_selected` call over the
+    still-active lanes per step — with finished episodes dropping out of the
+    batch, so every episode is exactly the step sequence the sequential
+    :func:`deploy_policy` would have produced (deterministic deployment
+    results are episode-level identical; the shared simulation cache changes
+    cost, never values).  Built with ``compile=True``, the vector env runs
+    those subset steps on its compiled episode plan when the topology has
+    one, with bitwise-identical results.
 
     ``rng`` is only consulted for ``deterministic=False``; sampled actions
     then draw per lock-step batch, so the stochastic stream differs from the
@@ -203,31 +209,31 @@ def _deploy_chunk(
 ) -> List[DeploymentResult]:
     """Run one lock-step micro-batch (at most ``num_envs`` episodes)."""
     envs = vector_env.envs[: len(targets)]
-    observations = [
-        env.reset(target_specs=target) for env, target in zip(envs, targets)
-    ]
+    batch = BatchedObservation.stack(
+        [env.reset(target_specs=target) for env, target in zip(envs, targets)]
+    )
     results: List[Optional[DeploymentResult]] = [None] * len(targets)
     active = list(range(len(targets)))
     while active:
-        batch = BatchedObservation.stack([observations[index] for index in active])
         actions = policy.select_action_batch(batch, rng, deterministic=deterministic)
-        step_observations, _, dones, _ = vector_env.step_selected(active, actions)
-        still_active: List[int] = []
-        for row, index in enumerate(active):
-            observations[index] = step_observations[row]
-            if dones[row]:
-                trajectory = envs[index].trajectory
-                assert trajectory is not None
-                results[index] = DeploymentResult(
-                    target_specs=dict(targets[index]),
-                    success=trajectory.success,
-                    steps=trajectory.length,
-                    final_specs=dict(envs[index].measured_specs),
-                    trajectory=trajectory,
-                )
-            else:
-                still_active.append(index)
-        active = still_active
+        batch, _, dones, _ = vector_env.step_selected(active, actions)
+        if not dones.any():
+            continue
+        for row in np.flatnonzero(dones):
+            index = active[row]
+            trajectory = envs[index].trajectory
+            assert trajectory is not None
+            results[index] = DeploymentResult(
+                target_specs=dict(targets[index]),
+                success=trajectory.success,
+                steps=trajectory.length,
+                final_specs=dict(envs[index].measured_specs),
+                trajectory=trajectory,
+            )
+        still_active = np.flatnonzero(~dones)
+        active = [active[row] for row in still_active]
+        if active:
+            batch = batch.take(still_active)
     assert all(result is not None for result in results)
     return results  # type: ignore[return-value]
 
@@ -249,7 +255,7 @@ def evaluate_deployment(
     Pass an explicit ``targets`` sequence to evaluate every method on the
     identical batch (as done by the Table 2 harness).
 
-    ``batch_size > 1`` micro-batches the episodes over a
+    ``batch_size > 1`` micro-batches the episodes over a ``compile=True``
     :class:`~repro.parallel.VectorCircuitEnv` sharing one simulation cache
     (see :func:`deploy_policy_batch`); deterministic evaluations report
     exactly the sequential metrics, just faster.  The batched path is
@@ -271,7 +277,11 @@ def evaluate_deployment(
         # episode starts (initial_sizing="random") stay reproducible run to
         # run; an unseeded call stays unseeded, like the sequential path.
         vector_env = VectorCircuitEnv.from_env(
-            env, num_envs=min(int(batch_size), len(targets)), seed=seed, autoreset=False
+            env,
+            num_envs=min(int(batch_size), len(targets)),
+            seed=seed,
+            autoreset=False,
+            compile=True,
         )
         evaluation.results.extend(
             deploy_policy_batch(

@@ -26,27 +26,34 @@ How the parity is kept
   quantization.
 * **Interleaving**: the interpreted loop fully processes env ``i`` —
   including an autoreset's simulator/cache traffic — before env ``i+1``.
-  The compiled step therefore does all *pure* math batched up front, then
-  runs one sequential bookkeeping loop in env order for everything that is
+  The compiled step therefore does the *pure* math batched — action math
+  and cache keys up front, the kernel on the step's first cache miss (never,
+  when every lane hits; up front when there is no cache) — and runs one
+  sequential bookkeeping loop in env order for everything that is
   order-sensitive (cache ops, trajectory records, inline interpreted
   resets).
+* **Subset steps**: ``step(actions, indices)`` steps only the selected lanes
+  (``VectorCircuitEnv.step_selected``, the lock-step deployment step).  The
+  kernel still evaluates all ``K`` rows with the unselected ones holding
+  their current parameters; cache replay, trajectory records, rewards, infos
+  and observations cover the selected lanes only, in index order.
 * **Degrades gracefully, never wrongly**: any precondition the batched path
-  cannot honor exactly — a finished episode in the batch, malformed or
-  out-of-range actions, an incomplete target group — routes the *whole* step
-  to the interpreted implementation, which reproduces the exact partial
-  mutations and exceptions of the sequential contract.
+  cannot honor exactly — a finished selected lane, malformed or
+  out-of-range actions or lane indices, an incomplete target group — routes
+  the *whole* step to the interpreted implementation, which reproduces the
+  exact partial mutations and exceptions of the sequential contract.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.circuits.specs import Objective
 from repro.compile.errors import UntraceableError
-from repro.compile.sim_kernels import build_simulator_kernel
+from repro.compile.sim_kernels import KernelResult, build_simulator_kernel
 from repro.env.circuit_env import StepRecord
 from repro.env.reward import P2SReward, RewardOutcome
 from repro.env.spaces import BatchedObservation, Observation
@@ -108,6 +115,7 @@ class CompiledEpisodePlan:
         self._vector_env = weakref.proxy(vector_env)
         self._envs = envs
         self.num_envs = len(envs)
+        self._all_lanes = list(range(self.num_envs))
         self.steps_compiled = 0
         self.fallback_steps = 0
         self.last_fallback_reason: Optional[str] = None
@@ -291,26 +299,61 @@ class CompiledEpisodePlan:
     # ------------------------------------------------------------------
     # Step
     # ------------------------------------------------------------------
-    def _fallback(self, actions, reason: str):
+    def _fallback(self, actions, indices, reason: str):
         self.fallback_steps += 1
         self.last_fallback_reason = reason
-        return self._vector_env._step_interpreted(actions)
+        return self._vector_env._step_interpreted(actions, indices)
+
+    def _selected_lanes(self, indices: Sequence[int]) -> Optional[List[int]]:
+        """``indices`` as distinct in-range lane numbers, else ``None``.
+
+        Anything else — no lanes, repeats, negative or out-of-range numbers,
+        non-integers — is left to the interpreted loop, which resolves each
+        index exactly as ``vector_env.envs[index]`` does (or raises).
+        """
+        lanes: List[int] = []
+        for index in indices:
+            if type(index) is bool or not isinstance(index, (int, np.integer)):
+                return None
+            lanes.append(int(index))
+        if not lanes or len(set(lanes)) != len(lanes):
+            return None
+        if min(lanes) < 0 or max(lanes) >= self.num_envs:
+            return None
+        return lanes
 
     def step(
-        self, actions: np.ndarray
+        self, actions: np.ndarray, indices: Optional[Sequence[int]] = None
     ) -> Tuple[BatchedObservation, np.ndarray, np.ndarray, List[Dict[str, object]]]:
-        envs = self._envs
+        """Step every lane (``indices=None``) or only the selected lanes.
+
+        ``actions`` rows align with ``indices``.  A subset step is
+        ``VectorCircuitEnv.step_selected``: unselected lanes keep their state,
+        no lane autoresets, and everything returned covers the selected lanes
+        in index order.  The kernel still evaluates all ``K`` rows — it is
+        pure and its lane count is fixed at build time — with the unselected
+        rows holding their current parameters.
+        """
         actions = np.asarray(actions, dtype=np.int64)
-        if actions.shape != (self.num_envs, self.num_parameters):
-            return self._fallback(actions, "actions have the wrong shape")
+        lanes = self._all_lanes if indices is None else self._selected_lanes(indices)
+        if lanes is None:
+            return self._fallback(
+                actions, indices, "lane indices are not distinct in-range lanes"
+            )
+        envs = [self._envs[lane] for lane in lanes]
+        count = len(lanes)
+        if actions.shape != (count, self.num_parameters):
+            return self._fallback(actions, indices, "actions have the wrong shape")
         if bool(np.any(actions < 0)) or bool(np.any(actions > 2)):
-            return self._fallback(actions, "action index out of range")
+            return self._fallback(actions, indices, "action index out of range")
         if any(env._done for env in envs):
-            return self._fallback(actions, "a sub-environment episode is finished")
+            return self._fallback(actions, indices, "a selected lane is finished")
         if type(self._reward_fn) is P2SReward:
             names = self._reward_fn.spec_space.names
             if any(any(name not in env._targets for name in names) for env in envs):
-                return self._fallback(actions, "incomplete target specification group")
+                return self._fallback(
+                    actions, indices, "incomplete target specification group"
+                )
 
         # --- batched pure math ----------------------------------------
         # _values is the processor's own cache of the last written vector
@@ -321,23 +364,28 @@ class CompiledEpisodePlan:
                 env.data_processor._values
                 if env.data_processor._values is not None
                 else env.data_processor.parameter_values
-                for env in envs
+                for env in self._envs
             ]
         )
         space = self._design_space
-        snapped = space.snap_vector(space.apply_actions(current, actions))
+        snapped = space.snap_vector(space.apply_actions(current[lanes], actions))
+        current[lanes] = snapped
         full = self._full
         full[:] = self._base_row
-        full[:, self._knob_cols] = snapped
-        kernel_result = self._kernel.evaluate(full)
-        if self._cache is not None:
-            keys: Optional[List[bytes]] = self._cache_keys(full)
-            fresh_results: Optional[List[SimulationResult]] = None
-        else:
+        full[:, self._knob_cols] = current
+        rows = full[lanes]
+        cache = self._cache
+        # The kernel is pure, so with a cache it runs on the step's first
+        # miss, with the result it would have had up front; a step whose
+        # lanes all hit the cache never evaluates it.
+        kernel_result: Optional[KernelResult] = None
+        if cache is None:
             # No cache: every row's result is the kernel row itself, so all
             # result dicts can be materialized for the whole batch at once.
-            keys = None
+            kernel_result = self._kernel.evaluate(full)
             fresh_results = self._fresh_results(kernel_result)
+        else:
+            keys = self._cache_keys(rows)
 
         # --- sequential bookkeeping (order-sensitive state) -----------
         measured_dicts: List[Dict[str, float]] = []
@@ -347,22 +395,31 @@ class CompiledEpisodePlan:
         step_numbers: List[int] = []
         valid_flags: List[bool] = []
         reset_observations: List[Optional[Observation]] = []
-        rewards = np.zeros(self.num_envs)
-        dones = np.zeros(self.num_envs, dtype=bool)
-        autoreset = self._vector_env.autoreset
-        for index, env in enumerate(envs):
+        rewards = np.zeros(count)
+        dones = np.zeros(count, dtype=bool)
+        autoreset = indices is None and self._vector_env.autoreset
+        for row, (lane, env) in enumerate(zip(lanes, envs)):
             env._step_count += 1
-            row = snapped[index].copy()
+            values = snapped[row].copy()
             for (device_parameters, attribute), value in zip(
-                self._knob_writes[index], row.tolist()
+                self._knob_writes[lane], values.tolist()
             ):
                 device_parameters[attribute] = value
-            env.data_processor._values = row
+            env.data_processor._values = values
 
-            if fresh_results is not None:
-                result = fresh_results[index]
+            if cache is None:
+                result = fresh_results[lane]
             else:
-                result = self._simulate_row(index, kernel_result, keys)
+                result = self._cache_lookup(keys[row])
+                if result is None:
+                    if kernel_result is None:
+                        kernel_result = self._kernel.evaluate(full)
+                    result = SimulationResult(
+                        specs=kernel_result.spec_dict(lane),
+                        details=kernel_result.detail_dict(lane),
+                        valid=bool(kernel_result.valid[lane]),
+                    )
+                    self._cache_store(keys[row], result)
             env._measured = dict(result.specs)
             measured = env._measured
             outcome = self._reward_fn(measured, env._targets, valid=result.valid)
@@ -371,7 +428,7 @@ class CompiledEpisodePlan:
 
             record = StepRecord(
                 step=env._step_count,
-                parameters=row.copy(),
+                parameters=values.copy(),
                 specs=dict(measured),
                 reward=outcome.reward,
                 goal_reached=goal_reached,
@@ -385,8 +442,8 @@ class CompiledEpisodePlan:
             goals.append(goal_reached)
             step_numbers.append(env._step_count)
             valid_flags.append(result.valid)
-            rewards[index] = float(outcome.reward)
-            dones[index] = env._done
+            rewards[row] = float(outcome.reward)
+            dones[row] = env._done
             if env._done and autoreset:
                 reset_observations.append(env.reset())
             else:
@@ -394,10 +451,10 @@ class CompiledEpisodePlan:
 
         # --- batched observation assembly -----------------------------
         node_features = np.broadcast_to(
-            self._node_base, (self.num_envs,) + self._node_base.shape
+            self._node_base, (count,) + self._node_base.shape
         ).copy()
         node_features[:, self._feature_rows, self._feature_cols] = (
-            full[:, self._feature_read_cols] * self._feature_scales
+            rows[:, self._feature_read_cols] * self._feature_scales
         )
         obs = self._obs_specs
         measured_matrix = obs.matrix(measured_dicts)
@@ -413,41 +470,41 @@ class CompiledEpisodePlan:
         normalized_parameters = space.normalize(snapped)
 
         infos: List[Dict[str, object]] = []
-        for index, env in enumerate(envs):
-            outcome = outcomes[index]
+        for row, env in enumerate(envs):
+            outcome = outcomes[row]
             info: Dict[str, object] = {
-                "step": step_numbers[index],
-                "specs": dict(measured_dicts[index]),
-                "goal_reached": goals[index],
+                "step": step_numbers[row],
+                "specs": dict(measured_dicts[row]),
+                "goal_reached": goals[row],
                 "met_fraction": outcome.met_fraction,
                 "normalized_errors": outcome.normalized_errors,
-                "simulation_valid": valid_flags[index],
+                "simulation_valid": valid_flags[row],
             }
             if self._is_fom_mode:
                 info["figure_of_merit"] = self._reward_fn.figure_of_merit(
-                    measured_dicts[index]
+                    measured_dicts[row]
                 )
-            reset_observation = reset_observations[index]
+            reset_observation = reset_observations[row]
             if reset_observation is not None:
                 info["terminal_observation"] = Observation(
-                    node_features=node_features[index].copy(),
+                    node_features=node_features[row].copy(),
                     static_node_features=env.data_processor._static_features,
                     adjacency=env.data_processor.adjacency,
-                    spec_features=spec_features[index].copy(),
-                    normalized_parameters=normalized_parameters[index].copy(),
-                    measured_specs=dict(measured_dicts[index]),
-                    target_specs=dict(target_dicts[index]),
+                    spec_features=spec_features[row].copy(),
+                    normalized_parameters=normalized_parameters[row].copy(),
+                    measured_specs=dict(measured_dicts[row]),
+                    target_specs=dict(target_dicts[row]),
                 )
-                node_features[index] = reset_observation.node_features
-                spec_features[index] = reset_observation.spec_features
-                normalized_parameters[index] = reset_observation.normalized_parameters
-                measured_dicts[index] = dict(reset_observation.measured_specs)
-                target_dicts[index] = dict(reset_observation.target_specs)
+                node_features[row] = reset_observation.node_features
+                spec_features[row] = reset_observation.spec_features
+                normalized_parameters[row] = reset_observation.normalized_parameters
+                measured_dicts[row] = dict(reset_observation.measured_specs)
+                target_dicts[row] = dict(reset_observation.target_specs)
             infos.append(info)
 
         batched = BatchedObservation(
             node_features=node_features,
-            static_node_features=self._static_stack,
+            static_node_features=self._static_stack[lanes],
             adjacency=self._adjacency,
             spec_features=spec_features,
             normalized_parameters=normalized_parameters,
@@ -460,11 +517,11 @@ class CompiledEpisodePlan:
     # ------------------------------------------------------------------
     # Simulation replay
     # ------------------------------------------------------------------
-    def _cache_keys(self, full: np.ndarray) -> List[bytes]:
-        """Vectorized twin of ``SimulationCache._key`` over all rows."""
+    def _cache_keys(self, rows: np.ndarray) -> List[bytes]:
+        """Vectorized twin of ``SimulationCache._key`` over full-parameter rows."""
         cache = self._cache
         assert cache is not None
-        mantissas, exponents = np.frexp(full)
+        mantissas, exponents = np.frexp(rows)
         scaled = np.round(mantissas * cache._mantissa_scale)
         carry = np.abs(scaled) >= cache._mantissa_scale
         scaled = np.where(carry, scaled * 0.5, scaled)
@@ -472,10 +529,10 @@ class CompiledEpisodePlan:
         name = self._name_bytes
         return [
             name + scaled[k].tobytes() + exponents[k].tobytes()
-            for k in range(self.num_envs)
+            for k in range(rows.shape[0])
         ]
 
-    def _fresh_results(self, kernel_result) -> List[SimulationResult]:
+    def _fresh_results(self, kernel_result: KernelResult) -> List[SimulationResult]:
         """All rows as fresh :class:`SimulationResult`\\ s (cache-off path)."""
         spec_rows = kernel_result.spec_rows()
         detail_rows = kernel_result.detail_rows()
@@ -485,31 +542,30 @@ class CompiledEpisodePlan:
             for specs, details, flag in zip(spec_rows, detail_rows, valid)
         ]
 
-    def _simulate_row(
-        self, index: int, kernel_result, keys: Optional[List[bytes]]
-    ) -> SimulationResult:
-        """Row ``index``'s simulation result with exact cache bookkeeping."""
-        fresh = lambda: SimulationResult(  # noqa: E731 - built lazily, misses only
-            specs=kernel_result.spec_dict(index),
-            details=kernel_result.detail_dict(index),
-            valid=bool(kernel_result.valid[index]),
-        )
+    def _cache_lookup(self, key: bytes) -> Optional[SimulationResult]:
+        """The cached result for ``key``, or ``None`` on a miss.
+
+        Counts the hit or miss and refreshes the LRU order exactly as
+        ``SimulationCache.simulate`` does.
+        """
         cache = self._cache
-        if cache is None or keys is None:
-            return fresh()
-        key = keys[index]
+        assert cache is not None
         cached = cache._entries.get(key)
-        if cached is not None:
-            cache.stats.hits += 1
-            cache._entries.move_to_end(key)
-            return cache._copy(cached)
-        cache.stats.misses += 1
-        result = fresh()
+        if cached is None:
+            cache.stats.misses += 1
+            return None
+        cache.stats.hits += 1
+        cache._entries.move_to_end(key)
+        return cache._copy(cached)
+
+    def _cache_store(self, key: bytes, result: SimulationResult) -> None:
+        """Insert a miss's result, evicting the oldest entry when full."""
+        cache = self._cache
+        assert cache is not None
         cache._entries[key] = cache._copy(result)
         if len(cache._entries) > cache.max_entries:
             cache._entries.popitem(last=False)
             cache.stats.evictions += 1
-        return result
 
 
 __all__ = ["CompiledEpisodePlan"]

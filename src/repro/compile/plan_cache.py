@@ -95,6 +95,15 @@ class PlanCache:
         self._store(key, _Entry(config=config, plan=plan))
         return plan
 
+    def peek(self, key: Hashable) -> Optional[Any]:
+        """The cached plan for ``key`` (``None`` if absent or failed).
+
+        Builds nothing, counts nothing and leaves the LRU order alone, so
+        stats readers can call it while another thread steps.
+        """
+        entry = self._entries.get(key)
+        return None if entry is None else entry.plan
+
     def failure_reason(self, key: Hashable) -> Optional[str]:
         """Reason the last build for ``key`` failed, or ``None``."""
         entry = self._entries.get(key)

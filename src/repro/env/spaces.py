@@ -157,6 +157,19 @@ class BatchedObservation:
             target_specs=self.target_specs[index],
         )
 
+    def take(self, rows: Sequence[int]) -> "BatchedObservation":
+        """The sub-batch of ``rows``, in the given order (arrays copied)."""
+        rows = list(rows)
+        return BatchedObservation(
+            node_features=self.node_features[rows],
+            static_node_features=self.static_node_features[rows],
+            adjacency=self.adjacency,
+            spec_features=self.spec_features[rows],
+            normalized_parameters=self.normalized_parameters[rows],
+            measured_specs=[self.measured_specs[row] for row in rows],
+            target_specs=[self.target_specs[row] for row in rows],
+        )
+
     def flat_matrix(self) -> np.ndarray:
         """Stacked Baseline A inputs, shape ``(N, 3 * num_specs + M)``."""
         return np.concatenate([self.spec_features, self.normalized_parameters], axis=-1)

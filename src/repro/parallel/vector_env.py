@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.env.circuit_env import CircuitDesignEnv, EpisodeTrajectory
-from repro.env.spaces import BatchedObservation, Observation
+from repro.env.spaces import BatchedObservation
 from repro.parallel.cache import DEFAULT_CACHE_SIZE, SimulationCache
 
 #: Targets accepted by ``reset``: nothing (each sub-env samples its own), one
@@ -301,6 +301,20 @@ class VectorCircuitEnv:
             return None
         return self._plan_cache.failure_reason("episode")
 
+    def compile_status(self) -> Dict[str, object]:
+        """Whether steps run compiled, why not, and the plan's fallback count.
+
+        Reads the already-built plan (if any) without building one, so it is
+        cheap and safe to call from a stats reader while another thread
+        steps.
+        """
+        plan = self._plan_cache.peek("episode") if self._plan_cache is not None else None
+        return {
+            "compiled": plan is not None,
+            "compiled_fallback_reason": self.compiled_fallback_reason,
+            "fallback_steps": 0 if plan is None else plan.fallback_steps,
+        }
+
     def step(
         self, actions: np.ndarray
     ) -> Tuple[BatchedObservation, np.ndarray, np.ndarray, List[Dict[str, object]]]:
@@ -313,42 +327,16 @@ class VectorCircuitEnv:
         With ``compile=True`` the step replays a
         :class:`~repro.compile.env_plan.CompiledEpisodePlan` when one can be
         built for this configuration; otherwise (and for any step the plan's
-        own preconditions reject) the interpreted loop below runs unchanged.
+        own preconditions reject) :meth:`_step_interpreted` runs.
         """
-        if self.compile:
-            plan = self.compiled_plan
-            if plan is not None:
-                return plan.step(actions)
+        plan = self.compiled_plan
+        if plan is not None:
+            return plan.step(actions)
         return self._step_interpreted(actions)
-
-    def _step_interpreted(
-        self, actions: np.ndarray
-    ) -> Tuple[BatchedObservation, np.ndarray, np.ndarray, List[Dict[str, object]]]:
-        """The reference per-environment loop (also the compiled fallback)."""
-        actions = np.asarray(actions, dtype=np.int64)
-        if actions.shape != (self.num_envs, self.num_parameters):
-            raise ValueError(
-                f"expected actions of shape ({self.num_envs}, {self.num_parameters}), "
-                f"got {actions.shape}"
-            )
-        observations = []
-        rewards = np.zeros(self.num_envs)
-        dones = np.zeros(self.num_envs, dtype=bool)
-        infos: List[Dict[str, object]] = []
-        for index, env in enumerate(self.envs):
-            observation, reward, done, info = env.step(actions[index])
-            if done and self.autoreset:
-                info["terminal_observation"] = observation
-                observation = env.reset()
-            observations.append(observation)
-            rewards[index] = reward
-            dones[index] = done
-            infos.append(info)
-        return BatchedObservation.stack(observations), rewards, dones, infos
 
     def step_selected(
         self, indices: Sequence[int], actions: np.ndarray
-    ) -> Tuple[List["Observation"], np.ndarray, np.ndarray, List[Dict[str, object]]]:
+    ) -> Tuple[BatchedObservation, np.ndarray, np.ndarray, List[Dict[str, object]]]:
         """Step only the sub-environments named by ``indices``.
 
         ``actions`` rows align with ``indices`` (``actions[row]`` goes to
@@ -358,29 +346,58 @@ class VectorCircuitEnv:
         needs: episodes in one micro-batch finish at different steps, and the
         finished ones must simply drop out of the batch.
 
-        Returns ``(observations, rewards, dones, infos)`` with one entry per
-        requested index (observations as per-environment
-        :class:`~repro.env.spaces.Observation` objects, ready to be
-        re-stacked over whichever subset is still active).
+        Returns ``(observations, rewards, dones, infos)`` with one row per
+        requested index, in index order; the observations come as one
+        :class:`~repro.env.spaces.BatchedObservation` over the selected
+        sub-environments (``observations[row]`` is a per-environment view;
+        :meth:`~repro.env.spaces.BatchedObservation.take` narrows it to the
+        rows still active).
+
+        With ``compile=True`` the step runs on the compiled episode plan
+        (see :meth:`step`); stepping a finished sub-environment, repeated or
+        out-of-range indices and every other case the plan cannot replay
+        exactly take the interpreted loop, with identical results.
         """
         indices = list(indices)
+        plan = self.compiled_plan
+        if plan is not None:
+            return plan.step(actions, indices)
+        return self._step_interpreted(actions, indices)
+
+    def _step_interpreted(
+        self, actions: np.ndarray, indices: Optional[Sequence[int]] = None
+    ) -> Tuple[BatchedObservation, np.ndarray, np.ndarray, List[Dict[str, object]]]:
+        """The reference per-environment loop (also the compiled fallback).
+
+        ``indices=None`` steps every sub-environment and applies autoreset;
+        otherwise only the named ones step, in the given order, and none is
+        reset.
+        """
+        lanes = range(self.num_envs) if indices is None else list(indices)
+        if not lanes:
+            raise ValueError("no sub-environment selected to step")
         actions = np.asarray(actions, dtype=np.int64)
-        if actions.shape != (len(indices), self.num_parameters):
+        if actions.shape != (len(lanes), self.num_parameters):
             raise ValueError(
-                f"expected actions of shape ({len(indices)}, {self.num_parameters}), "
+                f"expected actions of shape ({len(lanes)}, {self.num_parameters}), "
                 f"got {actions.shape}"
             )
-        observations: List[Observation] = []
-        rewards = np.zeros(len(indices))
-        dones = np.zeros(len(indices), dtype=bool)
+        autoreset = indices is None and self.autoreset
+        observations = []
+        rewards = np.zeros(len(lanes))
+        dones = np.zeros(len(lanes), dtype=bool)
         infos: List[Dict[str, object]] = []
-        for row, index in enumerate(indices):
-            observation, reward, done, info = self.envs[index].step(actions[row])
+        for row, index in enumerate(lanes):
+            env = self.envs[index]
+            observation, reward, done, info = env.step(actions[row])
+            if done and autoreset:
+                info["terminal_observation"] = observation
+                observation = env.reset()
             observations.append(observation)
             rewards[row] = reward
             dones[row] = done
             infos.append(info)
-        return observations, rewards, dones, infos
+        return BatchedObservation.stack(observations), rewards, dones, infos
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

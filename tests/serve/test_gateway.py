@@ -232,6 +232,8 @@ class TestGatewayBehavior:
         assert document["gateway"]["workers"] == 2
         assert document["gateway"]["batch_size"] == 3
         assert "caches" in document  # the service's per-topology cache stats
+        (block,) = document["caches"].values()
+        assert block["compiled"] is True and block["fallback_steps"] == 0
         assert document["episodes"] == 2
 
     def test_response_cache_replays_identical_results(self, service, targets, references):

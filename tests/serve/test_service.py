@@ -149,3 +149,23 @@ class TestServing:
         assert service.stats.by_env == {
             "common_source_lna-p2s-v0": 1, "opamp-p2s-v0": 1,
         }
+
+    def test_stats_dict_reports_compile_status_per_topology(
+        self, tmp_path, checkpoint_path, targets
+    ):
+        lna_env = repro.make_env("common_source_lna-p2s-v0", seed=0)
+        lna_policy = repro.make_policy("gcn_fc", lna_env, np.random.default_rng(0))
+        service = DeploymentService.from_checkpoint(checkpoint_path, batch_size=4)
+        service.register_policy("common_source_lna-p2s-v0", lna_policy)
+        service.serve([dict(t) for t in targets])
+        caches = service.stats_dict()["caches"]
+        opamp, lna = caches["opamp-p2s-v0"], caches["common_source_lna-p2s-v0"]
+        # The op-amp serves on its compiled plan, with every step compiled.
+        assert opamp["compiled"] is True
+        assert opamp["compiled_fallback_reason"] is None
+        assert opamp["fallback_steps"] == 0
+        assert opamp["misses"] > 0  # the cache counters stay in the same block
+        # The LNA has no kernel: known at registration, before any request.
+        assert lna["compiled"] is False
+        assert "no compiled kernel" in lna["compiled_fallback_reason"]
+        assert lna["fallback_steps"] == 0
