@@ -17,11 +17,6 @@ from repro.agents.policy import (
     POLICY_FACTORIES,
     ActorCriticPolicy,
     PolicyConfig,
-    make_baseline_a_policy,
-    make_baseline_b_policy,
-    make_gat_fc_policy,
-    make_gcn_fc_policy,
-    make_policy,
 )
 from repro.agents.ppo import PPOConfig, PPOTrainer, TrainingHistory, TrainingRecord
 from repro.agents.rollout import RolloutBuffer, Transition
@@ -54,11 +49,6 @@ __all__ = [
     "deploy_policy_batch",
     "evaluate_deployment",
     "load_checkpoint",
-    "make_baseline_a_policy",
-    "make_baseline_b_policy",
-    "make_gat_fc_policy",
-    "make_gcn_fc_policy",
-    "make_policy",
     "reward_fidelity_report",
     "save_checkpoint",
     "transfer_policy_parameters",

@@ -407,57 +407,3 @@ POLICY_FACTORIES = {
     "baseline_a": _baseline_a_policy,
     "baseline_b": _baseline_b_policy,
 }
-
-
-# ----------------------------------------------------------------------
-# Deprecated entry points (kept importable; use repro.make_policy instead)
-# ----------------------------------------------------------------------
-def make_gcn_fc_policy(
-    env, rng: Optional[np.random.Generator] = None, **overrides
-) -> ActorCriticPolicy:
-    """Deprecated: use ``repro.make_policy("gcn_fc", env, ...)``."""
-    from repro.api.deprecation import warn_deprecated
-
-    warn_deprecated("make_gcn_fc_policy", "repro.make_policy('gcn_fc', env, ...)")
-    return _gcn_fc_policy(env, rng, **overrides)
-
-
-def make_gat_fc_policy(
-    env, rng: Optional[np.random.Generator] = None, **overrides
-) -> ActorCriticPolicy:
-    """Deprecated: use ``repro.make_policy("gat_fc", env, ...)``."""
-    from repro.api.deprecation import warn_deprecated
-
-    warn_deprecated("make_gat_fc_policy", "repro.make_policy('gat_fc', env, ...)")
-    return _gat_fc_policy(env, rng, **overrides)
-
-
-def make_baseline_a_policy(
-    env, rng: Optional[np.random.Generator] = None, **overrides
-) -> ActorCriticPolicy:
-    """Deprecated: use ``repro.make_policy("baseline_a", env, ...)``."""
-    from repro.api.deprecation import warn_deprecated
-
-    warn_deprecated("make_baseline_a_policy", "repro.make_policy('baseline_a', env, ...)")
-    return _baseline_a_policy(env, rng, **overrides)
-
-
-def make_baseline_b_policy(
-    env, rng: Optional[np.random.Generator] = None, **overrides
-) -> ActorCriticPolicy:
-    """Deprecated: use ``repro.make_policy("baseline_b", env, ...)``."""
-    from repro.api.deprecation import warn_deprecated
-
-    warn_deprecated("make_baseline_b_policy", "repro.make_policy('baseline_b', env, ...)")
-    return _baseline_b_policy(env, rng, **overrides)
-
-
-def make_policy(
-    name: str, env, rng: Optional[np.random.Generator] = None, **overrides
-) -> ActorCriticPolicy:
-    """Deprecated: use ``repro.make_policy(name, env, ...)`` (registry-backed)."""
-    from repro.api.catalog import make_policy as _api_make_policy
-    from repro.api.deprecation import warn_deprecated
-
-    warn_deprecated("repro.agents.make_policy", "repro.make_policy(name, env, ...)")
-    return _api_make_policy(name, env, rng, **overrides)

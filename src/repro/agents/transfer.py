@@ -65,11 +65,6 @@ class RewardFidelityReport:
     mean_abs_relative_error: float
     num_samples: int
 
-    @property
-    def within_ten_percent_fraction(self) -> float:
-        """Convenience flag used by the transfer-learning bench."""
-        return float(self.mean_abs_relative_error <= 0.10)
-
 
 def reward_fidelity_report(
     coarse_env: CircuitDesignEnv,

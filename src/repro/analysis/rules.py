@@ -38,7 +38,7 @@ DETERMINISM_CRITICAL = (
     "cache",
 )
 
-#: The one module allowed to touch the global RNGs (the legacy-compat shim).
+#: The one module allowed to touch the global RNGs (``seed_everything``).
 SEEDING_ALLOWLIST = ("api/seeding.py",)
 
 #: numpy.random module-level functions that read or mutate the hidden
@@ -79,11 +79,6 @@ WALL_CLOCK_CALLS = {
     "datetime.date.today",
 }
 
-#: Deprecation-shim modules internal code must not import (external callers
-#: get the shims; src/ gets the real entry points).
-SHIM_MODULES = ("repro.serve.specs",)
-
-
 def is_determinism_critical(path: str) -> bool:
     posix = "/" + path.replace("\\", "/")
     return any(fragment in posix for fragment in DETERMINISM_CRITICAL)
@@ -121,18 +116,18 @@ class Rule:
 
 
 class GlobalRngRule(Rule):
-    """REP-DET01 — no global-RNG calls outside the seeding shim."""
+    """REP-DET01 — no global-RNG calls outside the seeding module."""
 
     rule_id = "REP-DET01"
-    title = "global RNG call outside the allowlisted seeding shim"
+    title = "global RNG call outside the allowlisted seeding module"
     rationale = (
         "Bitwise reproducibility rests on every random draw flowing from an "
         "explicit, threadable np.random.Generator (default_rng/SeedSequence). "
         "Module-level np.random.* and random.* calls mutate hidden global "
         "state shared across the whole process, so one stray call reorders "
         "every stream after it — across optimizers, vector envs, and worker "
-        "processes.  The only place allowed to touch the globals is the "
-        "documented legacy-compat shim in repro/api/seeding.py."
+        "processes.  The only place allowed to touch the globals is "
+        "seed_everything in repro/api/seeding.py."
     )
     hint = (
         "thread an np.random.default_rng(seed) / SeedSequence-spawned "
@@ -365,58 +360,6 @@ class AtomicWriteRule(Rule):
         return None
 
 
-class ShimImportRule(Rule):
-    """REP-API01 — internal modules import real entry points, not shims."""
-
-    rule_id = "REP-API01"
-    title = "internal import of a deprecation shim"
-    rationale = (
-        "Deprecation shims (e.g. repro.serve.specs) exist so *external* "
-        "callers migrate on their own schedule; they forward to the real "
-        "entry points and warn.  Internal src/ code importing a shim "
-        "re-entrenches the legacy surface, defeats the deprecation-clean CI "
-        "gate (-W error::DeprecationWarning), and hides how much of the old "
-        "API is actually still load-bearing."
-    )
-    hint = "import the replacement entry point (see the shim's docstring) instead"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if self._is_shim(alias.name):
-                        yield self.finding(
-                            ctx, node, f"import of deprecation shim {alias.name}"
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                if node.level:
-                    package = ctx.module_name()
-                    prefix = (
-                        package[: len(package) - (node.level - 1)]
-                        if node.level > 1
-                        else package
-                    )
-                    base = ".".join(prefix + ([node.module] if node.module else []))
-                if self._is_shim(base):
-                    yield self.finding(
-                        ctx, node, f"import from deprecation shim {base}"
-                    )
-                    continue
-                for alias in node.names:
-                    dotted = f"{base}.{alias.name}" if base else alias.name
-                    if self._is_shim(dotted):
-                        yield self.finding(
-                            ctx, node, f"import of deprecation shim {dotted}"
-                        )
-
-    @staticmethod
-    def _is_shim(module: str) -> bool:
-        return any(
-            module == shim or module.startswith(shim + ".") for shim in SHIM_MODULES
-        )
-
-
 class FloatEqualityRule(Rule):
     """REP-FLT01 — no ==/!= against float literals without a sentinel note."""
 
@@ -463,7 +406,6 @@ ALL_RULES = [
     WallClockRule(),
     LockDisciplineRule(),
     AtomicWriteRule(),
-    ShimImportRule(),
     FloatEqualityRule(),
 ]
 

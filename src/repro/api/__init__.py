@@ -54,7 +54,7 @@ from repro.api.protocol import (
     Optimizer,
 )
 from repro.api.registry import Registry, RegistryEntry, UnknownComponentError
-from repro.api.seeding import seed_everything, seed_legacy_globals
+from repro.api.seeding import seed_everything
 
 __all__ = [
     "BayesianOptimizer",
@@ -88,6 +88,5 @@ __all__ = [
     "register_optimizer",
     "register_policy",
     "seed_everything",
-    "seed_legacy_globals",
     "vectorizable",
 ]

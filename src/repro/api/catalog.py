@@ -432,8 +432,7 @@ _register_corner_variant(
 # ----------------------------------------------------------------------
 def _register_policies() -> None:
     # Imported lazily so that ``repro.agents`` (which itself imports the nn
-    # stack) only loads when the catalog module does, keeping import order
-    # free of cycles with the legacy shims in repro.agents.policy.
+    # stack) only loads when the catalog module does.
     from repro.agents.policy import POLICY_FACTORIES
 
     descriptions = {

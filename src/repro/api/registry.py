@@ -28,8 +28,8 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 class UnknownComponentError(ValueError):
     """Raised when a registry lookup fails.
 
-    Subclasses :class:`ValueError` so callers of the legacy factories (which
-    raised ``ValueError`` for unknown names) keep working unchanged.
+    Subclasses :class:`ValueError`, so callers that catch ``ValueError`` for
+    an unknown name catch it too.
     """
 
 

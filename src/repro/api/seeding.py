@@ -12,48 +12,17 @@ config are bit-identical.
 This module is also the **only** place allowed to touch the *global* RNGs
 (the ``random`` module and numpy's legacy ``np.random`` state) — the
 REP-DET01 allowlist of ``python -m repro.run analyze``.  Nothing in this
-library draws from the globals; they are seeded purely as a legacy-compat
-courtesy to user code and third-party helpers, concentrated here in
-:func:`seed_legacy_globals` so the whole global-state surface stays one
-auditable location.
+library draws from the globals; they are seeded purely as a courtesy to
+user code and third-party helpers, concentrated here so the whole
+global-state surface stays one auditable location.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Optional
 
 import numpy as np
-
-
-def seed_legacy_globals(seed: int, _library_seeded: bool = False) -> None:
-    """Legacy-compat shim: seed the *global* stdlib and numpy RNGs.
-
-    The library itself never draws from these hidden global streams — every
-    component consumes an explicit :class:`numpy.random.Generator` — so
-    seeding only the globals does **not** make a run of this library
-    reproducible.  Calling this directly therefore warns: it means global
-    seeding is the only seeding performed, and the caller should migrate to
-    :func:`seed_everything` (which seeds the globals *and* returns the
-    generator the library actually uses, via the non-warning internal
-    path).
-
-    This function, and the module that holds it, are the single allowlisted
-    exception to the analyzer's REP-DET01 no-global-RNG rule.
-    """
-    if not _library_seeded:
-        warnings.warn(
-            "seed_legacy_globals() only seeds the hidden global RNGs, which "
-            "this library never draws from; use repro.seed_everything(seed) "
-            "and thread its returned Generator instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    seed = int(seed)
-    random.seed(seed)
-    # The legacy global RandomState only accepts 32-bit seeds.
-    np.random.seed(seed % (2**32))
 
 
 def seed_everything(seed: Optional[int] = 0) -> np.random.Generator:
@@ -63,8 +32,7 @@ def seed_everything(seed: Optional[int] = 0) -> np.random.Generator:
 
     * :mod:`random` — the Python stdlib generator;
     * ``np.random`` — numpy's *legacy* global state (nothing in this library
-      draws from it, but user code and third-party helpers might); both via
-      the :func:`seed_legacy_globals` compat shim;
+      draws from it, but user code and third-party helpers might);
     * the returned ``np.random.default_rng(seed)`` — the generator the
       library's own components consume.
 
@@ -75,5 +43,7 @@ def seed_everything(seed: Optional[int] = 0) -> np.random.Generator:
     """
     if seed is not None:
         seed = int(seed)
-        seed_legacy_globals(seed, _library_seeded=True)
+        random.seed(seed)
+        # The legacy global RandomState only accepts 32-bit seeds.
+        np.random.seed(seed % (2**32))
     return np.random.default_rng(seed)

@@ -178,26 +178,6 @@ class SizingProblem:
     # ------------------------------------------------------------------
     # Population (batched) evaluation — the repro.parallel vector path
     # ------------------------------------------------------------------
-    def objective_batch(self, parameters: np.ndarray) -> np.ndarray:
-        """Objectives of a ``(P, M)`` population of candidate sizings.
-
-        Results (values and trace entries, in row order) are identical to
-        ``P`` sequential :meth:`objective` calls; wrapping the simulator in a
-        :class:`repro.parallel.SimulationCache` makes duplicate rows — elites
-        re-scored each generation, revisited grid points — cost one
-        simulation for the whole population.
-        """
-        parameters = np.asarray(parameters, dtype=np.float64)
-        if parameters.ndim != 2 or parameters.shape[1] != self.num_parameters:
-            raise ValueError(
-                f"expected a (P, {self.num_parameters}) population, "
-                f"got shape {parameters.shape}"
-            )
-        screened = self._screened_batch(parameters)
-        if screened is not None:
-            return screened
-        return np.array([self.objective(row) for row in parameters])
-
     def objective_from_unit_batch(self, unit_parameters: np.ndarray) -> np.ndarray:
         """Batched :meth:`objective_from_unit` over a ``(P, M)`` population."""
         unit_parameters = np.asarray(unit_parameters, dtype=np.float64)
@@ -255,13 +235,6 @@ class SizingProblem:
     def _full_parameters_for(self, parameters: np.ndarray) -> np.ndarray:
         self.benchmark.design_space.apply_to_netlist(self._netlist, parameters)
         return self._netlist.parameter_array()
-
-    def is_successful(self, parameters: np.ndarray) -> bool:
-        """Whether a parameter vector meets every target specification."""
-        if self.targets is None:
-            return False
-        specs = self.simulate(parameters)
-        return self.benchmark.spec_space.all_met(specs, self.targets)
 
 
 class SizingOptimizer:

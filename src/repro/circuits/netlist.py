@@ -60,10 +60,6 @@ class Netlist:
     def devices(self) -> List[Device]:
         return list(self._devices.values())
 
-    @property
-    def device_names(self) -> List[str]:
-        return list(self._devices)
-
     def device(self, name: str) -> Device:
         try:
             return self._devices[name]

@@ -200,21 +200,3 @@ class SpecificationSpace:
             for spec in self._specs
         )
         return met / len(self._specs)
-
-    def scale_targets(self, targets: Mapping[str, float], factor: float) -> Dict[str, float]:
-        """Scale a target group harder/easier in the objective direction.
-
-        ``factor > 1`` makes every target harder (larger MAXIMIZE targets,
-        smaller MINIMIZE budgets); used by the generalization study (Fig. 6)
-        to build out-of-distribution spec groups programmatically.
-        """
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        scaled: Dict[str, float] = {}
-        for spec in self._specs:
-            value = float(targets[spec.name])
-            if spec.objective is Objective.MAXIMIZE:
-                scaled[spec.name] = value * factor
-            else:
-                scaled[spec.name] = value / factor
-        return scaled

@@ -2,7 +2,6 @@
 
 from repro.env.circuit_env import CircuitDesignEnv, EpisodeTrajectory, StepRecord
 from repro.env.data_processor import DataProcessor
-from repro.env.registry import make_opamp_env, make_rf_pa_env, make_rf_pa_fom_env
 from repro.env.reward import GOAL_BONUS, FomReward, P2SReward, RewardOutcome
 from repro.env.spaces import (
     ACTION_DECREASE,
@@ -28,7 +27,4 @@ __all__ = [
     "P2SReward",
     "RewardOutcome",
     "StepRecord",
-    "make_opamp_env",
-    "make_rf_pa_env",
-    "make_rf_pa_fom_env",
 ]

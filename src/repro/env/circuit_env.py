@@ -11,8 +11,8 @@
   or the step budget exhausted — 50 steps for the op-amp, 30 for the RF PA).
 
 The same environment class serves the op-amp and the RF PA; only the
-benchmark, the simulator, and the reward function differ (see
-:mod:`repro.env.registry`).
+benchmark, the simulator, and the reward function differ (see the
+environment catalog in :mod:`repro.api.catalog`).
 """
 
 from __future__ import annotations

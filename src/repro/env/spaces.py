@@ -76,10 +76,6 @@ class Observation:
     def num_parameters(self) -> int:
         return self.normalized_parameters.shape[0]
 
-    def flat_vector(self) -> np.ndarray:
-        """Spec context + parameters, the Baseline A (AutoCkt-style) input."""
-        return np.concatenate([self.spec_features, self.normalized_parameters])
-
 
 @dataclass
 class BatchedObservation:

@@ -18,8 +18,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.api.catalog import OPTIMIZERS, make_env
-from repro.api.catalog import make_optimizer as _api_make_optimizer
+from repro.api.catalog import OPTIMIZERS, make_env, make_optimizer
 from repro.baselines.base import OptimizationResult
 from repro.experiments.configs import ExperimentScale, bench_scale
 from repro.experiments.training import CIRCUIT_ENV_IDS
@@ -37,25 +36,6 @@ def _circuit_env(circuit: str, seed: Optional[int] = None):
     if circuit not in SEARCH_ENV_IDS:
         raise ValueError(f"unknown circuit '{circuit}', expected one of {sorted(SEARCH_ENV_IDS)}")
     return make_env(SEARCH_ENV_IDS[circuit], seed=seed)
-
-
-def make_optimizer(name: str, seed: Optional[int] = None, budget: Optional[int] = None):
-    """Deprecated: use ``repro.make_optimizer(name, seed=..., budget=...)``.
-
-    Returns the raw :class:`repro.baselines.base.SizingOptimizer` the old
-    API produced (the new protocol adapters wrap the same object).
-    """
-    from repro.api.deprecation import warn_deprecated
-
-    warn_deprecated(
-        "repro.experiments.make_optimizer", "repro.make_optimizer(name, seed=..., budget=...)"
-    )
-    adapter = _api_make_optimizer(name, seed=seed, budget=budget)
-    if not hasattr(adapter, "build_search"):
-        raise ValueError(
-            f"'{name}' is not a direct-search optimizer; use repro.make_optimizer instead"
-        )
-    return adapter.build_search()
 
 
 @dataclass
@@ -95,7 +75,7 @@ def run_optimization_curves(
     budgets = {"genetic": ga_budget, "bayesian": bo_budget}
     curves: Dict[str, OptimizationCurve] = {}
     for method in methods:
-        optimizer = _api_make_optimizer(method)
+        optimizer = make_optimizer(method)
         result = optimizer.optimize(
             env, budget=budgets.get(OPTIMIZERS.resolve(method)), seed=seed, target_specs=target
         )
@@ -132,7 +112,7 @@ def evaluate_optimizer_accuracy(
     targets = env.benchmark.spec_space.sample_batch(rng, num_runs)
     runs: List[OptimizationCurve] = []
     for index, target in enumerate(targets):
-        optimizer = _api_make_optimizer(method)
+        optimizer = make_optimizer(method)
         result = optimizer.optimize(env, seed=seed + index, target_specs=target)
         runs.append(
             OptimizationCurve(

@@ -11,7 +11,7 @@ row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -103,11 +103,6 @@ class TrainingCurves:
 
     def episodes_axis(self) -> np.ndarray:
         return self.runs[0].history.episodes_axis()
-
-    def mean_series(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
-        """Mean and standard deviation of one metric across seeds."""
-        series = np.stack([run.history.series(name) for run in self.runs])
-        return np.nanmean(series, axis=0), np.nanstd(series, axis=0)
 
     @property
     def final_mean_reward(self) -> float:

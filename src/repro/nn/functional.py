@@ -26,11 +26,6 @@ def huber_loss(prediction: Tensor, target: Tensor, delta: float = 1.0) -> Tensor
     return (0.5 * quadratic * quadratic + delta * linear).mean()
 
 
-def smooth_l1_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Alias of :func:`huber_loss` with ``delta = 1``."""
-    return huber_loss(prediction, target, delta=1.0)
-
-
 def explained_variance(predictions: np.ndarray, returns: np.ndarray) -> float:
     """Fraction of return variance explained by the value function.
 

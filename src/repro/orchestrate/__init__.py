@@ -20,7 +20,7 @@ store that makes every sweep resumable.
     print(result.summary_table())
     run_sweep(sweep, store="sweep_artifacts")   # instant: all units skipped
 
-CLI front door: ``python -m repro.run sweep.json`` (also accepts a single
+CLI front door: ``python -m repro.run sweep sweep.json`` (also accepts a single
 ``RunConfig`` document).  Results are bit-identical for any worker count —
 every unit's randomness derives from its own payload seed
 (``np.random.SeedSequence.spawn`` over grid coordinates).

@@ -69,11 +69,6 @@ def execute_unit(unit_dict: Dict[str, Any]) -> Dict[str, Any]:
     return record
 
 
-def execute_unit_record(unit: WorkUnit) -> UnitRecord:
-    """In-process convenience: execute one unit and parse the record."""
-    return UnitRecord.from_dict(execute_unit(unit.to_dict()))
-
-
 # ----------------------------------------------------------------------
 # The default runner: one serialized RunConfig
 # ----------------------------------------------------------------------

@@ -187,10 +187,6 @@ class VectorCircuitEnv:
         """Stacked ``(N, M)`` parameter vectors of the sub-environments."""
         return np.stack([env.parameter_values for env in self.envs])
 
-    def sample_targets(self) -> List[Dict[str, float]]:
-        """One Table-1 target group per sub-environment (per-env RNG streams)."""
-        return [env.sample_target() for env in self.envs]
-
     # ------------------------------------------------------------------
     # Episode control
     # ------------------------------------------------------------------
@@ -239,10 +235,6 @@ class VectorCircuitEnv:
             for env, target, params in zip(self.envs, targets, parameters)
         ]
         return BatchedObservation.stack(observations)
-
-    def reset_at(self, index: int, target_specs: Optional[Mapping[str, float]] = None):
-        """Reset one sub-environment (sequential-style, returns its Observation)."""
-        return self.envs[index].reset(target_specs=target_specs)
 
     # ------------------------------------------------------------------
     # Compiled fast path

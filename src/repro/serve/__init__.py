@@ -20,9 +20,7 @@ subsystem:
   (:mod:`repro.serve.protocol`);
 * :func:`load_requests_document` — parse the request documents consumed by
   the ``python -m repro.run deploy`` / ``serve`` CLIs
-  (:mod:`repro.serve.cli`); the pre-gateway ``specs.json`` entry points
-  (:func:`load_spec_requests`, :func:`parse_spec_requests`) remain as
-  deprecated shims.
+  (:mod:`repro.serve.cli`).
 
 Quickstart::
 
@@ -49,7 +47,6 @@ from repro.serve.protocol import (
     parse_requests_document,
 )
 from repro.serve.service import DeploymentService, ServeStats, ServeStatsSnapshot
-from repro.serve.specs import load_spec_requests, parse_spec_requests
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -63,7 +60,5 @@ __all__ = [
     "ServeStats",
     "ServeStatsSnapshot",
     "load_requests_document",
-    "load_spec_requests",
     "parse_requests_document",
-    "parse_spec_requests",
 ]

@@ -22,8 +22,7 @@ gateway stats document, and ``GET /v1/healthz`` answers liveness probes.
 Both transports drain cleanly on EOF / Ctrl-C: accepted requests are
 answered before exit.
 
-Request-document formats are documented in :mod:`repro.serve.protocol`
-(the legacy ``specs.json`` shapes still parse, with a ``DeprecationWarning``).
+Request-document formats are documented in :mod:`repro.serve.protocol`.
 Exit status: 0 when the transport shut down cleanly (designs that miss
 their specs are results, not errors), 2 on bad input.
 """

@@ -70,10 +70,6 @@ class GanHemtModel:
         linear = self.gm * (vgs - self.vth)
         return np.clip(linear, 0.0, self.imax)
 
-    def saturated_gain_voltage(self) -> float:
-        """Gate overdrive at which the device reaches ``I_max``."""
-        return self.imax / self.gm
-
     def operating_point(self, gate_bias: float) -> GanOperatingPoint:
         """Quiescent current and conduction ratio at a DC gate bias."""
         quiescent = float(self.drain_current(gate_bias))

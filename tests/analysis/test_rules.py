@@ -367,58 +367,6 @@ class TestAtomicWriteRule:
         assert hits == []
 
 
-class TestShimImportRule:
-    def test_from_shim_import_flags(self):
-        hits, _ = run_rule(
-            "REP-API01",
-            """
-            from repro.serve.specs import parse_spec_requests
-            """,
-            "src/pkg/module.py",
-        )
-        assert hits == [("REP-API01", 2)]
-
-    def test_plain_import_of_shim_flags(self):
-        hits, _ = run_rule(
-            "REP-API01",
-            """
-            import repro.serve.specs
-            """,
-            "src/pkg/module.py",
-        )
-        assert hits == [("REP-API01", 2)]
-
-    def test_from_package_import_shim_name_flags(self):
-        hits, _ = run_rule(
-            "REP-API01",
-            """
-            from repro.serve import specs
-            """,
-            "src/pkg/module.py",
-        )
-        assert hits == [("REP-API01", 2)]
-
-    def test_relative_import_of_shim_flags(self):
-        hits, _ = run_rule(
-            "REP-API01",
-            """
-            from .specs import parse_spec_requests
-            """,
-            "src/repro/serve/cli.py",
-        )
-        assert hits == [("REP-API01", 2)]
-
-    def test_protocol_import_does_not_flag(self):
-        hits, _ = run_rule(
-            "REP-API01",
-            """
-            from repro.serve.protocol import ServeRequest, parse_requests_document
-            """,
-            "src/pkg/module.py",
-        )
-        assert hits == []
-
-
 class TestFloatEqualityRule:
     def test_float_literal_equality_flags(self):
         hits, findings = run_rule(

@@ -6,9 +6,8 @@ import random
 import warnings
 
 import numpy as np
-import pytest
 
-from repro.api import seed_everything, seed_legacy_globals
+from repro.api import seed_everything
 
 
 def test_returns_reproducible_generator():
@@ -52,21 +51,9 @@ def test_none_leaves_entropy_seeding():
     assert not np.array_equal(rng.random(4), other.random(4))
 
 
-def test_seed_legacy_globals_alone_warns():
-    # Direct use means global seeding is the *only* seeding performed —
-    # which does not reproduce anything this library computes.
-    with pytest.warns(DeprecationWarning, match="seed_everything"):
-        seed_legacy_globals(7)
-    first = [random.random() for _ in range(4)]
-    with pytest.warns(DeprecationWarning):
-        seed_legacy_globals(7)
-    assert first == [random.random() for _ in range(4)]
-
-
 def test_seed_everything_stays_warning_free():
-    # The internal path through the shim must not warn, or the
-    # deprecation-clean CI gate (-W error::DeprecationWarning) would trip
-    # on every seeded run.
+    # Seeding the legacy numpy global must not warn, or the tier-1
+    # DeprecationWarning-as-error filter would trip on every seeded run.
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         seed_everything(7)

@@ -106,14 +106,6 @@ class TestSpecificationSpace:
         assert errors[0] == 0.0
         assert errors[1] < 0.0
 
-    def test_scale_targets_direction(self, space):
-        targets = {"gain": 400.0, "power": 1e-3}
-        harder = space.scale_targets(targets, 1.5)
-        assert harder["gain"] == pytest.approx(600.0)
-        assert harder["power"] == pytest.approx(1e-3 / 1.5)
-        with pytest.raises(ValueError):
-            space.scale_targets(targets, 0.0)
-
 
 @settings(max_examples=60, deadline=None)
 @given(

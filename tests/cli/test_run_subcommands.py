@@ -1,7 +1,6 @@
 """``python -m repro.run``: the consolidated subcommand tree.
 
-One front door, six subcommands — each with its own ``--help`` — plus the
-deprecated positional-config invocation routed through a warning shim.
+One front door, six subcommands — each with its own ``--help``.
 """
 
 from __future__ import annotations
@@ -68,11 +67,14 @@ class TestHelp:
         assert f"repro.run {command}" in completed.stdout
         assert marker in completed.stdout
 
-    def test_unknown_command_is_exit_2_and_lists_commands(self):
-        completed = run_cli("frobnicate")
-        assert completed.returncode == 2
-        assert "unknown command 'frobnicate'" in completed.stderr
-        assert "sweep, deploy, serve, surrogate" in completed.stderr
+    def test_unknown_command_is_exit_2_and_lists_commands(self, sweep_config):
+        # A config path in command position (the removed positional form,
+        # `python -m repro.run sweep.json`) is an unknown command too.
+        for command in ("frobnicate", sweep_config):
+            completed = run_cli(command)
+            assert completed.returncode == 2
+            assert f"unknown command {str(command)!r}" in completed.stderr
+            assert "sweep, deploy, serve, surrogate" in completed.stderr
 
 
 class TestDispatch:
@@ -84,18 +86,13 @@ class TestDispatch:
         assert "2 units" in captured.out
         assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
 
-    def test_legacy_positional_config_warns_and_still_works(self, sweep_config, capsys):
-        with pytest.warns(DeprecationWarning, match="repro.run sweep"):
-            status = run_module.main([str(sweep_config), "--expand"])
+    def test_positional_config_is_an_unknown_command_in_process(self, sweep_config,
+                                                                capsys):
+        status = run_module.main([str(sweep_config), "--expand"])
         captured = capsys.readouterr()
-        assert status == 0
-        assert "2 units" in captured.out
-
-    def test_legacy_subprocess_shows_the_warning(self, sweep_config):
-        completed = run_cli(sweep_config, "--expand")
-        assert completed.returncode == 0, completed.stderr
-        assert "DeprecationWarning" in completed.stderr
-        assert "2 units" in completed.stdout
+        assert status == 2
+        assert f"unknown command {str(sweep_config)!r}" in captured.err
+        assert "units" not in captured.out
 
     def test_sweep_subcommand_runs_the_grid(self, sweep_config, tmp_path):
         completed = run_cli("sweep", sweep_config, "--quiet")
@@ -208,6 +205,10 @@ class TestAnalyze:
         assert completed.returncode == 0
         for rule in ALL_RULES:
             assert rule.rule_id in completed.stdout
+
+    def test_checked_in_baseline_is_empty(self):
+        baseline = json.loads((REPO_SRC.parent / "analysis-baseline.json").read_text())
+        assert baseline["findings"] == []
 
     def test_shipped_tree_passes_with_checked_in_baseline(self):
         repo_root = REPO_SRC.parent

@@ -42,7 +42,7 @@ class TestActionSpace:
 
 
 class TestObservation:
-    def test_flat_vector_concatenates_spec_and_parameters(self):
+    def test_counts_nodes_and_parameters(self):
         observation = Observation(
             node_features=np.zeros((5, 12)),
             static_node_features=np.zeros((5, 12)),
@@ -52,6 +52,5 @@ class TestObservation:
             measured_specs={"gain": 100.0},
             target_specs={"gain": 400.0},
         )
-        np.testing.assert_allclose(observation.flat_vector(), [0.1, 0.2, 0.3, 0.5, 0.6])
         assert observation.num_nodes == 5
         assert observation.num_parameters == 2

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.functional import explained_variance, huber_loss, mse_loss, smooth_l1_loss
+from repro.nn.functional import explained_variance, huber_loss, mse_loss
 from repro.nn.tensor import Tensor
 
 
@@ -31,12 +31,13 @@ class TestLosses:
         # 0.5 * delta^2 + delta * (|diff| - delta) = 0.5 + 2.0
         assert float(huber_loss(prediction, target).item()) == pytest.approx(2.5)
 
-    def test_smooth_l1_alias(self):
+    def test_huber_delta_moves_the_knee(self):
         prediction = Tensor(np.array([3.0]))
         target = Tensor(np.array([0.0]))
-        assert float(smooth_l1_loss(prediction, target).item()) == pytest.approx(
-            float(huber_loss(prediction, target, delta=1.0).item())
-        )
+        # |diff| = 3 < delta = 4: still quadratic, 0.5 * 3^2
+        assert float(huber_loss(prediction, target, delta=4.0).item()) == pytest.approx(4.5)
+        # |diff| = 3 > delta = 2: 0.5 * 2^2 + 2 * (3 - 2)
+        assert float(huber_loss(prediction, target, delta=2.0).item()) == pytest.approx(4.0)
 
     def test_huber_below_mse_for_outliers(self):
         prediction = Tensor(np.array([10.0]))

@@ -129,7 +129,7 @@ class TestVectorizedTrainingAndOptimizers:
             PPOTrainer(venv, policy)
 
     def test_objective_batch_matches_sequential(self):
-        """Raw-parameter population scoring equals per-candidate scoring."""
+        """Population scoring equals per-candidate scoring."""
         from repro.api.optimizers import build_problem
         from repro.parallel import SimulationCache
 
@@ -139,12 +139,13 @@ class TestVectorizedTrainingAndOptimizers:
         rng = np.random.default_rng(8)
         population = np.stack([space.sample(rng) for _ in range(6)])
         population[3] = population[0]  # duplicate candidate for the cache
+        units = space.normalize(population)
 
         reference = build_problem(env, target)
-        expected = np.array([reference.objective(row) for row in population])
+        expected = np.array([reference.objective_from_unit(row) for row in units])
 
         cached = build_problem(env, target, simulator=SimulationCache(env.simulator))
-        values = cached.objective_batch(population)
+        values = cached.objective_from_unit_batch(units)
         assert np.array_equal(values, expected)
         assert cached.trace.objective_values == reference.trace.objective_values
         assert cached.simulator.stats.hits == 1

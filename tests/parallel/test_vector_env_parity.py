@@ -138,7 +138,7 @@ class TestVectorEnvApi:
         target = venv.envs[0].sample_target()
         batch = venv.reset(target_specs=target)
         assert all(specs == dict(target) for specs in batch.target_specs)
-        targets = venv.sample_targets()
+        targets = [env.sample_target() for env in venv.envs]
         batch = venv.reset(target_specs=targets)
         assert batch.target_specs == [dict(t) for t in targets]
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from repro.serve.protocol import (
     ServeRequest,
     ServeResponse,
     load_requests_document,
-    parse_legacy_document,
     parse_requests_document,
 )
 
@@ -177,60 +176,28 @@ class TestV1Documents:
 
 
 class TestLegacyDocuments:
-    def test_document_with_defaults(self):
-        requests = parse_legacy_document(
-            {
-                "env": "opamp-p2s-v0",
-                "max_steps": 60,
-                "targets": [
-                    {"gain": 350.0, "power": 4e-3},
-                    {"specs": {"gain": 400.0}, "max_steps": 30},
-                ],
-            }
-        )
-        assert len(requests) == 2
-        assert requests[0].env_id == "opamp-p2s-v0"
-        assert requests[0].max_steps == 60
-        assert requests[1].max_steps == 30
-        assert requests[1].target_specs == {"gain": 400.0}
-
-    def test_bare_list(self):
-        requests = parse_legacy_document([{"gain": 1.0}, {"gain": 2.0}])
-        assert [r.target_specs for r in requests] == [{"gain": 1.0}, {"gain": 2.0}]
-        assert requests[0].env_id is None
+    """The pre-gateway ``specs.json`` shapes are rejected, naming the v1 shape."""
 
     @pytest.mark.parametrize(
-        "document,match",
+        "document",
         [
-            ({}, "targets"),
-            ({"targets": []}, "no targets"),
-            ({"targets": [{"gain": "high"}]}, "non-numeric"),
-            ({"targets": [[1, 2]]}, "must be an object"),
-            ({"targets": [{"specs": {"gain": 1.0}, "bogus": 1}]}, "unknown keys"),
-            ({"bogus": 1, "targets": [{"gain": 1.0}]}, "unknown top-level"),
-            ("not a list", "spec document"),
+            {"env": "opamp-p2s-v0", "max_steps": 60, "targets": [{"gain": 350.0}]},
+            {"targets": [{"specs": {"gain": 400.0}, "max_steps": 30}]},
+            [{"gain": 1.0}, {"gain": 2.0}],
+            "not a document",
+            {},
+            {"targets": []},
+            {"bogus": 1, "targets": [{"gain": 1.0}]},
+            {"schema_version": 1, "targets": [{"gain": 1.0}]},
         ],
     )
-    def test_bad_documents(self, document, match):
-        with pytest.raises(ValueError, match=match):
-            parse_legacy_document(document)
+    def test_parse_rejects_legacy_shapes(self, document):
+        with pytest.raises(ValueError, match="'requests' list") as excinfo:
+            parse_requests_document(document)
+        assert '{"schema_version": 1, "requests": [{"target_specs"' in str(excinfo.value)
 
-    def test_parse_requests_document_warns_on_legacy_shapes(self):
-        with pytest.warns(DeprecationWarning, match="legacy specs.json"):
-            requests = parse_requests_document({"targets": [{"gain": 1.0}]})
-        assert requests[0].target_specs == {"gain": 1.0}
-        with pytest.warns(DeprecationWarning, match="legacy specs.json"):
-            parse_requests_document([{"gain": 1.0}])
-
-    def test_specs_module_shims_warn_but_work(self, tmp_path):
-        from repro.serve import load_spec_requests, parse_spec_requests
-
-        with pytest.warns(DeprecationWarning, match="parse_spec_requests"):
-            requests = parse_spec_requests([{"gain": 2.0}])
-        assert requests[0].target_specs == {"gain": 2.0}
-
+    def test_load_rejects_legacy_file(self, tmp_path):
         path = tmp_path / "specs.json"
         path.write_text(json.dumps({"targets": [{"gain": 3.0}]}))
-        with pytest.warns(DeprecationWarning, match="load_spec_requests"):
-            requests = load_spec_requests(path)
-        assert requests[0].target_specs == {"gain": 3.0}
+        with pytest.raises(ValueError, match="schema_version"):
+            load_requests_document(path)
