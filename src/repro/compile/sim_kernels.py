@@ -39,7 +39,12 @@ import numpy as np
 
 from repro.circuits.netlist import Netlist
 from repro.compile.errors import UntraceableError
-from repro.simulation.mna import BatchedMNAPlan, ConvergenceError, frequency_response_metrics
+from repro.simulation.mna import (
+    SWEEP_FREQUENCIES,
+    BatchedMNAPlan,
+    ConvergenceError,
+    frequency_response_metrics,
+)
 from repro.simulation.opamp_sim import OpAmpSimulator
 from repro.simulation.ota_sim import CmOtaSimulator
 from repro.simulation.technology import CmosTechnology
@@ -275,7 +280,6 @@ class OpAmpKernel:
         if self._method == "mna":
             template = simulator.build_small_signal_circuit(base_netlist)
             self._mna_plan = BatchedMNAPlan.from_template(template, self.num_envs)
-            self._frequencies = np.logspace(1, 11, 401)
 
     def bind_lane_technologies(self, technologies) -> None:
         """Give each batch lane its own technology (see ``_bind_cmos_lanes``)."""
@@ -388,8 +392,8 @@ class OpAmpKernel:
         plan.set_values("R2", _where_max(r_second, 1.0))
         plan.set_values("CC", _where_max(miller_cap, 1e-18))
         metrics = [
-            frequency_response_metrics(self._frequencies, solution.voltage("out"))
-            for solution in plan.ac_sweep(self._frequencies)
+            frequency_response_metrics(SWEEP_FREQUENCIES, solution.voltage("out"))
+            for solution in plan.ac_sweep(SWEEP_FREQUENCIES)
         ]
         gain, unity, margin = (np.array(column) for column in zip(*metrics))
         return gain, unity, margin
@@ -435,7 +439,6 @@ class CmOtaKernel:
         if self._method == "mna":
             template = simulator.build_small_signal_circuit(base_netlist)
             self._mna_plan = BatchedMNAPlan.from_template(template, self.num_envs)
-            self._frequencies = np.logspace(1, 11, 401)
 
     def bind_lane_technologies(self, technologies) -> None:
         """Give each batch lane its own technology (see ``_bind_cmos_lanes``)."""
@@ -506,8 +509,8 @@ class CmOtaKernel:
         plan.set_values("GM", -effective_gm)
         plan.set_values("ROUT", _where_max(output_resistance, 1.0))
         metrics = [
-            frequency_response_metrics(self._frequencies, solution.voltage("out"))
-            for solution in plan.ac_sweep(self._frequencies)
+            frequency_response_metrics(SWEEP_FREQUENCIES, solution.voltage("out"))
+            for solution in plan.ac_sweep(SWEEP_FREQUENCIES)
         ]
         gain, unity, _ = (np.array(column) for column in zip(*metrics))
         return gain, unity

@@ -23,10 +23,14 @@ Two evaluation paths are provided:
   frequency and phase margin numerically
   (:func:`~repro.simulation.mna.frequency_response_metrics`).  It backs the
   ``opamp-mna-v0`` environment and validates the analytic path (see
-  ``tests/simulation/test_opamp_mna_crosscheck.py``).  The compiled vector
-  environment sweeps the same circuit for all its lanes in one stacked
-  :class:`~repro.simulation.mna.BatchedMNAPlan` and post-processes each lane
-  with the same function, so both routes return identical bits.
+  ``tests/simulation/test_opamp_mna_crosscheck.py``).  The sweep is the
+  401-point :data:`~repro.simulation.mna.SWEEP_FREQUENCIES` grid, computed
+  by the engine's Schur-form sweep: the circuit is reduced once and each
+  frequency is a small back-substitution.  The compiled vector environment
+  sweeps the same circuit for all its lanes through one
+  :class:`~repro.simulation.mna.BatchedMNAPlan` (whose topology is built
+  once and cached) and post-processes each lane with the same function, so
+  both routes return identical bits.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import numpy as np
 
 from repro.circuits.netlist import Netlist
 from repro.simulation.base import SimulationResult
-from repro.simulation.mna import MnaCircuit, frequency_response_metrics
+from repro.simulation.mna import SWEEP_FREQUENCIES, MnaCircuit, frequency_response_metrics
 from repro.simulation.mosfet import MosfetModel
 from repro.simulation.technology import CMOS_45NM, CmosTechnology
 
@@ -278,7 +282,5 @@ class OpAmpSimulator:
         self, netlist: Netlist, op: OpAmpOperatingPoint
     ) -> tuple[float, float, float]:
         """Gain, unity-gain bandwidth and phase margin from an MNA AC sweep."""
-        circuit = self.build_small_signal_circuit(netlist, op)
-        frequencies = np.logspace(1, 11, 401)
-        solution = circuit.ac_analysis(frequencies)
-        return frequency_response_metrics(frequencies, solution.voltage("out"))
+        solution = self.build_small_signal_circuit(netlist, op).ac_analysis(SWEEP_FREQUENCIES)
+        return frequency_response_metrics(SWEEP_FREQUENCIES, solution.voltage("out"))

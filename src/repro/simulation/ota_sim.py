@@ -22,11 +22,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.circuits.netlist import Netlist
 from repro.simulation.base import SimulationResult
-from repro.simulation.mna import MnaCircuit, frequency_response_metrics
+from repro.simulation.mna import SWEEP_FREQUENCIES, MnaCircuit, frequency_response_metrics
 from repro.simulation.mosfet import MosfetModel
 from repro.simulation.opamp_sim import _parallel
 from repro.simulation.technology import CMOS_45NM, CmosTechnology
@@ -185,8 +183,8 @@ class CmOtaSimulator:
         self, netlist: Netlist, op: CmOtaOperatingPoint
     ) -> "tuple[float, float]":
         """DC gain and unity-gain bandwidth from an MNA AC sweep."""
-        circuit = self.build_small_signal_circuit(netlist, op)
-        frequencies = np.logspace(1, 11, 401)
-        solution = circuit.ac_analysis(frequencies)
-        gain, unity_freq, _ = frequency_response_metrics(frequencies, solution.voltage("out"))
+        solution = self.build_small_signal_circuit(netlist, op).ac_analysis(SWEEP_FREQUENCIES)
+        gain, unity_freq, _ = frequency_response_metrics(
+            SWEEP_FREQUENCIES, solution.voltage("out")
+        )
         return gain, unity_freq

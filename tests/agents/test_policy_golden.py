@@ -6,7 +6,10 @@ per-transition ``(log_prob, value, entropy)`` of ``evaluate_actions`` for
 the four compared policies on ``opamp-p2s-v0`` and ``opamp-mna-v0``.  They
 were recorded with the single-observation forward passes the policy had
 before it became batch-first, so a match proves the B=1 path reproduces
-them bit for bit.
+them bit for bit.  The ``opamp-mna-v0`` rows were re-recorded when the MNA
+AC sweep moved to the Schur form: its specs, hence the observations, move by
+rounding, so the log-probabilities, values and entropies change while both
+``select_action`` digests (the chosen actions) stay as recorded.
 
 Regenerate (only when a change is *meant* to move these numbers) with::
 
