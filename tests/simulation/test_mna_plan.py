@@ -388,12 +388,32 @@ _GOLDEN_SIMULATE = {
     ],
 }
 
+# The same digests for the analytic simulators, recorded from the
+# closed-form scalar code before the hand-written batched twins were deleted.
+_GOLDEN_SIMULATE_ANALYTIC = {
+    "opamp-p2s-v0": [
+        "c4a3c7bc8d28bbd7", "fb57d8c00510768c", "25ec473a4bf17aaa", "26c4081a2d1b3fc0",
+        "a65e9cf35f78beb2", "dadbd9be2813f946", "ef947be6d0d73df6", "48e80f1a0e3d69b6",
+    ],
+    "current_mirror_ota-p2s-v0": [
+        "579050c98c2d7034", "d866080dc2d10a8f", "2f6f663797e4a4da", "4954161f9c5d5e04",
+        "ec6180e722683011", "5660a606268639d7", "e7e30a11f48b19f6", "7d832ae7de54ea90",
+    ],
+}
+
+#: Seeded random on-grid sizings probed beyond the center and both bounds.
+_PROBE_RANDOM_POINTS = 5
+
 #: Relative spec tolerance of ``simulate`` against the per-frequency engine.
 SPEC_RTOL = 1e-9
 
 
 def _probe_netlists(env_id):
-    """The points ``CompiledEpisodePlan._probe_points`` checks, as netlists."""
+    """The golden probe points as netlists.
+
+    The design-space center, the snapped lower and upper bounds, then
+    ``_PROBE_RANDOM_POINTS`` sizings drawn from ``default_rng(0)``.
+    """
     env = repro.make_env(env_id, seed=0)
     simulator = env.simulator
     if isinstance(simulator, SimulationCache):
@@ -405,7 +425,7 @@ def _probe_netlists(env_id):
         space.snap_vector(space.upper_bounds),
     ]
     rng = np.random.default_rng(0)
-    points += [space.sample(rng) for _ in range(5)]
+    points += [space.sample(rng) for _ in range(_PROBE_RANDOM_POINTS)]
     netlists = []
     for row in points:
         netlist = env.data_processor.netlist.copy()
@@ -420,16 +440,26 @@ def _result_bytes(result) -> bytes:
     return np.array(values, dtype=np.float64).tobytes() + (b"1" if result.valid else b"0")
 
 
+def _digests(simulator, netlists):
+    return [
+        hashlib.sha256(_result_bytes(simulator.simulate(n))).hexdigest()[:16]
+        for n in netlists
+    ]
+
+
+@pytest.mark.parametrize("env_id", sorted(_GOLDEN_SIMULATE_ANALYTIC))
+def test_analytic_simulate_matches_recorded_results(env_id):
+    simulator, netlists = _probe_netlists(env_id)
+    assert simulator.method == "analytic"
+    assert _digests(simulator, netlists) == _GOLDEN_SIMULATE_ANALYTIC[env_id]
+
+
 @pytest.mark.parametrize("env_id", sorted(_GOLDEN_SIMULATE))
 class TestMnaSimulators:
     def test_simulate_matches_recorded_results(self, env_id):
         simulator, netlists = _probe_netlists(env_id)
         assert simulator.method == "mna"
-        digests = [
-            hashlib.sha256(_result_bytes(simulator.simulate(n))).hexdigest()[:16]
-            for n in netlists
-        ]
-        assert digests == _GOLDEN_SIMULATE[env_id]
+        assert _digests(simulator, netlists) == _GOLDEN_SIMULATE[env_id]
 
     def test_simulate_matches_reference_engine(self, env_id, monkeypatch):
         """Details and validity are exact; the AC-derived specs meet SPEC_RTOL."""
