@@ -1,9 +1,9 @@
 """Corner-lane batched PVT sweeps: K corners in one shot vs K clone calls.
 
-``repro.corners`` claims that a five-corner sweep through the batched
-kernel path (one kernel, per-lane technology constants) beats looping a
-per-corner simulator clone (identical physics per ``tests/corners``'s
-bitwise parity suite).  This bench measures sweeps-per-second of the same
+``repro.corners`` claims that a five-corner sweep as the lanes of one
+``simulate_batch`` call (each lane's operating point from that corner's
+clone, one stacked MNA sweep) beats looping a per-corner simulator clone
+(identical physics per ``tests/corners``'s bitwise parity suite).  This bench measures sweeps-per-second of the same
 :class:`~repro.corners.CornerSimulator` with ``batched=True`` versus
 ``batched=False`` over a fixed stream of sampled sizings.
 
@@ -13,10 +13,9 @@ corners into one plan and one solve call (CI
 re-asserts the floor from the recorded ``corner_batched_sweeps_per_s`` /
 ``corner_sequential_sweeps_per_s`` via ``compare_bench.py --floor``).  The
 analytic methods are recorded under separate ``*_analytic`` keys with a
-sanity floor only: their per-corner cost is a few closed-form scalar
-expressions, so the batched path's array tiling buys nothing and costs a
-little (measured ~0.8-1.0x) — the corner lanes exist for the solver-bound
-methods, and the recorded ratio keeps that trade-off visible.
+sanity floor only: both paths run the same closed-form scalar equations
+per corner, so batching buys nothing there — the corner lanes exist for
+the solver-bound methods, and the recorded ratio keeps that visible.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ def _sweep_throughput(case: str) -> tuple:
             spec_space=benchmark_def.spec_space, batched=batched,
         )
         assert simulator.batched is batched
-        simulator.simulate(netlists[0])  # kernel build / warm-up off the clock
+        simulator.simulate(netlists[0])  # warm-up off the clock
         start = time.perf_counter()
         for netlist in netlists:
             simulator.simulate(netlist)
@@ -120,9 +119,9 @@ def test_corner_sweep_batched_speedup_analytic(benchmark, case):
             "corner_batched_speedup": round(speedup, 2),
         }
     )
-    # Batched analytic sweeps measure ~0.8-1.0x (tiling overhead vs five
-    # near-free closed-form evaluations); the floor only rules out a
-    # pathologically pessimized batched path.
+    # Both paths run the same scalar equations, so the ratio sits near
+    # 1.0x; the floor only rules out a pathologically pessimized batched
+    # path.
     assert speedup >= 0.4, (
         f"batched corner sweep of {case} pathologically slow: {speedup:.2f}x"
     )

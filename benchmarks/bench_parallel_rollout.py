@@ -107,8 +107,8 @@ def test_vectorized_rollout_speedup(benchmark):
 def _compiled_vs_interpreted(env_id: str, steps: int = 25, seed: int = 0) -> tuple:
     """Steps/s of the same uncached vector env, compiled vs interpreted.
 
-    ``cache_size=None`` keeps every step in the simulator (the regime the
-    batched kernels accelerate); both sides consume identical action
+    ``cache_size=None`` keeps every step in the simulator (the regime
+    ``simulate_batch`` accelerates); both sides consume identical action
     streams, and the compiled side must never have fallen back.
     """
     throughput = {}

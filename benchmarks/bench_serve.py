@@ -220,8 +220,8 @@ def test_compiled_deployment_speedup(benchmark):
         }
     )
     # Measured 1.7-1.9x (0.59-0.84 s -> 0.34-0.43 s) on a shared 2-core x86
-    # VM: the compiled step replays the shared cache directly and evaluates
-    # the batched kernel only on a miss.  The gate leaves room for CI noise.
+    # VM: the compiled step replays the shared cache directly and calls
+    # simulate_batch only on a miss.  The gate leaves room for CI noise.
     assert speedup >= 1.3, (
         f"compiled lock-step deployment regressed: measured {speedup:.2f}x vs "
         "the interpreted step loop (expect >= 1.3x)"

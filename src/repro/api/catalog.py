@@ -357,12 +357,12 @@ _register_zoo_circuit(
 
 # ----------------------------------------------------------------------
 # PVT corner variants: every zoo topology as a ``*-corners-v0`` environment
-# whose simulator sweeps the default five-corner set per step (batched as
-# extra kernel/MNA lanes where a compiled twin exists) and whose reward is
-# the yield-aware worst-corner P2S reward.  Same machinery as the rest of
-# the catalog, so num_envs / cache_size / compile / surrogate knobs apply
-# (compiled episode plans fall back to the interpreted path — the corner
-# simulator type has no traced twin).
+# whose simulator sweeps the default five-corner set per step (as the lanes
+# of one ``simulate_batch`` call where the simulator has one) and whose
+# reward is the yield-aware worst-corner P2S reward.  Same machinery as the
+# rest of the catalog, so num_envs / cache_size / compile / surrogate knobs
+# apply (compiled episode plans fall back to the interpreted path — the
+# corner simulator type has no ``simulate_batch``).
 # ----------------------------------------------------------------------
 def _register_corner_variant(
     env_id: str, circuit: str, builder: Callable[[], Any],

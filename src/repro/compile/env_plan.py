@@ -9,11 +9,14 @@ records, and shared-cache statistics all match the interpreted path exactly.
 
 How the parity is kept
 ----------------------
-* **Physics**: the per-env scalar simulator is replaced by a vectorized twin
-  from :mod:`repro.compile.sim_kernels` whose every expression mirrors the
-  scalar association; the build probes the kernel against the real simulator
-  on a spread of snapped design points and refuses (raises
-  :class:`UntraceableError`) on any bit mismatch.
+* **Physics**: the step simulates through the simulator's own
+  ``simulate_batch`` (the exact types in
+  :data:`~repro.simulation.BATCHED_SIMULATOR_TYPES`), which loops its lanes
+  through the scalar ``operating_point`` and sweeps the MNA lanes in one
+  stacked plan; each lane is bitwise ``simulate`` of that lane's netlist, so
+  there is nothing to probe.  Any other simulator type, subclasses included
+  (an override could change the arithmetic), raises
+  :class:`UntraceableError`.
 * **Action math**: :class:`~repro.circuits.parameters.DesignSpace`'s vector
   methods are already elementwise-equal to the scalar path, so the batched
   double-snap (``snap_vector(apply_actions(...))``) reproduces the
@@ -21,22 +24,21 @@ How the parity is kept
 * **Cache semantics**: the shared :class:`SimulationCache` is replayed
   entry-for-entry in env order — hit/miss/eviction counters, LRU order and
   the *cached* spec dicts (which may be quantized-equal but not bitwise-equal
-  to the kernel's row) are exactly what the interpreted loop would produce.
+  to a fresh simulation) are exactly what the interpreted loop would produce.
   Keys are computed vectorized with the cache's own binary-mantissa
   quantization.
 * **Interleaving**: the interpreted loop fully processes env ``i`` —
   including an autoreset's simulator/cache traffic — before env ``i+1``.
-  The compiled step therefore does the *pure* math batched — action math
-  and cache keys up front, the kernel on the step's first cache miss (never,
-  when every lane hits; up front when there is no cache) — and runs one
-  sequential bookkeeping loop in env order for everything that is
-  order-sensitive (cache ops, trajectory records, inline interpreted
-  resets).
+  The compiled step therefore does the *pure* work batched — action math,
+  the netlist writes and cache keys up front; the simulation up front when
+  there is no cache, else at a lane's cache miss, together with every later
+  lane not cached at that moment — and runs one sequential bookkeeping loop
+  in env order for everything that is order-sensitive (cache ops,
+  trajectory records, inline interpreted resets).
 * **Subset steps**: ``step(actions, indices)`` steps only the selected lanes
-  (``VectorCircuitEnv.step_selected``, the lock-step deployment step).  The
-  kernel still evaluates all ``K`` rows with the unselected ones holding
-  their current parameters; cache replay, trajectory records, rewards, infos
-  and observations cover the selected lanes only, in index order.
+  (``VectorCircuitEnv.step_selected``, the lock-step deployment step).
+  Simulation, cache replay, trajectory records, rewards, infos and
+  observations cover the selected lanes only, in index order.
 * **Degrades gracefully, never wrongly**: any precondition the batched path
   cannot honor exactly — a finished selected lane, malformed or
   out-of-range actions or lane indices, an incomplete target group — routes
@@ -52,21 +54,34 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.circuits.specs import Objective
+from repro.circuits.netlist import Netlist
 from repro.compile.errors import UntraceableError
-from repro.compile.sim_kernels import KernelResult, build_simulator_kernel
 from repro.env.circuit_env import StepRecord
 from repro.env.reward import P2SReward, RewardOutcome
 from repro.env.spaces import BatchedObservation, Observation
 from repro.parallel.cache import SimulationCache
+from repro.simulation import BATCHED_SIMULATOR_TYPES
 from repro.simulation.base import SimulationResult
 
-#: Number of probe points the build-time bitwise check evaluates (beyond the
-#: three deterministic ones: center, lower bound, upper bound).
-_PROBE_RANDOM_POINTS = 5
 
+def _param_flat_index(netlist: Netlist, device: str, attribute: str) -> int:
+    """Index of ``(device, attribute)`` in ``netlist.parameter_array()``.
 
-def _bitwise_equal(a: float, b: float) -> bool:
-    return np.float64(a).tobytes() == np.float64(b).tobytes()
+    ``parameter_array`` walks devices in insertion order and extends each
+    device's parameter dict values in *its* insertion order; this mirrors
+    that walk.
+    """
+    offset = 0
+    for dev in netlist:
+        keys = list(dev.parameters)
+        if dev.name == device:
+            if attribute not in dev.parameters:
+                raise UntraceableError(
+                    f"device '{device}' has no parameter '{attribute}'"
+                )
+            return offset + keys.index(attribute)
+        offset += len(keys)
+    raise UntraceableError(f"netlist has no device '{device}'")
 
 
 class _SpecMath:
@@ -145,17 +160,19 @@ class CompiledEpisodePlan:
         else:
             self._cache = None
             inner = simulator
-        self._simulator = inner
+        if type(inner) not in BATCHED_SIMULATOR_TYPES:
+            raise UntraceableError(
+                f"no compiled kernel for simulator type {type(inner).__name__}"
+            )
+        self._simulate_batch = inner.simulate_batch
 
         # --- parameter layout -----------------------------------------
         base_netlist = first.data_processor.netlist
         self._name_bytes = base_netlist.name.encode()
         base_row = base_netlist.parameter_array()
-        from repro.compile.sim_kernels import param_flat_index
-
         self._knob_cols = np.array(
             [
-                param_flat_index(base_netlist, p.device, p.attribute)
+                _param_flat_index(base_netlist, p.device, p.attribute)
                 for p in self._parameters
             ]
         )
@@ -171,7 +188,6 @@ class CompiledEpisodePlan:
             if env.data_processor.netlist.name != base_netlist.name:
                 raise UntraceableError("sub-environments disagree on the netlist name")
         self._base_row = base_row
-        self._full = np.tile(base_row, (self.num_envs, 1))
         # Per-env (device-parameter dict, key) pairs for the knob writes —
         # Device.set_parameter is a key check plus ``dict[key] = float(v)``,
         # so with keys validated here a direct dict store is identical.
@@ -188,14 +204,7 @@ class CompiledEpisodePlan:
                 writes.append((device.parameters, parameter.attribute))
             self._knob_writes.append(writes)
 
-        # --- simulator kernel + build-time bitwise probe ---------------
-        self._kernel = build_simulator_kernel(inner, base_netlist, self.num_envs)
         self._obs_specs = _SpecMath(benchmark.spec_space)
-        kernel_names = set(self._kernel_probe_names())
-        missing = [n for n in self._obs_specs.names if n not in kernel_names]
-        if missing:
-            raise UntraceableError(f"kernel does not produce specs {missing}")
-
         self._reward_fn = first.reward_fn
         self._is_fom_mode = first.is_fom_mode
 
@@ -211,7 +220,7 @@ class CompiledEpisodePlan:
         for name in graph.node_names:
             device = base_netlist.device(name)
             for key, _scale, _slot in dynamic_parameter_reads(device):
-                read_cols.append(param_flat_index(base_netlist, name, key))
+                read_cols.append(_param_flat_index(base_netlist, name, key))
         if len(read_cols) != len(self._feature_rows):
             raise UntraceableError("node-feature read plan does not match the graph")
         self._feature_read_cols = np.array(read_cols)
@@ -230,71 +239,6 @@ class CompiledEpisodePlan:
         self._static_stack = np.stack(
             [env.data_processor._static_features for env in envs]
         )
-
-        self._probe_kernel()
-
-    # ------------------------------------------------------------------
-    # Build-time verification
-    # ------------------------------------------------------------------
-    def _kernel_probe_names(self) -> List[str]:
-        """Spec names the kernel produces (probed on the base parameters)."""
-        result = self._kernel.evaluate(self._full)
-        return list(result.specs)
-
-    def _probe_points(self) -> np.ndarray:
-        space = self._design_space
-        points = [
-            space.center(),
-            space.snap_vector(space.lower_bounds),
-            space.snap_vector(space.upper_bounds),
-        ]
-        rng = np.random.default_rng(0)
-        for _ in range(_PROBE_RANDOM_POINTS):
-            points.append(space.sample(rng))
-        return np.stack(points)
-
-    def _probe_kernel(self) -> None:
-        """Bitwise-compare the kernel against the scalar simulator.
-
-        Evaluates a spread of snapped design points through both paths; any
-        difference in spec values, detail values, or validity makes the whole
-        plan untraceable — "degrades gracefully, never wrongly".
-        """
-        points = self._probe_points()
-        scratch = self._envs[0].data_processor.netlist.copy()
-        full = np.tile(self._base_row, (self.num_envs, 1))
-        for start in range(0, points.shape[0], self.num_envs):
-            chunk = points[start:start + self.num_envs]
-            for slot in range(self.num_envs):
-                row = chunk[min(slot, chunk.shape[0] - 1)]
-                full[slot] = self._base_row
-                full[slot, self._knob_cols] = row
-            result = self._kernel.evaluate(full)
-            for slot in range(chunk.shape[0]):
-                row = chunk[slot]
-                for parameter, value in zip(self._parameters, row):
-                    scratch.set_parameter(parameter.device, parameter.attribute, value)
-                reference = self._simulator.simulate(scratch)
-                batched_specs = result.spec_dict(slot)
-                batched_details = result.detail_dict(slot)
-                if set(batched_specs) != set(reference.specs) or any(
-                    not _bitwise_equal(batched_specs[k], reference.specs[k])
-                    for k in reference.specs
-                ):
-                    raise UntraceableError(
-                        f"kernel spec mismatch on probe point {start + slot}"
-                    )
-                if set(batched_details) != set(reference.details) or any(
-                    not _bitwise_equal(batched_details[k], reference.details[k])
-                    for k in reference.details
-                ):
-                    raise UntraceableError(
-                        f"kernel detail mismatch on probe point {start + slot}"
-                    )
-                if bool(result.valid[slot]) != bool(reference.valid):
-                    raise UntraceableError(
-                        f"kernel validity mismatch on probe point {start + slot}"
-                    )
 
     # ------------------------------------------------------------------
     # Step
@@ -330,9 +274,7 @@ class CompiledEpisodePlan:
         ``actions`` rows align with ``indices``.  A subset step is
         ``VectorCircuitEnv.step_selected``: unselected lanes keep their state,
         no lane autoresets, and everything returned covers the selected lanes
-        in index order.  The kernel still evaluates all ``K`` rows — it is
-        pure and its lane count is fixed at build time — with the unselected
-        rows holding their current parameters.
+        in index order.
         """
         actions = np.asarray(actions, dtype=np.int64)
         lanes = self._all_lanes if indices is None else self._selected_lanes(indices)
@@ -364,26 +306,32 @@ class CompiledEpisodePlan:
                 env.data_processor._values
                 if env.data_processor._values is not None
                 else env.data_processor.parameter_values
-                for env in self._envs
+                for env in envs
             ]
         )
         space = self._design_space
-        snapped = space.snap_vector(space.apply_actions(current[lanes], actions))
-        current[lanes] = snapped
-        full = self._full
-        full[:] = self._base_row
-        full[:, self._knob_cols] = current
-        rows = full[lanes]
+        snapped = space.snap_vector(space.apply_actions(current, actions))
+        rows = np.tile(self._base_row, (count, 1))
+        rows[:, self._knob_cols] = snapped
+        # Write every selected lane's sizing before simulating any lane.  A
+        # lane's netlist is read only by its own simulation and reset, so
+        # the writes commute with the bookkeeping loop below.
+        step_values: List[np.ndarray] = []
+        for row, (lane, env) in enumerate(zip(lanes, envs)):
+            values = snapped[row].copy()
+            for (device_parameters, attribute), value in zip(
+                self._knob_writes[lane], values.tolist()
+            ):
+                device_parameters[attribute] = value
+            env.data_processor._values = values
+            step_values.append(values)
         cache = self._cache
-        # The kernel is pure, so with a cache it runs on the step's first
-        # miss, with the result it would have had up front; a step whose
-        # lanes all hit the cache never evaluates it.
-        kernel_result: Optional[KernelResult] = None
+        # Results simulated ahead of their row, by row.  A lane is bitwise
+        # its own simulate call whatever batch it rides in, so how the rows
+        # are grouped changes no bits.
+        fresh: Dict[int, SimulationResult] = {}
         if cache is None:
-            # No cache: every row's result is the kernel row itself, so all
-            # result dicts can be materialized for the whole batch at once.
-            kernel_result = self._kernel.evaluate(full)
-            fresh_results = self._fresh_results(kernel_result)
+            fresh.update(enumerate(self._simulate_rows(envs, range(count))))
         else:
             keys = self._cache_keys(rows)
 
@@ -398,27 +346,23 @@ class CompiledEpisodePlan:
         rewards = np.zeros(count)
         dones = np.zeros(count, dtype=bool)
         autoreset = indices is None and self._vector_env.autoreset
-        for row, (lane, env) in enumerate(zip(lanes, envs)):
+        for row, env in enumerate(envs):
             env._step_count += 1
-            values = snapped[row].copy()
-            for (device_parameters, attribute), value in zip(
-                self._knob_writes[lane], values.tolist()
-            ):
-                device_parameters[attribute] = value
-            env.data_processor._values = values
-
+            values = step_values[row]
             if cache is None:
-                result = fresh_results[lane]
+                result = fresh.pop(row)
             else:
                 result = self._cache_lookup(keys[row])
                 if result is None:
-                    if kernel_result is None:
-                        kernel_result = self._kernel.evaluate(full)
-                    result = SimulationResult(
-                        specs=kernel_result.spec_dict(lane),
-                        details=kernel_result.detail_dict(lane),
-                        valid=bool(kernel_result.valid[lane]),
-                    )
+                    if row not in fresh:
+                        # A miss simulates its lane together with every
+                        # later lane that is not cached now.
+                        batch = [row] + [
+                            later for later in range(row + 1, count)
+                            if later not in fresh and keys[later] not in cache._entries
+                        ]
+                        fresh.update(zip(batch, self._simulate_rows(envs, batch)))
+                    result = fresh.pop(row)
                     self._cache_store(keys[row], result)
             env._measured = dict(result.specs)
             measured = env._measured
@@ -532,15 +476,9 @@ class CompiledEpisodePlan:
             for k in range(rows.shape[0])
         ]
 
-    def _fresh_results(self, kernel_result: KernelResult) -> List[SimulationResult]:
-        """All rows as fresh :class:`SimulationResult`\\ s (cache-off path)."""
-        spec_rows = kernel_result.spec_rows()
-        detail_rows = kernel_result.detail_rows()
-        valid = kernel_result.valid.tolist()
-        return [
-            SimulationResult(specs=specs, details=details, valid=flag)
-            for specs, details, flag in zip(spec_rows, detail_rows, valid)
-        ]
+    def _simulate_rows(self, envs, rows: Sequence[int]) -> List[SimulationResult]:
+        """One batched simulation of the netlists of ``envs[row]`` for ``rows``."""
+        return self._simulate_batch([envs[row].data_processor.netlist for row in rows])
 
     def _cache_lookup(self, key: bytes) -> Optional[SimulationResult]:
         """The cached result for ``key``, or ``None`` on a miss.

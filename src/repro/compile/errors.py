@@ -13,8 +13,8 @@ class UntraceableError(RuntimeError):
     """Raised when an env configuration cannot be compiled faithfully.
 
     Carries a human-readable ``reason`` describing the first untraceable
-    construct encountered (unsupported simulator, subclassed cache, failed
-    build-time parity probe, ...).
+    construct encountered (unsupported simulator, subclassed cache,
+    sub-environments that disagree, ...).
     """
 
     def __init__(self, reason: str) -> None:

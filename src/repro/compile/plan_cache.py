@@ -1,7 +1,7 @@
 """Keyed cache of compiled plans with config-snapshot invalidation.
 
-Plans are expensive to build (tracing + a build-time parity probe) and
-cheap to replay, so they are cached per signature key — e.g.
+Plans cost a trace of the configuration to build and are cheap to
+replay, so they are cached per signature key — e.g.
 ``("env", benchmark_name, num_envs)`` — alongside a *config snapshot*: a
 plain tuple of every configuration value the plan baked in at trace time.
 ``get_or_build`` revalidates the snapshot on every lookup and transparently

@@ -19,28 +19,28 @@ into one :class:`~repro.simulation.base.SimulationResult`:
 
 Two evaluation paths produce bitwise-identical results:
 
-* **batched** (default): for simulators with a compiled kernel twin
-  (:func:`repro.compile.sim_kernels.build_simulator_kernel`), the corners
-  ride as extra batch lanes — the kernel is built once with ``K`` lanes,
-  each lane bound to that corner's technology constants
-  (``bind_lane_technologies``), and one stacked evaluation replaces ``K``
-  sequential simulations (one stacked MNA sweep instead of ``K`` for the
-  MNA-method simulators);
+* **batched** (default): for the simulators with a ``simulate_batch``
+  entry (:class:`OpAmpSimulator`, :class:`CmOtaSimulator`), the corners
+  ride as batch lanes — lane ``k`` takes its operating point from corner
+  ``k``'s clone, and one ``simulate_batch`` call assembles every lane's
+  result (one stacked MNA sweep instead of ``K`` for the MNA methods);
 * **sequential**: a per-corner loop over clones of the base simulator,
   each carrying :meth:`Corner.apply`-derived technology constants.  This is
-  also the fallback for simulators without a kernel twin (folded cascode,
-  LNA, RF PA).
+  also the path for simulators without a batch entry (folded cascode, LNA,
+  RF PA).
+
+Both paths read every value from the netlist of the call, so nothing of an
+earlier netlist carries over.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.circuits.netlist import Netlist
 from repro.circuits.specs import Objective, SpecificationSpace
 from repro.corners.model import CornerSet, default_corner_set
+from repro.simulation import BATCHED_SIMULATOR_TYPES
 from repro.simulation.base import SimulationResult
 from repro.simulation.folded_cascode_sim import FoldedCascodeSimulator
 from repro.simulation.lna_sim import LnaSimulator
@@ -48,14 +48,10 @@ from repro.simulation.opamp_sim import OpAmpSimulator
 from repro.simulation.ota_sim import CmOtaSimulator
 from repro.simulation.pa_sim import RfPaCoarseSimulator, RfPaFineSimulator
 
-#: Simulator types whose corner sweep can ride the batched kernel path.
-KERNEL_BATCHED_TYPES = (OpAmpSimulator, CmOtaSimulator)
-
-
 def clone_simulator_with_technology(simulator, technology):
     """A fresh simulator of the same type/configuration at ``technology``.
 
-    Exact-type dispatch (mirroring the compiled-kernel discipline): a
+    Exact-type dispatch (mirroring the compiled plan's discipline): a
     subclass could override arithmetic the clone would silently drop, so
     only the known simulator types are cloneable.
     """
@@ -98,18 +94,6 @@ def clone_simulator_with_technology(simulator, technology):
     )
 
 
-def _netlist_signature(netlist: Netlist):
-    """Structural identity of a netlist: device names and parameter orders.
-
-    The kernel caches parameter *indices*, which stay valid exactly as long
-    as this signature does; episode steps mutate values only, so one kernel
-    serves a whole benchmark.
-    """
-    return tuple(
-        (device.name, tuple(device.parameters)) for device in netlist
-    )
-
-
 class CornerSimulator:
     """Evaluate every corner of a :class:`CornerSet` per ``simulate`` call.
 
@@ -126,10 +110,10 @@ class CornerSimulator:
         conservative designer would quote); without it the first corner's
         values are reported.  Per-corner keys are emitted either way.
     batched:
-        Use the corner-lane kernel path when the simulator has a kernel
-        twin (bitwise identical to the sequential loop, roughly one batched
-        evaluation instead of ``K`` simulations).  ``False`` forces the
-        sequential per-corner loop (the parity reference).
+        Run the corners as the lanes of one ``simulate_batch`` call when the
+        simulator has one (bitwise identical to the sequential loop, one
+        stacked MNA sweep instead of ``K`` for the MNA methods).  ``False``
+        forces the sequential per-corner loop (the parity reference).
     """
 
     def __init__(
@@ -151,9 +135,7 @@ class CornerSimulator:
             clone_simulator_with_technology(simulator, technology)
             for technology in self.technologies
         )
-        self.batched = bool(batched) and isinstance(simulator, KERNEL_BATCHED_TYPES)
-        self._kernel = None
-        self._kernel_signature = None
+        self.batched = bool(batched) and type(simulator) in BATCHED_SIMULATOR_TYPES
         self.name = f"corners[{getattr(simulator, 'name', type(simulator).__name__)}]"
 
     # ------------------------------------------------------------------
@@ -169,36 +151,15 @@ class CornerSimulator:
     def corner_results(self, netlist: Netlist) -> List[SimulationResult]:
         """One :class:`SimulationResult` per corner, in corner-set order."""
         if self.batched:
-            return self._corner_results_batched(netlist)
+            return self.base_simulator.simulate_batch(
+                [netlist] * len(self._corner_simulators),
+                operating_points=[
+                    simulator.operating_point(netlist)
+                    for simulator in self._corner_simulators
+                ],
+            )
         return [
             simulator.simulate(netlist) for simulator in self._corner_simulators
-        ]
-
-    def _corner_results_batched(self, netlist: Netlist) -> List[SimulationResult]:
-        # Local import keeps repro.corners importable without pulling the
-        # compile subsystem until the batched path actually runs.
-        from repro.compile.sim_kernels import build_simulator_kernel
-
-        signature = _netlist_signature(netlist)
-        if self._kernel is None or self._kernel_signature != signature:
-            kernel = build_simulator_kernel(
-                self.base_simulator, netlist, num_envs=len(self.corner_set)
-            )
-            kernel.bind_lane_technologies(list(self.technologies))
-            self._kernel = kernel
-            self._kernel_signature = signature
-        parameters = netlist.parameter_array()
-        stacked = np.tile(parameters, (len(self.corner_set), 1))
-        result = self._kernel.evaluate(stacked)
-        spec_rows = result.spec_rows()
-        detail_rows = result.detail_rows()
-        return [
-            SimulationResult(
-                specs=spec_rows[lane],
-                details=detail_rows[lane],
-                valid=bool(result.valid[lane]),
-            )
-            for lane in range(len(self.corner_set))
         ]
 
     # ------------------------------------------------------------------

@@ -11,9 +11,9 @@ specification.
 
 Each Monte-Carlo point is a :class:`~repro.corners.model.Corner`, so a
 whole shard is just a :class:`~repro.corners.simulator.CornerSimulator`
-over a ``samples``-corner :class:`CornerSet` — the kernel-batched corner
-lanes evaluate an entire shard in a handful of stacked array operations for
-the topologies with a compiled twin.
+over a ``samples``-corner :class:`CornerSet` — on the op-amp and CM-OTA
+the corner lanes evaluate an entire shard in one ``simulate_batch`` call
+(one stacked MNA sweep on the MNA methods).
 
 Orchestration mirrors :mod:`repro.experiments.transfer_matrix`: the report
 shards by (circuit, shard-index) into :class:`~repro.orchestrate.units.WorkUnit`

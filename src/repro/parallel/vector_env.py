@@ -59,8 +59,8 @@ class VectorCircuitEnv:
     compile:
         When True, :meth:`step` first tries a
         :class:`~repro.compile.env_plan.CompiledEpisodePlan` — a traced,
-        batched replay of this exact configuration that is probed bitwise
-        against the interpreted path at build time.  Configurations the
+        batched replay of this exact configuration, bitwise identical to
+        the interpreted path.  Configurations the
         tracer cannot reproduce bitwise fall back to the interpreted loop
         (the build failure is cached, see :attr:`compiled_fallback_reason`);
         either way the observable behaviour is identical.

@@ -36,8 +36,14 @@ from repro.simulation.pa_sim import (
 )
 from repro.simulation.technology import CMOS_45NM, GAN_150NM, CmosTechnology, GanTechnology
 
+#: The simulator types with a ``simulate_batch`` entry.  Callers batch only
+#: these exact types: a subclass could override ``simulate`` and leave the
+#: batch entry behind.
+BATCHED_SIMULATOR_TYPES = (OpAmpSimulator, CmOtaSimulator)
+
 __all__ = [
     "AcSolution",
+    "BATCHED_SIMULATOR_TYPES",
     "BatchedMNAPlan",
     "CMOS_45NM",
     "CircuitSimulator",

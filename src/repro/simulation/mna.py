@@ -16,9 +16,9 @@ lists and element columns depend only on the circuit structure, so they are
 built once per :meth:`MnaCircuit.structure_signature` and kept in a bounded
 cache; a plan only stacks the ``(K, V)`` element values.
 :meth:`MnaCircuit.dc_operating_point` and :meth:`MnaCircuit.ac_analysis` are
-that plan at ``K = 1``; the compiled vector environment
-(:mod:`repro.compile.sim_kernels`) drives the same plan with one lane per
-environment, restamping element values through :meth:`BatchedMNAPlan.set_values`.
+that plan at ``K = 1``; :func:`template_sweep_metrics`, behind the op-amp
+and OTA ``simulate_batch``, drives the same plan with one lane per circuit,
+restamping element values through :meth:`BatchedMNAPlan.set_values`.
 
 Schur-form AC sweep
 -------------------
@@ -56,7 +56,7 @@ MOSFET.  The error is normwise: a node far smaller than the largest one
 (a DC-floating node's neighbour at low frequency) can carry a larger
 relative error.  On the op-amp and OTA output nodes, 303 design points gave
 at most 2.4e-11 pointwise; over 508 points, ``simulate`` specs moved by at
-most 2.0e-11 relative (3.4e-13 at the compiled env's probe points), with no
+most 2.0e-11 relative (3.4e-13 at the golden probe points), with no
 validity flip.
 
 A circuit's AC result is still bitwise independent of which batch it is
@@ -992,3 +992,23 @@ class BatchedMNAPlan:
                 rhs[d_idx] -= i_eq
             if s_idx is not None:
                 rhs[s_idx] += i_eq
+
+
+def template_sweep_metrics(
+    template: MnaCircuit, lane_values: Sequence[Mapping[str, float]], node: str = "out"
+) -> List[Tuple[float, float, float]]:
+    """:func:`frequency_response_metrics` of ``node`` for every lane, in one sweep.
+
+    Lane ``k`` is ``template``'s topology with every element named in
+    ``lane_values[k]`` restamped to that value, swept over
+    :data:`SWEEP_FREQUENCIES` in one :class:`BatchedMNAPlan`.  A lane's
+    sweep does not depend on its batch, so its metrics are bitwise those of
+    ``ac_analysis`` on that lane's own circuit.
+    """
+    plan = BatchedMNAPlan.from_template(template, len(lane_values))
+    for name in lane_values[0]:
+        plan.set_values(name, [values[name] for values in lane_values])
+    return [
+        frequency_response_metrics(SWEEP_FREQUENCIES, solution.voltage(node))
+        for solution in plan.ac_sweep(SWEEP_FREQUENCIES)
+    ]

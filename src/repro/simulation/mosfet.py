@@ -119,9 +119,9 @@ class MosfetModel:
             vds = -vds
             sign = -1.0
         if vds < vov:
-            # ``vds * vds`` (not ``vds**2``): scalar pow can differ from the
-            # multiply numpy lowers ``arr**2`` to by 1 ulp, and the compiled
-            # vectorized twin (repro.compile.sim_kernels) must match bitwise.
+            # ``vds * vds`` (not ``vds**2``): the two can differ by 1 ulp,
+            # and the recorded simulate goldens
+            # (tests/simulation/test_mna_plan.py) pin these bits.
             ids = self.kp * self.strength * (vov * vds - 0.5 * (vds * vds))
         else:
             ids = 0.5 * self.kp * self.strength * (vov * vov)

@@ -26,24 +26,32 @@ Two evaluation paths are provided:
   ``tests/simulation/test_opamp_mna_crosscheck.py``).  The sweep is the
   401-point :data:`~repro.simulation.mna.SWEEP_FREQUENCIES` grid, computed
   by the engine's Schur-form sweep: the circuit is reduced once and each
-  frequency is a small back-substitution.  The compiled vector environment
-  sweeps the same circuit for all its lanes through one
-  :class:`~repro.simulation.mna.BatchedMNAPlan` (whose topology is built
-  once and cached) and post-processes each lane with the same function, so
-  both routes return identical bits.
+  frequency is a small back-substitution.
+
+:meth:`OpAmpSimulator.operating_point` is the only copy of the circuit
+equations.  :meth:`OpAmpSimulator.simulate_batch`, which the compiled vector
+environment and the corner sweep call, loops its lanes through it and, for
+``method="mna"``, sweeps every lane's small-signal circuit in one
+:class:`~repro.simulation.mna.BatchedMNAPlan`; a lane's sweep does not
+depend on its batch, so each lane is bitwise ``simulate`` of its netlist.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.circuits.netlist import Netlist
 from repro.simulation.base import SimulationResult
-from repro.simulation.mna import SWEEP_FREQUENCIES, MnaCircuit, frequency_response_metrics
+from repro.simulation.mna import (
+    SWEEP_FREQUENCIES,
+    MnaCircuit,
+    frequency_response_metrics,
+    template_sweep_metrics,
+)
 from repro.simulation.mosfet import MosfetModel
 from repro.simulation.technology import CMOS_45NM, CmosTechnology
 
@@ -74,6 +82,39 @@ class OpAmpOperatingPoint:
     unity_gain_bandwidth_hz: float
     phase_margin_deg: float
     power_w: float
+    first_stage_capacitance: float
+    output_capacitance: float
+    miller_capacitance: float
+
+
+def _small_signal_values(op: OpAmpOperatingPoint) -> Dict[str, float]:
+    """Small-signal element values of ``op``, keyed by element name."""
+    return {
+        "GM1": -op.gm1,
+        "R1": max(op.first_stage_resistance, 1.0),
+        "C1": max(op.first_stage_capacitance, 1e-18),
+        "GM6": op.gm6,
+        "R2": max(op.second_stage_resistance, 1.0),
+        "CL": max(op.output_capacitance, 1e-18),
+        "CC": max(op.miller_capacitance, 1e-18),
+    }
+
+
+def _small_signal_circuit(values: Dict[str, float]) -> MnaCircuit:
+    """The two-stage small-signal equivalent with the given element values."""
+    circuit = MnaCircuit("opamp_small_signal")
+    circuit.add_voltage_source("VIN", "in", "0", dc=0.0, ac=1.0)
+    # First stage: gm1 from input into the mid node.
+    circuit.add_vccs("GM1", "mid", "0", "in", "0", gm=values["GM1"])
+    circuit.add_resistor("R1", "mid", "0", values["R1"])
+    circuit.add_capacitor("C1", "mid", "0", values["C1"])
+    # Second stage: gm6 from mid into the output node.
+    circuit.add_vccs("GM6", "out", "0", "mid", "0", gm=values["GM6"])
+    circuit.add_resistor("R2", "out", "0", values["R2"])
+    circuit.add_capacitor("CL", "out", "0", values["CL"])
+    # Miller compensation across the second stage.
+    circuit.add_capacitor("CC", "mid", "out", values["CC"])
+    return circuit
 
 
 class OpAmpSimulator:
@@ -103,11 +144,54 @@ class OpAmpSimulator:
         """Return gain, bandwidth (Hz), phase margin (deg) and power (W)."""
         op = self.operating_point(netlist)
         if self.method == "mna":
-            gain, bandwidth, phase_margin = self._mna_frequency_response(netlist, op)
+            response = self._mna_frequency_response(netlist, op)
         else:
-            gain = op.first_stage_gain * op.second_stage_gain
-            bandwidth = op.unity_gain_bandwidth_hz
-            phase_margin = op.phase_margin_deg
+            response = self._analytic_response(op)
+        return self._result(op, response)
+
+    def simulate_batch(
+        self,
+        netlists: Sequence[Netlist],
+        operating_points: Optional[Sequence[OpAmpOperatingPoint]] = None,
+    ) -> List[SimulationResult]:
+        """``[simulate(n) for n in netlists]``, bit for bit, in one MNA sweep.
+
+        ``operating_points[k]``, when given, stands in for
+        ``operating_point(netlists[k])``: a corner sweep passes each corner
+        clone's operating point of the same netlist.  The call keeps no
+        state on the simulator.
+        """
+        if operating_points is None:
+            operating_points = [self.operating_point(netlist) for netlist in netlists]
+        elif len(operating_points) != len(netlists):
+            raise ValueError(
+                f"{len(operating_points)} operating points for {len(netlists)} netlists"
+            )
+        if self.method == "mna" and operating_points:
+            lane_values = [_small_signal_values(op) for op in operating_points]
+            responses = template_sweep_metrics(
+                _small_signal_circuit(lane_values[0]), lane_values
+            )
+        else:
+            responses = [self._analytic_response(op) for op in operating_points]
+        return [
+            self._result(op, response) for op, response in zip(operating_points, responses)
+        ]
+
+    @staticmethod
+    def _analytic_response(op: OpAmpOperatingPoint) -> Tuple[float, float, float]:
+        """Closed-form gain, unity-gain bandwidth and phase margin."""
+        return (
+            op.first_stage_gain * op.second_stage_gain,
+            op.unity_gain_bandwidth_hz,
+            op.phase_margin_deg,
+        )
+
+    @staticmethod
+    def _result(
+        op: OpAmpOperatingPoint, response: Tuple[float, float, float]
+    ) -> SimulationResult:
+        gain, bandwidth, phase_margin = response
         valid = op.tail_current > 0.0 and op.second_stage_current > 0.0 and gain > 1.0
         specs = {
             "gain": float(gain),
@@ -218,6 +302,9 @@ class OpAmpSimulator:
             unity_gain_bandwidth_hz=unity_gain_bandwidth,
             phase_margin_deg=phase_margin,
             power_w=power,
+            first_stage_capacitance=first_stage_cap,
+            output_capacitance=total_output_cap,
+            miller_capacitance=miller_cap,
         )
 
     @staticmethod
@@ -232,8 +319,8 @@ class OpAmpSimulator:
         if unity_freq <= 0.0 or dc_gain <= 1.0 or dominant_pole <= 0.0:
             return 0.0
         # np.arctan2 (not math.atan2): the two differ by 1 ulp on ~1% of
-        # inputs, and the compiled vectorized twin in repro.compile must be
-        # bitwise identical to this scalar reference.
+        # inputs, and the recorded simulate goldens
+        # (tests/simulation/test_mna_plan.py) pin these bits.
         phase = -np.degrees(np.arctan2(unity_freq, dominant_pole))
         if output_pole > 0.0:
             phase -= np.degrees(np.arctan2(unity_freq, output_pole))
@@ -251,32 +338,11 @@ class OpAmpSimulator:
         """Assemble the two-stage small-signal equivalent as an MNA circuit.
 
         Nodes: ``in`` (differential input), ``mid`` (first-stage output),
-        ``out`` (amplifier output).  Stage transconductances and output
-        resistances come from the analytical operating point so that both
-        paths share the same DC linearization and only the frequency response
-        is cross-checked.
+        ``out`` (amplifier output).  Every element value comes from the
+        analytical operating point, so both paths share the same DC
+        linearization and only the frequency response is cross-checked.
         """
-        op = op or self.operating_point(netlist)
-        compensation_cap = netlist.get_parameter("CC", "value")
-        load_cap = netlist.get_parameter("CL", "value")
-        first_stage_cap = 10e-15 + MosfetModel(
-            self.technology, "pmos",
-            netlist.get_parameter("M6", "width"), netlist.get_parameter("M6", "fingers"),
-        ).gate_capacitance()
-
-        circuit = MnaCircuit("opamp_small_signal")
-        circuit.add_voltage_source("VIN", "in", "0", dc=0.0, ac=1.0)
-        # First stage: gm1 from input into the mid node.
-        circuit.add_vccs("GM1", "mid", "0", "in", "0", gm=-op.gm1)
-        circuit.add_resistor("R1", "mid", "0", max(op.first_stage_resistance, 1.0))
-        circuit.add_capacitor("C1", "mid", "0", max(first_stage_cap, 1e-18))
-        # Second stage: gm6 from mid into the output node.
-        circuit.add_vccs("GM6", "out", "0", "mid", "0", gm=op.gm6)
-        circuit.add_resistor("R2", "out", "0", max(op.second_stage_resistance, 1.0))
-        circuit.add_capacitor("CL", "out", "0", max(load_cap + 20e-15, 1e-18))
-        # Miller compensation across the second stage.
-        circuit.add_capacitor("CC", "mid", "out", max(compensation_cap, 1e-18))
-        return circuit
+        return _small_signal_circuit(_small_signal_values(op or self.operating_point(netlist)))
 
     def _mna_frequency_response(
         self, netlist: Netlist, op: OpAmpOperatingPoint

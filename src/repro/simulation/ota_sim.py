@@ -14,17 +14,27 @@ so the effective transconductance is ``gm1 · (B_up + B_down) / 2``, the slew
 rate is the smaller mirrored tail current over the load capacitance, and the
 power grows with *both* ratios — the classic drive-versus-power trade-off the
 RL agent must discover.
+
+As for the op-amp, :meth:`CmOtaSimulator.operating_point` is the only copy
+of the circuit equations; :meth:`CmOtaSimulator.simulate_batch` loops its
+lanes through it and sweeps the ``method="mna"`` lanes in one
+:class:`~repro.simulation.mna.BatchedMNAPlan`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.netlist import Netlist
 from repro.simulation.base import SimulationResult
-from repro.simulation.mna import SWEEP_FREQUENCIES, MnaCircuit, frequency_response_metrics
+from repro.simulation.mna import (
+    SWEEP_FREQUENCIES,
+    MnaCircuit,
+    frequency_response_metrics,
+    template_sweep_metrics,
+)
 from repro.simulation.mosfet import MosfetModel
 from repro.simulation.opamp_sim import _parallel
 from repro.simulation.technology import CMOS_45NM, CmosTechnology
@@ -49,6 +59,26 @@ class CmOtaOperatingPoint:
     unity_gain_bandwidth_hz: float
     slew_rate: float
     power_w: float
+    load_capacitance: float
+
+
+def _small_signal_values(op: CmOtaOperatingPoint) -> Dict[str, float]:
+    """Small-signal element values of ``op``, keyed by element name."""
+    return {
+        "GM": -op.effective_gm,
+        "ROUT": max(op.output_resistance, 1.0),
+        "CL": max(op.load_capacitance, 1e-18),
+    }
+
+
+def _small_signal_circuit(values: Dict[str, float]) -> MnaCircuit:
+    """The single-stage small-signal equivalent with the given element values."""
+    circuit = MnaCircuit("cm_ota_small_signal")
+    circuit.add_voltage_source("VIN", "in", "0", dc=0.0, ac=1.0)
+    circuit.add_vccs("GM", "out", "0", "in", "0", gm=values["GM"])
+    circuit.add_resistor("ROUT", "out", "0", values["ROUT"])
+    circuit.add_capacitor("CL", "out", "0", values["CL"])
+    return circuit
 
 
 class CmOtaSimulator:
@@ -74,10 +104,44 @@ class CmOtaSimulator:
         """Return gain, bandwidth (Hz), slew rate (V/s) and power (W)."""
         op = self.operating_point(netlist)
         if self.method == "mna":
-            gain, bandwidth = self._mna_frequency_response(netlist, op)
+            response = self._mna_frequency_response(netlist, op)
         else:
-            gain = op.gain
-            bandwidth = op.unity_gain_bandwidth_hz
+            response = (op.gain, op.unity_gain_bandwidth_hz)
+        return self._result(op, response)
+
+    def simulate_batch(
+        self,
+        netlists: Sequence[Netlist],
+        operating_points: Optional[Sequence[CmOtaOperatingPoint]] = None,
+    ) -> List[SimulationResult]:
+        """``[simulate(n) for n in netlists]``, bit for bit, in one MNA sweep.
+
+        See :meth:`OpAmpSimulator.simulate_batch
+        <repro.simulation.opamp_sim.OpAmpSimulator.simulate_batch>`.
+        """
+        if operating_points is None:
+            operating_points = [self.operating_point(netlist) for netlist in netlists]
+        elif len(operating_points) != len(netlists):
+            raise ValueError(
+                f"{len(operating_points)} operating points for {len(netlists)} netlists"
+            )
+        if self.method == "mna" and operating_points:
+            lane_values = [_small_signal_values(op) for op in operating_points]
+            responses = [
+                (gain, unity_freq)
+                for gain, unity_freq, _ in template_sweep_metrics(
+                    _small_signal_circuit(lane_values[0]), lane_values
+                )
+            ]
+        else:
+            responses = [(op.gain, op.unity_gain_bandwidth_hz) for op in operating_points]
+        return [
+            self._result(op, response) for op, response in zip(operating_points, responses)
+        ]
+
+    @staticmethod
+    def _result(op: CmOtaOperatingPoint, response: Tuple[float, float]) -> SimulationResult:
+        gain, bandwidth = response
         valid = op.tail_current > 0.0 and gain > 1.0 and op.slew_rate > 0.0
         specs = {
             "gain": float(gain),
@@ -155,6 +219,7 @@ class CmOtaSimulator:
             unity_gain_bandwidth_hz=unity_gain_bandwidth,
             slew_rate=slew_rate,
             power_w=power,
+            load_capacitance=total_load,
         )
 
     # ------------------------------------------------------------------
@@ -166,18 +231,11 @@ class CmOtaSimulator:
         """Assemble the single-stage small-signal equivalent as an MNA circuit.
 
         One node (``out``) behind the effective mirror-scaled
-        transconductance; resistance and load come from the analytical
-        operating point so both methods share the same DC linearization and
+        transconductance; every element value comes from the analytical
+        operating point, so both methods share the same DC linearization and
         only the frequency response differs.
         """
-        op = op or self.operating_point(netlist)
-        load_cap = netlist.get_parameter("CL", "value")
-        circuit = MnaCircuit("cm_ota_small_signal")
-        circuit.add_voltage_source("VIN", "in", "0", dc=0.0, ac=1.0)
-        circuit.add_vccs("GM", "out", "0", "in", "0", gm=-op.effective_gm)
-        circuit.add_resistor("ROUT", "out", "0", max(op.output_resistance, 1.0))
-        circuit.add_capacitor("CL", "out", "0", max(load_cap + 20e-15, 1e-18))
-        return circuit
+        return _small_signal_circuit(_small_signal_values(op or self.operating_point(netlist)))
 
     def _mna_frequency_response(
         self, netlist: Netlist, op: CmOtaOperatingPoint

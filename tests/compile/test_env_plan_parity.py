@@ -16,7 +16,7 @@ import pytest
 import repro
 from repro.parallel import VectorCircuitEnv
 
-#: Every environment the compiled path has kernels for, by circuit family.
+#: Every environment the compiled path runs, by circuit family.
 COMPILED_ENV_IDS = [
     "opamp-p2s-v0",
     "opamp-mna-v0",
@@ -119,3 +119,40 @@ def test_make_env_compile_flag_round_trip():
     env.step(actions)
     assert env.compiled_plan is not None
     assert env.compiled_fallback_reason is None
+
+
+@pytest.mark.parametrize("env_id", COMPILED_ENV_IDS)
+def test_plans_sharing_one_simulator_step_interleaved(env_id):
+    """Two compiled vector envs of different widths share one simulator and
+    step in turn; each matches its interpreted twin bit for bit."""
+
+    def pair(compile):
+        template = repro.make_env(env_id, seed=None, max_steps=MAX_STEPS)
+        return [
+            VectorCircuitEnv.from_env(
+                template, num_envs=num_envs, seed=seed, cache_size=None, compile=compile
+            )
+            for num_envs, seed in ((3, 0), (5, 40))
+        ]
+
+    compiled, interpreted = pair(True), pair(False)
+    assert compiled[0].envs[0].simulator is compiled[1].envs[0].simulator
+    for env_c, env_i in zip(compiled, interpreted):
+        env_c.reset()
+        env_i.reset()
+    rng = np.random.default_rng(5)
+    for _ in range(STEPS):
+        for env_c, env_i in zip(compiled, interpreted):
+            actions = rng.integers(0, 3, size=(env_c.num_envs, env_c.num_parameters))
+            batch_c, rewards_c, dones_c, infos_c = env_c.step(actions)
+            batch_i, rewards_i, dones_i, infos_i = env_i.step(actions)
+            assert np.asarray(rewards_c).tobytes() == np.asarray(rewards_i).tobytes()
+            assert np.array_equal(dones_c, dones_i)
+            for i in range(env_c.num_envs):
+                _observations_equal(batch_c[i], batch_i[i])
+            for info_c, info_i in zip(infos_c, infos_i):
+                _infos_equal(info_c, info_i)
+    for env_c in compiled:
+        assert env_c.compiled_plan is not None
+        assert env_c.compiled_plan.steps_compiled == STEPS
+        assert env_c.compiled_plan.fallback_steps == 0

@@ -14,6 +14,7 @@ import pytest
 import repro
 from repro.env.reward import P2SReward
 from repro.parallel import VectorCircuitEnv
+from repro.simulation.opamp_sim import OpAmpSimulator
 
 
 def _vector(env_id, num_envs=2, compile=True, **kwargs):
@@ -44,6 +45,44 @@ class TestUntraceableConfigurations:
         stats = compiled.plan_cache.stats
         assert stats.failures == 1  # the failed trace is cached, not repeated
         assert stats.misses == 1
+
+    def _assert_falls_back(self, simulator, type_name):
+        """``simulator`` runs interpreted, with the reason naming its type."""
+        template = repro.make_env("opamp-p2s-v0", seed=None)
+        template.simulator = simulator
+        compiled = VectorCircuitEnv.from_env(template, num_envs=2, seed=0, compile=True)
+        interpreted = VectorCircuitEnv.from_env(template, num_envs=2, seed=0, compile=False)
+        compiled.reset()
+        interpreted.reset()
+        actions = np.ones((2, compiled.num_parameters), dtype=np.int64)
+        for _ in range(2):
+            _, rewards_c, _, _ = compiled.step(actions)
+            _, rewards_i, _, _ = interpreted.step(actions)
+            assert np.asarray(rewards_c).tobytes() == np.asarray(rewards_i).tobytes()
+        assert compiled.compiled_plan is None
+        assert compiled.compiled_fallback_reason == (
+            f"no compiled kernel for simulator type {type_name}"
+        )
+
+    def test_unknown_simulator_type_falls_back(self):
+        class OtherSimulator:
+            name = "other"
+
+            def __init__(self):
+                self._inner = OpAmpSimulator()
+
+            def simulate(self, netlist):
+                return self._inner.simulate(netlist)
+
+        self._assert_falls_back(OtherSimulator(), "OtherSimulator")
+
+    def test_subclassed_simulator_is_rejected(self):
+        """An override could change the arithmetic; exact types only."""
+
+        class TweakedOpAmp(OpAmpSimulator):
+            pass
+
+        self._assert_falls_back(TweakedOpAmp(), "TweakedOpAmp")
 
     def test_interpreted_env_has_no_plan_state(self):
         env = _vector("opamp-p2s-v0", compile=False)

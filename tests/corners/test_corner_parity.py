@@ -106,3 +106,52 @@ def test_batched_flag_engages_the_kernel_path():
     assert CornerSimulator(CmOtaSimulator(method="mna")).batched
     assert not CornerSimulator(LnaSimulator()).batched
     assert not CornerSimulator(OpAmpSimulator(), batched=False).batched
+
+
+#: The simulators whose corner sweep runs as one batch.
+BATCHED_CASES = [
+    pytest.param(circuit, factory, id=case_id)
+    for case_id, circuit, factory in PARITY_CASES
+    if circuit in ("two_stage_opamp", "current_mirror_ota")
+]
+
+
+def _assert_rows_bitwise(rows_b, rows_s):
+    assert len(rows_b) == len(rows_s)
+    for row_b, row_s in zip(rows_b, rows_s):
+        assert row_b.valid == row_s.valid
+        assert list(row_b.specs) == list(row_s.specs)
+        assert list(row_b.details) == list(row_s.details)
+        for name, value in row_s.specs.items():
+            assert _bitwise_equal(row_b.specs[name], value), name
+        for name, value in row_s.details.items():
+            assert _bitwise_equal(row_b.details[name], value), name
+
+
+@pytest.mark.parametrize("circuit,factory", BATCHED_CASES)
+def test_batched_sweep_reads_each_netlists_fixed_values(circuit, factory):
+    """A second netlist of the same structure is not simulated with the
+    first one's supply, bias or load values."""
+    batched = CornerSimulator(factory())
+    sequential = CornerSimulator(factory(), batched=False)
+    first = BENCHMARK_BUILDERS[circuit]().fresh_netlist()
+    _assert_rows_bitwise(batched.corner_results(first), sequential.corner_results(first))
+    changed = first.copy()
+    changed.set_parameter("CL", "value", 4.0 * first.get_parameter("CL", "value"))
+    changed.set_parameter(
+        "VBIAS", "voltage", first.get_parameter("VBIAS", "voltage") + 0.05
+    )
+    rows_b = batched.corner_results(changed)
+    rows_s = sequential.corner_results(changed)
+    _assert_rows_bitwise(rows_b, rows_s)
+    assert rows_s[0].specs["gain"] != sequential.corner_results(first)[0].specs["gain"]
+
+
+@pytest.mark.parametrize("circuit,factory", BATCHED_CASES)
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "sequential"])
+def test_non_positive_width_raises_on_both_paths(circuit, factory, batched):
+    netlist = BENCHMARK_BUILDERS[circuit]().fresh_netlist()
+    netlist.set_parameter("M1", "width", 0.0)
+    simulator = CornerSimulator(factory(), batched=batched)
+    with pytest.raises(ValueError, match="width and fingers must be positive"):
+        simulator.simulate(netlist)
