@@ -134,11 +134,13 @@ def resolve_prescreener(prescreen):
 class _SearchOptimizer:
     """Shared scaffolding for the direct-search baselines (GA / BO / RS).
 
-    All three score candidate populations through the batched
-    :meth:`SizingProblem.objective_from_unit_batch` vector path;
-    ``vectorize > 1`` (or an explicit ``cache_size``) additionally wraps the
+    All three score candidate populations through
+    :meth:`SizingProblem.objective_from_unit_batch`, which simulates an
+    op-amp or CM-OTA population in one ``simulate_batch`` call.
+    ``vectorize > 1`` (or an explicit ``cache_size``) instead wraps the
     environment's simulator in a shared :class:`repro.parallel.SimulationCache`
-    so duplicate candidates across a population cost one simulation.
+    so duplicate candidates across a population cost one simulation; the
+    cache is called per candidate.
 
     ``prescreen`` enables surrogate pre-screening of those populations: a
     trained :mod:`repro.surrogate` model ranks every candidate and only the

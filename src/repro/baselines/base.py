@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.circuits.library.benchmark import CircuitBenchmark
 from repro.env.reward import FomReward, P2SReward
+from repro.simulation import BATCHED_SIMULATOR_TYPES
 from repro.simulation.base import CircuitSimulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
@@ -136,19 +137,23 @@ class SizingProblem:
 
     def _score(self, specs: Mapping[str, float]) -> float:
         if self.targets is not None:
-            return float(
+            value = float(
                 self.benchmark.spec_space.normalized_errors(specs, self.targets).sum()
             )
-        assert self.fom_reward is not None
-        fom = self.fom_reward.figure_of_merit(specs)
-        # figure_of_merit degrades to NaN for spec-incomplete results; a NaN
-        # fitness would win every np.argmax downstream, so score such
-        # candidates as unconditionally worst instead.
-        return fom if math.isfinite(fom) else -math.inf
+        else:
+            assert self.fom_reward is not None
+            value = self.fom_reward.figure_of_merit(specs)
+        # Spec-incomplete or NaN-valued results score NaN; a NaN fitness
+        # would win every np.argmax downstream, so score such candidates as
+        # unconditionally worst instead.
+        return value if math.isfinite(value) else -math.inf
 
     def objective(self, parameters: np.ndarray) -> float:
         """Scalar objective (larger is better, 0 or the FoM maximum is best)."""
-        specs = self.simulate(parameters)
+        return self._record(parameters, self.simulate(parameters))
+
+    def _record(self, parameters: np.ndarray, specs: Dict[str, float]) -> float:
+        """Score one exactly simulated candidate into the trace."""
         value = self._score(specs)
         self.trace.record(value)
         if self._prescreener is not None and (
@@ -179,20 +184,48 @@ class SizingProblem:
     # Population (batched) evaluation — the repro.parallel vector path
     # ------------------------------------------------------------------
     def objective_from_unit_batch(self, unit_parameters: np.ndarray) -> np.ndarray:
-        """Batched :meth:`objective_from_unit` over a ``(P, M)`` population."""
+        """Batched :meth:`objective_from_unit` over a ``(P, M)`` population.
+
+        Values, trace and evaluation count equal ``P`` successive
+        :meth:`objective_from_unit` calls.  The op-amp and CM-OTA simulators
+        score the whole population in one ``simulate_batch`` call; every
+        other simulator, cache-wrapped ones included, is called per row.
+        """
         unit_parameters = np.asarray(unit_parameters, dtype=np.float64)
         if unit_parameters.ndim != 2 or unit_parameters.shape[1] != self.num_parameters:
             raise ValueError(
                 f"expected a (P, {self.num_parameters}) population, "
                 f"got shape {unit_parameters.shape}"
             )
-        # One vectorized grid-denormalization for the whole population, then
-        # per-candidate simulation (cache-backed when available).
         parameters = self.benchmark.design_space.denormalize(unit_parameters)
         screened = self._screened_batch(parameters)
         if screened is not None:
             return screened
-        return np.array([self.objective(row) for row in parameters])
+        return self._exact_objectives(parameters)
+
+    def _exact_objectives(self, parameters: np.ndarray) -> np.ndarray:
+        """``[objective(row) for row in parameters]``, bit for bit.
+
+        A simulator of a :data:`~repro.simulation.BATCHED_SIMULATOR_TYPES`
+        type simulates every row in one ``simulate_batch`` call: each row's
+        operating point is taken on the single working netlist (the
+        ``CornerSimulator`` pattern), so the lanes share that netlist.
+        """
+        simulator = self.simulator
+        if type(simulator) not in BATCHED_SIMULATOR_TYPES:
+            return np.array([self.objective(row) for row in parameters])
+        operating_points = []
+        for row in parameters:
+            self.benchmark.design_space.apply_to_netlist(self._netlist, row)
+            operating_points.append(simulator.operating_point(self._netlist))
+        results = simulator.simulate_batch(
+            [self._netlist] * len(operating_points), operating_points=operating_points
+        )
+        values = []
+        for row, result in zip(parameters, results):
+            self._evaluations += 1
+            values.append(self._record(row, dict(result.specs)))
+        return np.array(values)
 
     def _screened_batch(self, parameters: np.ndarray) -> Optional[np.ndarray]:
         """Surrogate-rank the population, exactly verify the top candidates.
@@ -224,8 +257,7 @@ class SizingProblem:
             return None
         values = prescreener.predicted_objectives(full, self._score)
         top = prescreener.top_indices(values, count)
-        for index in top:
-            values[index] = self.objective(parameters[index])
+        values[top] = self._exact_objectives(parameters[top])
         prescreener.stats.populations += 1
         prescreener.stats.candidates += count
         prescreener.stats.exact_verified += len(top)

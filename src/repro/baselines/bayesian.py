@@ -15,10 +15,13 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import norm
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.special import ndtr
 
 from repro.baselines.base import OptimizationResult, SizingOptimizer, SizingProblem
+
+_SQRT_2PI = np.sqrt(2 * np.pi)
 
 
 @dataclass
@@ -44,7 +47,13 @@ class BayesianOptimizationConfig:
 
 
 class GaussianProcess:
-    """Minimal GP regressor with an isotropic RBF kernel."""
+    """Minimal GP regressor with an isotropic RBF kernel.
+
+    The Cholesky factor and solves call LAPACK ``dpotrf``/``dpotrs`` the way
+    ``scipy.linalg.cho_factor``/``cho_solve`` do, without their per-call
+    argument handling and finiteness scans: ``fit`` makes the observations
+    finite, and the inputs are points of the unit cube.
+    """
 
     def __init__(self, length_scale: float, signal_variance: float, noise_variance: float) -> None:
         self.length_scale = length_scale
@@ -53,7 +62,7 @@ class GaussianProcess:
         self._x: Optional[np.ndarray] = None
         self._y_mean = 0.0
         self._y_std = 1.0
-        self._cho = None
+        self._factor: Optional[np.ndarray] = None
         self._alpha: Optional[np.ndarray] = None
 
     def _kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -66,32 +75,51 @@ class GaussianProcess:
         y = np.asarray(y, dtype=np.float64).ravel()
         if x.shape[0] != y.shape[0]:
             raise ValueError("x and y must have the same number of rows")
+        finite = np.isfinite(y)
+        if not finite.all():
+            # A failed simulation scores -inf; model it as the worst finite
+            # observation (or a constant when none is finite) so that the
+            # kernel algebra stays finite.
+            y = np.where(finite, y, y[finite].min() if finite.any() else 0.0)
         self._x = x
         self._y_mean = float(y.mean())
         self._y_std = float(y.std()) if y.std() > 1e-12 else 1.0
         normalized = (y - self._y_mean) / self._y_std
         covariance = self._kernel(x, x) + self.noise_variance * np.eye(x.shape[0])
-        self._cho = cho_factor(covariance, lower=True)
-        self._alpha = cho_solve(self._cho, normalized)
+        factor, info = dpotrf(covariance, lower=1, clean=0)
+        if info != 0:
+            raise LinAlgError(f"GP covariance is not positive definite (dpotrf info {info})")
+        self._factor = factor
+        self._alpha = self._solve(normalized)
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        solution, info = dpotrs(self._factor, rhs, lower=1)
+        if info != 0:
+            raise ValueError(f"dpotrs rejected argument {-info}")
+        return solution
 
     def predict(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation at the query points."""
-        if self._x is None or self._alpha is None or self._cho is None:
+        if self._x is None or self._alpha is None:
             raise RuntimeError("predict() called before fit()")
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         cross = self._kernel(x, self._x)
         mean = cross @ self._alpha
-        solved = cho_solve(self._cho, cross.T)
+        solved = self._solve(cross.T)
         variance = self.signal_variance - np.sum(cross * solved.T, axis=1)
         variance = np.maximum(variance, 1e-12)
         return mean * self._y_std + self._y_mean, np.sqrt(variance) * self._y_std
 
 
 def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float, xi: float) -> np.ndarray:
-    """Expected improvement of a maximization problem."""
+    """Expected improvement of a maximization problem.
+
+    ``ndtr`` and the density below are what ``scipy.stats.norm.cdf``/``pdf``
+    evaluate for the standard normal, bit for bit.
+    """
     improvement = mean - best - xi
     z = improvement / std
-    return improvement * norm.cdf(z) + std * norm.pdf(z)
+    return improvement * ndtr(z) + std * (np.exp(-(z**2) / 2.0) / _SQRT_2PI)
 
 
 class BayesianOptimization(SizingOptimizer):

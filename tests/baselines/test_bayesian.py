@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
+
+import repro
 
 from repro.baselines.base import SizingProblem
 from repro.baselines.bayesian import (
@@ -39,6 +47,36 @@ class TestGaussianProcess:
         with pytest.raises(RuntimeError):
             gp.predict(np.zeros((1, 2)))
 
+    def test_lapack_factor_and_solves_match_cho_factor_bitwise(self, rng):
+        x = rng.random((15, 4))
+        y = np.cos(x @ np.arange(1.0, 5.0))
+        gp = GaussianProcess(length_scale=0.25, signal_variance=1.0, noise_variance=1e-6)
+        gp.fit(x, y)
+        query = rng.random((40, 4))
+        mean, std = gp.predict(query)
+
+        normalized = (y - y.mean()) / y.std()
+        cho = cho_factor(gp._kernel(x, x) + 1e-6 * np.eye(15), lower=True)
+        cross = gp._kernel(query, x)
+        solved = cho_solve(cho, cross.T)
+        variance = np.maximum(1.0 - np.sum(cross * solved.T, axis=1), 1e-12)
+        assert np.array_equal(mean, (cross @ cho_solve(cho, normalized)) * y.std() + y.mean())
+        assert np.array_equal(std, np.sqrt(variance) * y.std())
+
+    def test_non_finite_observations_are_clamped_to_the_worst_finite(self, rng):
+        x = rng.random((6, 2))
+        y = np.array([0.5, -np.inf, 0.2, np.nan, -0.3, 0.1])
+        gp = GaussianProcess(0.3, 1.0, 1e-6)
+        gp.fit(x, y)
+        clamped = GaussianProcess(0.3, 1.0, 1e-6)
+        clamped.fit(x, np.array([0.5, -0.3, 0.2, -0.3, -0.3, 0.1]))
+        query = rng.random((5, 2))
+        assert np.array_equal(gp.predict(query), clamped.predict(query))
+
+        gp.fit(x, np.full(6, -np.inf))
+        mean, std = gp.predict(query)
+        assert np.all(np.isfinite(mean)) and np.all(np.isfinite(std))
+
     def test_fit_shape_mismatch(self):
         gp = GaussianProcess(0.2, 1.0, 1e-6)
         with pytest.raises(ValueError):
@@ -46,6 +84,16 @@ class TestGaussianProcess:
 
 
 class TestExpectedImprovement:
+    def test_matches_scipy_stats_norm_bitwise(self, rng):
+        from scipy.stats import norm
+
+        mean = rng.normal(size=500)
+        std = rng.random(500) + 1e-3
+        improvement = mean - 0.2 - 0.01
+        z = improvement / std
+        expected = improvement * norm.cdf(z) + std * norm.pdf(z)
+        assert np.array_equal(expected_improvement(mean, std, 0.2, 0.01), expected)
+
     def test_zero_std_point_has_no_improvement_when_below_best(self):
         ei = expected_improvement(np.array([0.0]), np.array([1e-9]), best=1.0, xi=0.0)
         assert ei[0] == pytest.approx(0.0, abs=1e-6)
@@ -89,3 +137,17 @@ class TestBayesianOptimizationOnCircuit:
         """Shape check behind Fig. 3's last column: BO budget << GA budget."""
         config = BayesianOptimizationConfig(num_initial=6, num_iterations=20)
         assert config.num_initial + config.num_iterations < 100
+
+
+def test_import_repro_leaves_scipy_stats_unloaded():
+    """``scipy.stats`` costs most of ``import repro``; nothing may pull it in."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    assert completed.stdout.strip() == "[]"

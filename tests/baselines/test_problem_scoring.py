@@ -1,16 +1,24 @@
-"""Spec-incomplete FoM results must score as worst, never as NaN.
+"""Broken simulation results must score as worst, never as NaN.
 
 ``FomReward.figure_of_merit`` degrades to NaN when a simulator omits a
-required spec; a NaN fitness would win every ``np.argmax`` in the search
-baselines, silently reporting the broken candidate as the best design.
-``SizingProblem._score`` therefore maps non-finite FoMs to ``-inf``.
+required spec, and a P2S objective is NaN when a spec value is; a NaN
+fitness would win every ``np.argmax`` in the search baselines, silently
+reporting the broken candidate as the best design.  ``SizingProblem._score``
+therefore maps every non-finite objective to ``-inf``, and the BO surrogate
+models such ``-inf`` observations instead of rejecting them.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+import repro
+from repro.api.optimizers import build_problem
 from repro.baselines.base import SizingProblem
+from repro.baselines.bayesian import BayesianOptimization, BayesianOptimizationConfig
+from repro.baselines.genetic import GeneticAlgorithm, GeneticAlgorithmConfig
 from repro.circuits import build_rf_pa
 from repro.env.reward import FomReward
 from repro.simulation.base import SimulationResult
@@ -48,3 +56,45 @@ def test_incomplete_fom_scores_minus_inf_not_nan():
     # The argmax selection every baseline uses must pick the healthy design.
     fitness = np.array([bad, good])
     assert int(np.argmax(fitness)) == 1
+
+
+class _NaNOnThirdCallSimulator:
+    """Wraps a simulator; its third call returns all-NaN specs."""
+
+    name = "nan_on_third_call"
+
+    def __init__(self, simulator):
+        self._simulator = simulator
+        self.calls = 0
+
+    def simulate(self, netlist):
+        self.calls += 1
+        result = self._simulator.simulate(netlist)
+        if self.calls == 3:
+            specs = {name: math.nan for name in result.specs}
+            return SimulationResult(specs=specs, details={}, valid=True)
+        return result
+
+
+def test_nan_p2s_objective_scores_minus_inf_and_never_wins_ga():
+    env = repro.make_env("opamp-p2s-v0", seed=0)
+    simulator = _NaNOnThirdCallSimulator(env.simulator)
+    problem = build_problem(env, env.benchmark.spec_space.sample(np.random.default_rng(0)),
+                            simulator=simulator)
+    config = GeneticAlgorithmConfig(population_size=10, num_generations=5)
+    result = GeneticAlgorithm(config, seed=0).optimize(problem)
+    assert np.isfinite(result.best_objective)
+    assert problem.trace.objective_values[2] == -np.inf
+    assert result.best_objective == max(problem.trace.objective_values)
+
+
+def test_bayesian_optimization_models_minus_inf_observations():
+    benchmark = build_rf_pa()
+    problem = SizingProblem(
+        benchmark, _SpecDroppingSimulator(), fom_reward=FomReward(benchmark.spec_space)
+    )
+    config = BayesianOptimizationConfig(num_initial=6, num_iterations=8)
+    result = BayesianOptimization(config, seed=0).optimize(problem)
+    assert -np.inf in problem.trace.objective_values
+    assert np.isfinite(result.best_objective)
+    assert result.num_simulations == 6 + 8 + 1
