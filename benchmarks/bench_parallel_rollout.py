@@ -8,20 +8,23 @@ claim directly: steps-per-second of the same policy/environment pair at
 in ``tests/parallel``), asserting the ≥2× speedup the subsystem is built
 for, plus the cache hit-rate of a GA population evaluation.
 
-The compiled-execution entries measure ``repro.compile`` on top of that:
-the same vector env stepped with ``compile=True`` versus ``compile=False``
-(identical physics per ``tests/compile``), without a simulation cache so the
-measurement sits in the simulation-bound regime the batched MNA solve was
-built for.  The MNA topologies carry the hard ≥0.8× floor (CI re-asserts it
-from the recorded ``compiled_steps_per_s`` / ``interpreted_steps_per_s``
-via ``compare_bench.py --floor``); the analytic topologies are dominated by
-per-env Python bookkeeping, so their ratio is recorded under separate
-``*_analytic`` keys and gated only by a modest sanity floor here.
+The "compiled" entries measure the single batched vector step against the
+per-environment reference loop (``tests/parallel/step_reference.py``,
+loaded by file path; identical physics per ``tests/parallel``), without a
+simulation cache so the measurement sits in the simulation-bound regime the
+batched MNA solve was built for.  The MNA topologies carry the hard ≥0.8×
+floor (CI re-asserts it from the recorded ``compiled_steps_per_s`` /
+``interpreted_steps_per_s`` via ``compare_bench.py --floor``); the analytic
+topologies are dominated by per-env Python bookkeeping, so their ratio is
+recorded under separate ``*_analytic`` keys and gated only by a modest
+sanity floor here.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,40 +107,48 @@ def test_vectorized_rollout_speedup(benchmark):
     )
 
 
+REFERENCE_PATH = (
+    Path(__file__).resolve().parents[1] / "tests" / "parallel" / "step_reference.py"
+)
+
+
+def reference_vector_env():
+    """``ReferenceVectorEnv`` from the test suite, loaded by file path."""
+    spec = importlib.util.spec_from_file_location("step_reference", REFERENCE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.ReferenceVectorEnv
+
+
 def _compiled_vs_interpreted(env_id: str, steps: int = 25, seed: int = 0) -> tuple:
-    """Steps/s of the same uncached vector env, compiled vs interpreted.
+    """Steps/s of the same uncached vector env: batched step vs reference loop.
 
     ``cache_size=None`` keeps every step in the simulator (the regime
     ``simulate_batch`` accelerates); both sides consume identical action
-    streams, and the compiled side must never have fallen back.
+    streams.
     """
     throughput = {}
-    for compiled in (True, False):
+    for cls in (VectorCircuitEnv, reference_vector_env()):
         template = repro.make_env(env_id, seed=None, max_steps=MAX_STEPS)
-        env = VectorCircuitEnv.from_env(
-            template, num_envs=NUM_ENVS, seed=seed, cache_size=None, compile=compiled
-        )
+        env = cls.from_env(template, num_envs=NUM_ENVS, seed=seed, cache_size=None)
         env.reset()
         rng = np.random.default_rng(seed + 1)
         actions = [
             rng.integers(0, 3, size=(NUM_ENVS, env.num_parameters))
             for _ in range(steps)
         ]
-        env.step(actions[0])  # plan build + workspace warm-up outside the clock
+        env.step(actions[0])  # workspace warm-up outside the clock
         start = time.perf_counter()
         for action in actions:
             env.step(action)
         elapsed = time.perf_counter() - start
-        throughput[compiled] = NUM_ENVS * steps / elapsed
-        if compiled:
-            plan = env.compiled_plan
-            assert plan is not None and plan.fallback_steps == 0
+        throughput[cls is VectorCircuitEnv] = NUM_ENVS * steps / elapsed
     return throughput[True], throughput[False]
 
 
 @pytest.mark.parametrize("env_id", ["opamp-mna-v0", "current_mirror_ota-mna-v0"])
 def test_compiled_mna_rollout_speedup(benchmark, env_id):
-    """Batched stacked-MNA episode plans: ≥0.8× steps/s vs interpreted."""
+    """Batched step over stacked MNA: ≥0.8× steps/s vs the reference loop."""
     compiled, interpreted = benchmark.pedantic(
         lambda: _compiled_vs_interpreted(env_id), rounds=1, iterations=1
     )
@@ -156,8 +167,8 @@ def test_compiled_mna_rollout_speedup(benchmark, env_id):
     # the lowest measured run / 1.5, also re-asserted by CI's compare_bench
     # --floor on the recorded extra_info so it survives baseline regeneration.
     assert speedup >= 0.8, (
-        f"compiled {env_id} rollout regressed: measured {speedup:.2f}x vs "
-        "interpreted (floor 0.8x, expect >= 1.2x)"
+        f"batched {env_id} rollout regressed: measured {speedup:.2f}x vs "
+        "the reference loop (floor 0.8x, expect >= 1.2x)"
     )
 
 
@@ -179,9 +190,9 @@ def test_compiled_analytic_rollout_speedup(benchmark, env_id):
             "compiled_speedup": round(speedup, 2),
         }
     )
-    # Measured 2-2.5x; the floor only rules out a pessimized compiled path.
+    # Measured 2-2.5x; the floor only rules out a pessimized batched step.
     assert speedup >= 1.2, (
-        f"compiled {env_id} rollout slower than interpreted: {speedup:.2f}x"
+        f"batched {env_id} rollout slower than the reference loop: {speedup:.2f}x"
     )
 
 

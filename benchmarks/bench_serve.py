@@ -8,8 +8,9 @@ Four claims of the serving subsystem, measured directly:
    episode-level results identical at every batch size;
 3. a checkpoint round-trip (save → load) reproduces the deployment metrics
    (the Table 2 quantities: design accuracy and mean design steps) exactly;
-4. lock-step deployment on the compiled episode plan is ≥1.3× faster than
-   on the interpreted step loop, with identical episodes.
+4. lock-step deployment on the batched vector step is ≥1.3× faster than on
+   the per-environment reference loop (``tests/parallel/step_reference.py``,
+   loaded by file path), with identical episodes.
 
 The policies are untrained (deployment cost does not depend on the weights
 being good), which keeps the suite fast while measuring exactly the serving
@@ -18,7 +19,9 @@ hot path.
 
 from __future__ import annotations
 
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -171,43 +174,49 @@ def test_checkpoint_roundtrip_reproduces_metrics(benchmark, tmp_path):
     )
 
 
+REFERENCE_PATH = (
+    Path(__file__).resolve().parents[1] / "tests" / "parallel" / "step_reference.py"
+)
+
+
+def reference_vector_env():
+    """``ReferenceVectorEnv`` from the test suite, loaded by file path."""
+    spec = importlib.util.spec_from_file_location("step_reference", REFERENCE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.ReferenceVectorEnv
+
+
 def test_compiled_deployment_speedup(benchmark):
-    """Compiled lock-step deployment ≥1.3× the interpreted one, identical episodes."""
+    """Lock-step deployment on the batched step ≥1.3× the reference loop, identical episodes."""
     # gcn_fc, the policy the serve benchmark workload serves: a lighter
     # forward than gat_fc, so the step loop is a larger share of the time.
     env = repro.make_env("opamp-p2s-v0", seed=0)
     policy = repro.make_policy("gcn_fc", env, np.random.default_rng(0))
     targets = env.benchmark.spec_space.sample_batch(np.random.default_rng(1), 64)
 
-    def timed(compile: bool):
-        # Best of two passes, each on a fresh vector env (cold cache).  The
-        # plan is built before the clock starts: a service builds it once,
-        # at registration.
+    def timed(cls):
+        # Best of two passes, each on a fresh vector env (cold cache).
         best, results = float("inf"), None
         for _ in range(2):
-            vector_env = VectorCircuitEnv.from_env(
-                env, num_envs=8, autoreset=False, compile=compile
-            )
-            vector_env.compiled_plan
+            vector_env = cls.from_env(env, num_envs=8, autoreset=False)
             start = time.perf_counter()
             results = deploy_policy_batch(vector_env, policy, targets)
             best = min(best, time.perf_counter() - start)
-        return results, best, vector_env
+        return results, best
 
     def run():
-        interpreted_results, interpreted_s, _ = timed(compile=False)
-        compiled_results, compiled_s, compiled_env = timed(compile=True)
-        return interpreted_results, compiled_results, interpreted_s, compiled_s, compiled_env
+        interpreted_results, interpreted_s = timed(reference_vector_env())
+        compiled_results, compiled_s = timed(VectorCircuitEnv)
+        return interpreted_results, compiled_results, interpreted_s, compiled_s
 
-    interpreted_results, compiled_results, interpreted_s, compiled_s, compiled_env = (
-        benchmark.pedantic(run, rounds=1, iterations=1)
+    interpreted_results, compiled_results, interpreted_s, compiled_s = benchmark.pedantic(
+        run, rounds=1, iterations=1
     )
     for interpreted, compiled in zip(interpreted_results, compiled_results):
         assert interpreted.steps == compiled.steps
         assert interpreted.success == compiled.success
         assert interpreted.final_specs == compiled.final_specs
-    plan = compiled_env.compiled_plan
-    assert plan is not None and plan.fallback_steps == 0
     speedup = interpreted_s / compiled_s
 
     benchmark.extra_info.update(
@@ -220,9 +229,9 @@ def test_compiled_deployment_speedup(benchmark):
         }
     )
     # Measured 1.7-1.9x (0.59-0.84 s -> 0.34-0.43 s) on a shared 2-core x86
-    # VM: the compiled step replays the shared cache directly and calls
+    # VM: the batched step replays the shared cache directly and calls
     # simulate_batch only on a miss.  The gate leaves room for CI noise.
     assert speedup >= 1.3, (
-        f"compiled lock-step deployment regressed: measured {speedup:.2f}x vs "
-        "the interpreted step loop (expect >= 1.3x)"
+        f"batched lock-step deployment regressed: measured {speedup:.2f}x vs "
+        "the reference step loop (expect >= 1.3x)"
     )

@@ -2,7 +2,7 @@
 
 One training cycle of the paper's Algorithm 1 collects a batch of episodes
 and then runs the clipped-objective update epochs over it.  This bench times
-the two halves separately on ``opamp-p2s-v0`` (gcn_fc, an 8-wide compiled
+the two halves separately on ``opamp-p2s-v0`` (gcn_fc, an 8-wide
 vector env) and records the split in ``extra_info``.  It then runs the same
 update with the per-sample reference loop from
 ``tests/agents/ppo_reference.py`` — one ``evaluate_actions`` call and one
@@ -42,9 +42,7 @@ def _reference_update():
 
 
 def _trainer(seed: int = 0) -> PPOTrainer:
-    env = repro.make_env(
-        "opamp-p2s-v0", seed=seed, max_steps=MAX_STEPS, num_envs=8, compile=True
-    )
+    env = repro.make_env("opamp-p2s-v0", seed=seed, max_steps=MAX_STEPS, num_envs=8)
     policy = repro.make_policy("gcn_fc", env, np.random.default_rng(seed))
     return PPOTrainer(env, policy, config=PPOConfig(), seed=seed)
 
@@ -55,7 +53,6 @@ def test_training_cycle_split_and_batched_update_speedup(benchmark):
 
     def run():
         batched, reference = _trainer(), _trainer()
-        batched.vector_env.compiled_plan  # built once per env, outside the clock
         start = time.perf_counter()
         buffer = batched.collect_episodes(EPISODES)
         collect_s = time.perf_counter() - start

@@ -34,7 +34,7 @@ must satisfy ``numerator / denominator >= X``.  Ratios of two quantities
 measured in the same process cancel machine speed, so floors hold across
 runner generations where absolute throughput would not — e.g.
 ``--floor "compiled_steps_per_s/interpreted_steps_per_s>=0.8"`` is the
-compiled-execution speedup contract.  A floor that matches no benchmark is
+batched-step speedup contract.  A floor that matches no benchmark is
 a configuration error (exit 2), not a silent pass.
 
 ``--append-history PATH`` appends one JSON line per run — commit SHA

@@ -8,9 +8,8 @@ parameters for given specifications" (Sec. 4).  This module implements
 * :func:`deploy_policy_batch` — run many specification-group episodes
   lock-step on a :class:`~repro.parallel.VectorCircuitEnv`, paying one
   batched policy forward and one ``step_selected`` call over the
-  still-active lanes per step instead of one of each per episode (on a
-  ``compile=True`` vector env that step runs the compiled episode plan;
-  episode-level results identical to sequential :func:`deploy_policy`), and
+  still-active lanes per step instead of one of each per episode
+  (episode-level results identical to sequential :func:`deploy_policy`), and
 * :func:`evaluate_deployment` — deploy over a batch of sampled specification
   groups and report the two headline Table 2 metrics: *design accuracy*
   (fraction of groups for which all specs are met within the step budget)
@@ -171,9 +170,7 @@ def deploy_policy_batch(
     batch, so every episode is exactly the step sequence the sequential
     :func:`deploy_policy` would have produced (deterministic deployment
     results are episode-level identical; the shared simulation cache changes
-    cost, never values).  Built with ``compile=True``, the vector env runs
-    those subset steps on its compiled episode plan when the topology has
-    one, with bitwise-identical results.
+    cost, never values).
 
     ``rng`` is only consulted for ``deterministic=False``; sampled actions
     then draw per lock-step batch, so the stochastic stream differs from the
@@ -255,7 +252,7 @@ def evaluate_deployment(
     Pass an explicit ``targets`` sequence to evaluate every method on the
     identical batch (as done by the Table 2 harness).
 
-    ``batch_size > 1`` micro-batches the episodes over a ``compile=True``
+    ``batch_size > 1`` micro-batches the episodes over a
     :class:`~repro.parallel.VectorCircuitEnv` sharing one simulation cache
     (see :func:`deploy_policy_batch`); deterministic evaluations report
     exactly the sequential metrics, just faster.  The batched path is
@@ -281,7 +278,6 @@ def evaluate_deployment(
             num_envs=min(int(batch_size), len(targets)),
             seed=seed,
             autoreset=False,
-            compile=True,
         )
         evaluation.results.extend(
             deploy_policy_batch(

@@ -74,7 +74,7 @@ register_optimizer = OPTIMIZERS.register
 # ----------------------------------------------------------------------
 def vectorizable(builder: Callable[..., CircuitDesignEnv]) -> Callable[..., EnvironmentLike]:
     """Give an environment factory the ``num_envs`` / ``cache_size`` /
-    ``compile`` / ``surrogate`` / ``surrogate_dir`` knobs.
+    ``surrogate`` / ``surrogate_dir`` knobs.
 
     ``make_env(id, num_envs=k)`` then returns a
     :class:`repro.parallel.VectorCircuitEnv` of ``k`` sub-environments
@@ -91,10 +91,8 @@ def vectorizable(builder: Callable[..., CircuitDesignEnv]) -> Callable[..., Envi
     and a vectorized batch shares that one tier.  Third-party factories
     registered via :func:`register_env` can apply the same decorator.
 
-    ``compile=True`` (with ``num_envs > 1``) turns on the compiled episode
-    plan of :mod:`repro.compile`: the vectorized batch is stepped through a
-    traced, bitwise-verified fast path when the topology supports it, and
-    falls back to the interpreted loop when it does not.
+    ``compile`` is accepted and ignored: perfbench's train-mna workload
+    still passes ``compile=True``, and the next change to perfbench drops it.
     """
 
     @functools.wraps(builder)
@@ -132,7 +130,6 @@ def vectorizable(builder: Callable[..., CircuitDesignEnv]) -> Callable[..., Envi
             num_envs=num_envs,
             seed=seed,
             cache_size=cache_size if cache_size is not None else DEFAULT_CACHE_SIZE,
-            compile=compile,
         )
 
     return factory
@@ -360,9 +357,7 @@ _register_zoo_circuit(
 # whose simulator sweeps the default five-corner set per step (as the lanes
 # of one ``simulate_batch`` call where the simulator has one) and whose
 # reward is the yield-aware worst-corner P2S reward.  Same machinery as the
-# rest of the catalog, so num_envs / cache_size / compile / surrogate knobs
-# apply (compiled episode plans fall back to the interpreted path — the
-# corner simulator type has no ``simulate_batch``).
+# rest of the catalog, so the num_envs / cache_size / surrogate knobs apply.
 # ----------------------------------------------------------------------
 def _register_corner_variant(
     env_id: str, circuit: str, builder: Callable[[], Any],
@@ -510,14 +505,10 @@ _register_optimizers()
 def make_env(id: str, **kwargs: Any) -> EnvironmentLike:
     """Build an environment by string ID, e.g. ``make_env("opamp-p2s-v0", seed=0)``.
 
-    All built-in environments accept ``num_envs``, ``cache_size`` and
-    ``compile``: ``make_env("opamp-p2s-v0", seed=0, num_envs=8)`` returns an
-    8-wide :class:`repro.parallel.VectorCircuitEnv` with a shared simulation
-    cache, while ``num_envs=1`` (default) returns the sequential
-    environment.  ``compile=True`` additionally replays steps through
-    compiled per-topology episode plans (see :mod:`repro.compile`) —
-    bitwise identical to the interpreted path, falling back transparently
-    for configurations that cannot be traced.
+    All built-in environments accept ``num_envs`` and ``cache_size``:
+    ``make_env("opamp-p2s-v0", seed=0, num_envs=8)`` returns an 8-wide
+    :class:`repro.parallel.VectorCircuitEnv` with a shared simulation cache,
+    while ``num_envs=1`` (default) returns the sequential environment.
     """
     return ENVS.make(id, **kwargs)
 

@@ -51,7 +51,7 @@ from repro.simulation.pa_sim import RfPaCoarseSimulator, RfPaFineSimulator
 def clone_simulator_with_technology(simulator, technology):
     """A fresh simulator of the same type/configuration at ``technology``.
 
-    Exact-type dispatch (mirroring the compiled plan's discipline): a
+    Exact-type dispatch (the vector env step's discipline too): a
     subclass could override arithmetic the clone would silently drop, so
     only the known simulator types are cloneable.
     """

@@ -11,6 +11,7 @@ netlist-rewriting and spec-normalization code paths.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Mapping, Optional
 
 import numpy as np
@@ -57,7 +58,7 @@ class DataProcessor:
 
         Every :class:`~repro.env.spaces.Observation` this processor emits
         carries this exact array object, so identity-keyed operator caches
-        (e.g. ``GraphEncoder``) and the compiled-plan tracer can rely on it.
+        (e.g. ``GraphEncoder``) and the vector env's step can rely on it.
         Treat it as read-only.
         """
         return self._adjacency
@@ -101,13 +102,25 @@ class DataProcessor:
         Concatenates the range-normalized target specs, the range-normalized
         measured specs, and the per-spec clipped normalized error (the same
         quantity the reward uses), giving the policy a direct view of the
-        remaining design gap and the couplings between specifications.
+        remaining design gap and the couplings between specifications.  A
+        missing or non-finite measured spec gets normalized feature 0.0 and
+        error -1.0, the reward's convention for it.
         """
         spec_space = self.benchmark.spec_space
         normalized_targets = spec_space.normalize(targets)
-        normalized_measured = spec_space.normalize(measured)
-        errors = spec_space.normalized_errors(measured, targets)
-        return np.concatenate([normalized_targets, normalized_measured, errors])
+        normalized_measured = []
+        errors = []
+        for spec in spec_space:
+            value = float(measured.get(spec.name, math.nan))
+            if math.isfinite(value):
+                normalized_measured.append(spec.normalize_value(value))
+                errors.append(spec.normalized_error(value, float(targets[spec.name])))
+            else:
+                normalized_measured.append(0.0)
+                errors.append(-1.0)
+        return np.concatenate(
+            [normalized_targets, np.array(normalized_measured), np.array(errors)]
+        )
 
     def observation(
         self, measured: Mapping[str, float], targets: Mapping[str, float]

@@ -54,14 +54,14 @@ class CircuitGraph:
             raise ValueError("circuit graph needs at least two nodes")
         self._index: Dict[str, int] = {name: i for i, name in enumerate(self._node_names)}
         self._adjacency = self._build_adjacency()
-        self._compile_feature_reads()
+        self._build_feature_reads()
 
-    def _compile_feature_reads(self) -> None:
-        """Pre-compile the dynamic node-feature assembly.
+    def _build_feature_reads(self) -> None:
+        """Build the dynamic node-feature assembly once.
 
         The one-hot type block of every node feature is constant, and the
         dynamic block is a fixed set of ``parameter dict -> (row, column)``
-        reads with fixed scales.  Compiling that plan once turns
+        reads with fixed scales.  Building that plan once turns
         :meth:`node_feature_matrix` from a per-device Python loop into one
         gather + one vectorized multiply per step (bitwise-identical values:
         the same float64 ``value * scale`` products land in the same slots).

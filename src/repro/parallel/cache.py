@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
@@ -188,7 +189,7 @@ class SimulationCache:
         Key resolution, expressed in decimal significant digits; the key
         quantizes each parameter's *binary* mantissa to the equivalent bit
         count (``2^ceil(digits / log10 2)``), which collapses the same float
-        noise with exact-in-float64 arithmetic (see :meth:`_key`).
+        noise with exact-in-float64 arithmetic (see :meth:`keys`).
 
     The wrapper satisfies the :class:`CircuitSimulator` protocol, so it can
     stand in anywhere a simulator is expected — a whole
@@ -225,16 +226,11 @@ class SimulationCache:
     def simulate(self, netlist: Netlist) -> SimulationResult:
         """Evaluate the netlist, serving repeats from the LRU table."""
         key = self._key(netlist)
-        cached = self._entries.get(key)
+        cached = self.lookup(key)
         if cached is not None:
-            self.stats.hits += 1
-            self._entries.move_to_end(key)
-            return self._copy(cached)
+            return cached
         result = self._simulate_miss(key, netlist)
-        self._entries[key] = self._copy(result)
-        if len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
+        self.store(key, result)
         return result
 
     def _simulate_miss(self, key: bytes, netlist: Netlist) -> SimulationResult:
@@ -257,27 +253,62 @@ class SimulationCache:
         """Drop all memoized entries (the stats counters are kept)."""
         self._entries.clear()
 
-    def _key(self, netlist: Netlist) -> bytes:
-        # Device parameters in netlist insertion order fully determine a
-        # deterministic simulator's output; the order is fixed per topology,
-        # so the quantized value array (plus the circuit name) is the key.
-        #
-        # The key quantizes the *binary* mantissa to the bit count matching
-        # ``key_digits`` decimal digits.  Binary quantization collapses the
-        # same float noise as decimal rounding, but every operation (frexp,
-        # mantissa shift, round, carry) is exact in float64 — there is no
-        # decade-boundary failure mode and no inexact power-of-ten scale —
-        # and it costs a tenth of a decimal rounding pass, which matters on
-        # a path that must stay well below one simulator call.
-        values = netlist.parameter_array()
-        mantissas, exponents = np.frexp(values)
+    def keys(self, name: str, rows: np.ndarray) -> List[bytes]:
+        """The keys of ``(K, P)`` parameter rows of netlists called ``name``.
+
+        A row is a netlist's :meth:`~repro.circuits.netlist.Netlist.parameter_array`:
+        device parameters in netlist insertion order fully determine a
+        deterministic simulator's output, and the order is fixed per
+        topology, so the quantized row (plus the circuit name) is the key.
+
+        The key quantizes the *binary* mantissa to the bit count matching
+        ``key_digits`` decimal digits.  Binary quantization collapses the
+        same float noise as decimal rounding, but every operation (frexp,
+        mantissa shift, round, carry) is exact in float64 — there is no
+        decade-boundary failure mode and no inexact power-of-ten scale —
+        and it costs a tenth of a decimal rounding pass, which matters on a
+        path that must stay well below one simulator call.
+        """
+        mantissas, exponents = np.frexp(rows)
         scaled = np.round(mantissas * self._mantissa_scale)
         # A mantissa that rounded up to 1.0 (e.g. 0.999...9 at full precision)
         # is renormalized so it shares the key of the next binade's values.
         carry = np.abs(scaled) >= self._mantissa_scale
         scaled = np.where(carry, scaled * 0.5, scaled)
         exponents = exponents + carry
-        return netlist.name.encode() + scaled.tobytes() + exponents.tobytes()
+        prefix = name.encode()
+        return [
+            prefix + scaled[row].tobytes() + exponents[row].tobytes()
+            for row in range(rows.shape[0])
+        ]
+
+    def _key(self, netlist: Netlist) -> bytes:
+        """The key of one netlist: :meth:`keys` on its single row."""
+        return self.keys(netlist.name, netlist.parameter_array()[np.newaxis])[0]
+
+    def __contains__(self, key: bytes) -> bool:
+        return key in self._entries
+
+    def lookup(self, key: bytes) -> Optional[SimulationResult]:
+        """A copy of the result stored under ``key``, or ``None`` on a miss.
+
+        A hit is counted and refreshes the entry's LRU position.  A miss
+        counts nothing here: whoever produces the result counts it (the
+        base :meth:`_simulate_miss` as one of ``stats.misses``).
+        """
+        cached = self._entries.get(key)
+        if cached is None:
+            return None
+        self.stats.hits += 1
+        self._entries.move_to_end(key)
+        return self._copy(cached)
+
+    def store(self, key: bytes, result: SimulationResult) -> None:
+        """Memoize a miss's result, evicting the least-recently-used entry when full."""
+        self._entries[key] = self._copy(result)
+        if len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
+            self.stats.evictions += 1
 
     @staticmethod
     def _copy(result: SimulationResult) -> SimulationResult:

@@ -5,10 +5,8 @@ inference-mode and batched-deployment layers: on-disk checkpoints rebuild
 the policy, the grad-free inference mode makes each forward pure numpy, and
 the batched deployment engine runs up to ``batch_size`` specification-group
 episodes lock-step on one :class:`~repro.parallel.VectorCircuitEnv` whose
-sub-environments share a :class:`~repro.parallel.SimulationCache`; the
-vector environments are ``compile=True``, so each lock-step step runs on the
-topology's compiled episode plan when it has one.  The vector environments
-(and their caches and plans) persist across
+sub-environments share a :class:`~repro.parallel.SimulationCache`.  The
+vector environments (and their caches) persist across
 :meth:`DeploymentService.serve` calls, so a long-lived service keeps getting
 cheaper as traffic repeats designs.
 
@@ -381,11 +379,7 @@ class DeploymentService:
             num_envs=self.batch_size,
             cache_size=self.cache_size,
             autoreset=False,
-            compile=True,
         )
-        # Build the compiled plan now, so the first request does not pay for
-        # it and stats_dict() reports a topology without one from the start.
-        vector_env.compiled_plan
         with self._registry_lock:
             self._policies[env_id] = policy
             self._vector_envs[env_id] = vector_env
@@ -409,17 +403,12 @@ class DeploymentService:
         """One JSON-ready document: serve counters plus a block per topology.
 
         Each topology's block under ``"caches"`` holds its simulation-cache
-        counters and its compile status: ``compiled`` (steps run on the
-        compiled episode plan), ``compiled_fallback_reason`` (why no plan
-        could be built) and the plan's ``fallback_steps``.
+        counters.
         """
         return {
             **self.stats.to_dict(),
             "caches": {
-                env_id: {
-                    **vector_env.cache.stats.to_dict(),
-                    **vector_env.compile_status(),
-                }
+                env_id: vector_env.cache.stats.to_dict()
                 for env_id, vector_env in self._vector_envs.items()
                 if vector_env.cache is not None
             },

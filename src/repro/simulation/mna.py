@@ -60,7 +60,7 @@ most 2.0e-11 relative (3.4e-13 at the golden probe points), with no
 validity flip.
 
 A circuit's AC result is still bitwise independent of which batch it is
-solved in, so the compiled and scalar routes agree exactly: the reductions
+solved in, so the batched and scalar routes agree exactly: the reductions
 are per-circuit LAPACK calls, and the sweep is elementwise across lanes.
 
 The engine is deliberately dense-matrix based: analog cells have tens of

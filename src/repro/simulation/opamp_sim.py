@@ -29,7 +29,7 @@ Two evaluation paths are provided:
   frequency is a small back-substitution.
 
 :meth:`OpAmpSimulator.operating_point` is the only copy of the circuit
-equations.  :meth:`OpAmpSimulator.simulate_batch`, which the compiled vector
+equations.  :meth:`OpAmpSimulator.simulate_batch`, which the vector
 environment and the corner sweep call, loops its lanes through it and, for
 ``method="mna"``, sweeps every lane's small-signal circuit in one
 :class:`~repro.simulation.mna.BatchedMNAPlan`; a lane's sweep does not

@@ -172,28 +172,6 @@ class TestEpisodeContract:
                 batched.reset()
                 sequential.reset()
 
-    def test_compiled_plan_falls_back_to_interpreted(self, env_id):
-        """``compile=True`` must degrade gracefully: the corner simulator has
-        no traced twin, so the vector env takes the interpreted path with
-        identical results."""
-        seed = 11
-        compiled = repro.make_env(env_id, seed=seed, num_envs=2, compile=True)
-        interpreted = repro.make_env(env_id, seed=seed, num_envs=2)
-        batch_c = compiled.reset()
-        batch_i = interpreted.reset()
-        rngs = [np.random.default_rng(900 + i) for i in range(2)]
-        for _ in range(2):
-            actions = np.stack([compiled.action_space.sample(rng) for rng in rngs])
-            batch_c, rewards_c, dones_c, infos_c = compiled.step(actions)
-            batch_i, rewards_i, dones_i, infos_i = interpreted.step(actions)
-            assert np.array_equal(rewards_c, rewards_i)
-            assert np.array_equal(dones_c, dones_i)
-            for i in range(2):
-                assert infos_c[i]["specs"] == infos_i[i]["specs"]
-                assert np.array_equal(
-                    batch_c[i].spec_features, batch_i[i].spec_features
-                )
-
 
 @pytest.mark.parametrize("optimizer_id", sorted(repro.list_optimizers()))
 @pytest.mark.parametrize("env_id", CORNERS_ENV_IDS)

@@ -374,9 +374,10 @@ class TestPlanConstruction:
 
 
 # sha256 prefixes of each simulate() result (spec values, detail values,
-# validity) at the compiled env's build-time probe points, recorded from the
-# Schur-form sweep.  Against the per-frequency engine these points move only
-# by rounding (largest relative spec change 3.4e-13, no validity flips).
+# validity) at fixed probe points (the former build-time probes of the env's
+# batched step), recorded from the Schur-form sweep.  Against the
+# per-frequency engine these points move only by rounding (largest relative
+# spec change 3.4e-13, no validity flips).
 _GOLDEN_SIMULATE = {
     "opamp-mna-v0": [
         "ee1d96e94365323b", "98d77f4041b8a7de", "340b8d0f46d562a0", "deed38183b9459ed",
