@@ -3,9 +3,11 @@
 ``repro.corners`` claims that a five-corner sweep as the lanes of one
 ``simulate_batch`` call (each lane's operating point from that corner's
 clone, one stacked MNA sweep) beats looping a per-corner simulator clone
-(identical physics per ``tests/corners``'s bitwise parity suite).  This bench measures sweeps-per-second of the same
-:class:`~repro.corners.CornerSimulator` with ``batched=True`` versus
-``batched=False`` over a fixed stream of sampled sizings.
+(identical physics per ``tests/corners``'s bitwise parity suite).  This
+bench measures sweeps-per-second of :class:`~repro.corners.CornerSimulator`
+versus the per-corner reference loop of ``tests/corners/corner_reference.py``
+(``SequentialCornerSimulator``, loaded by file path) over a fixed stream of
+sampled sizings.
 
 The MNA methods carry the hard ≥0.6× floor — each sequential corner builds
 and solves its own one-circuit MNA plan, while the batched path stacks all
@@ -20,7 +22,9 @@ the solver-bound methods, and the recorded ratio keeps that visible.
 
 from __future__ import annotations
 
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +47,19 @@ CASES = {
 }
 
 
+REFERENCE_PATH = (
+    Path(__file__).resolve().parents[1] / "tests" / "corners" / "corner_reference.py"
+)
+
+
+def sequential_corner_simulator():
+    """``SequentialCornerSimulator`` from the test suite, loaded by file path."""
+    spec = importlib.util.spec_from_file_location("corner_reference", REFERENCE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SequentialCornerSimulator
+
+
 def _sweep_throughput(case: str) -> tuple:
     """Sweeps/s of the same corner simulator, batched vs sequential."""
     circuit, factory = CASES[case]
@@ -57,12 +74,10 @@ def _sweep_throughput(case: str) -> tuple:
         netlists.append(netlist)
 
     throughput = {}
-    for batched in (True, False):
-        simulator = CornerSimulator(
-            factory(), corner_set=default_corner_set(),
-            spec_space=benchmark_def.spec_space, batched=batched,
+    for batched, kind in ((True, CornerSimulator), (False, sequential_corner_simulator())):
+        simulator = kind(
+            factory(), corner_set=default_corner_set(), spec_space=benchmark_def.spec_space
         )
-        assert simulator.batched is batched
         simulator.simulate(netlists[0])  # warm-up off the clock
         start = time.perf_counter()
         for netlist in netlists:

@@ -22,15 +22,16 @@ against the accurate HB simulator.  This module packages that workflow:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Mapping, Optional
 
 import numpy as np
 
 from repro.agents.deployment import DeploymentEvaluation, evaluate_deployment
 from repro.agents.policy import ActorCriticPolicy
 from repro.agents.ppo import PPOConfig, PPOTrainer, TrainingHistory
+from repro.circuits.specs import SpecificationSpace
 from repro.env.circuit_env import CircuitDesignEnv
-from repro.env.reward import P2SReward
+from repro.env.reward import _defensive_errors
 from repro.nn.module import Module
 
 
@@ -66,6 +67,14 @@ class RewardFidelityReport:
     num_samples: int
 
 
+def _raw_reward(
+    spec_space: SpecificationSpace, measured: Mapping[str, float], target: Mapping[str, float]
+) -> float:
+    """The pre-bonus Eq. (1) reward; a missing or non-finite spec scores -1.0."""
+    errors, _ = _defensive_errors(spec_space, measured, target)
+    return float(np.array(list(errors.values())).sum())
+
+
 def reward_fidelity_report(
     coarse_env: CircuitDesignEnv,
     fine_env: CircuitDesignEnv,
@@ -85,7 +94,6 @@ def reward_fidelity_report(
     rng = np.random.default_rng(seed)
     benchmark = fine_env.benchmark
     spec_space = benchmark.spec_space
-    reward_fn = P2SReward(spec_space)
 
     abs_errors = []
     rel_errors = []
@@ -96,8 +104,8 @@ def reward_fidelity_report(
         benchmark.design_space.apply_to_netlist(netlist, parameters)
         fine_result = fine_env.simulator.simulate(netlist)
         coarse_result = coarse_env.simulator.simulate(netlist)
-        fine_reward = float(spec_space.normalized_errors(fine_result.specs, target).sum())
-        coarse_reward = float(spec_space.normalized_errors(coarse_result.specs, target).sum())
+        fine_reward = _raw_reward(spec_space, fine_result.specs, target)
+        coarse_reward = _raw_reward(spec_space, coarse_result.specs, target)
         error = abs(fine_reward - coarse_reward)
         abs_errors.append(error)
         if abs(fine_reward) > 1e-6:

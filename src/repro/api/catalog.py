@@ -354,8 +354,8 @@ _register_zoo_circuit(
 
 # ----------------------------------------------------------------------
 # PVT corner variants: every zoo topology as a ``*-corners-v0`` environment
-# whose simulator sweeps the default five-corner set per step (as the lanes
-# of one ``simulate_batch`` call where the simulator has one) and whose
+# whose simulator sweeps the default five-corner set per step (as batch
+# lanes where the base simulator has a ``simulate_batch`` entry) and whose
 # reward is the yield-aware worst-corner P2S reward.  Same machinery as the
 # rest of the catalog, so the num_envs / cache_size / surrogate knobs apply.
 # ----------------------------------------------------------------------
@@ -369,7 +369,6 @@ def _register_corner_variant(
         initial_sizing: str = "center",
         goal_tolerance: float = 0.0,
         corner_set: Optional[Any] = None,
-        batched_corners: bool = True,
     ) -> CircuitDesignEnv:
         benchmark = builder()
         corners = corner_set if corner_set is not None else default_corner_set()
@@ -377,7 +376,6 @@ def _register_corner_variant(
             simulator_factory(),
             corner_set=corners,
             spec_space=benchmark.spec_space,
-            batched=batched_corners,
         )
         return CircuitDesignEnv(
             benchmark=benchmark,

@@ -135,12 +135,12 @@ class _SearchOptimizer:
     """Shared scaffolding for the direct-search baselines (GA / BO / RS).
 
     All three score candidate populations through
-    :meth:`SizingProblem.objective_from_unit_batch`, which simulates an
-    op-amp or CM-OTA population in one ``simulate_batch`` call.
-    ``vectorize > 1`` (or an explicit ``cache_size``) instead wraps the
-    environment's simulator in a shared :class:`repro.parallel.SimulationCache`
-    so duplicate candidates across a population cost one simulation; the
-    cache is called per candidate.
+    :meth:`SizingProblem.objective_from_unit_batch`, which simulates a
+    population in one ``simulate_batch`` call.  ``vectorize > 1`` (or an
+    explicit ``cache_size``) wraps the environment's simulator in a shared
+    :class:`repro.parallel.SimulationCache` so duplicate candidates across a
+    population cost one simulation; the cache simulates a population's
+    misses in one inner ``simulate_batch`` call.
 
     ``prescreen`` enables surrogate pre-screening of those populations: a
     trained :mod:`repro.surrogate` model ranks every candidate and only the

@@ -18,8 +18,7 @@ import numpy as np
 
 from repro.circuits.library.benchmark import CircuitBenchmark
 from repro.env.reward import FomReward, P2SReward
-from repro.simulation import BATCHED_SIMULATOR_TYPES
-from repro.simulation.base import CircuitSimulator
+from repro.simulation.base import CircuitSimulator, simulate_batch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from repro.surrogate.prescreen import SurrogatePrescreener
@@ -108,10 +107,12 @@ class SizingProblem:
         self.reward_fn = P2SReward(benchmark.spec_space)
         self.trace = OptimizationTrace()
         self._evaluations = 0
-        # One reusable working netlist: every evaluation overwrites the full
-        # design-parameter vector, so re-using the copy is equivalent to a
-        # fresh one and removes a deep netlist copy from the hot loop.
+        # Reusable working netlists, one per population row: every
+        # evaluation overwrites the full design-parameter vector, so re-using
+        # a copy is equivalent to a fresh one and removes a deep netlist copy
+        # from the hot loop.  ``_netlist`` is the first, the scalar path's.
         self._netlist = benchmark.fresh_netlist()
+        self._netlists = [self._netlist]
         # Optional surrogate pre-screening of population batches.  While a
         # prescreener is attached, every exact evaluation also updates the
         # best-exact record that _build_result reports from, so the final
@@ -137,9 +138,10 @@ class SizingProblem:
 
     def _score(self, specs: Mapping[str, float]) -> float:
         if self.targets is not None:
-            value = float(
-                self.benchmark.spec_space.normalized_errors(specs, self.targets).sum()
-            )
+            space = self.benchmark.spec_space
+            if not all(name in specs for name in space.names):
+                return -math.inf
+            value = float(space.normalized_errors(specs, self.targets).sum())
         else:
             assert self.fom_reward is not None
             value = self.fom_reward.figure_of_merit(specs)
@@ -187,9 +189,8 @@ class SizingProblem:
         """Batched :meth:`objective_from_unit` over a ``(P, M)`` population.
 
         Values, trace and evaluation count equal ``P`` successive
-        :meth:`objective_from_unit` calls.  The op-amp and CM-OTA simulators
-        score the whole population in one ``simulate_batch`` call; every
-        other simulator, cache-wrapped ones included, is called per row.
+        :meth:`objective_from_unit` calls; the population is simulated in
+        one ``simulate_batch`` call.
         """
         unit_parameters = np.asarray(unit_parameters, dtype=np.float64)
         if unit_parameters.ndim != 2 or unit_parameters.shape[1] != self.num_parameters:
@@ -206,21 +207,15 @@ class SizingProblem:
     def _exact_objectives(self, parameters: np.ndarray) -> np.ndarray:
         """``[objective(row) for row in parameters]``, bit for bit.
 
-        A simulator of a :data:`~repro.simulation.BATCHED_SIMULATOR_TYPES`
-        type simulates every row in one ``simulate_batch`` call: each row's
-        operating point is taken on the single working netlist (the
-        ``CornerSimulator`` pattern), so the lanes share that netlist.
+        Row ``k`` is written into working netlist ``k`` and the rows are
+        simulated in one :func:`~repro.simulation.base.simulate_batch` call.
         """
-        simulator = self.simulator
-        if type(simulator) not in BATCHED_SIMULATOR_TYPES:
-            return np.array([self.objective(row) for row in parameters])
-        operating_points = []
-        for row in parameters:
-            self.benchmark.design_space.apply_to_netlist(self._netlist, row)
-            operating_points.append(simulator.operating_point(self._netlist))
-        results = simulator.simulate_batch(
-            [self._netlist] * len(operating_points), operating_points=operating_points
-        )
+        while len(self._netlists) < len(parameters):
+            self._netlists.append(self.benchmark.fresh_netlist())
+        netlists = self._netlists[: len(parameters)]
+        for netlist, row in zip(netlists, parameters):
+            self.benchmark.design_space.apply_to_netlist(netlist, row)
+        results = simulate_batch(self.simulator, netlists)
         values = []
         for row, result in zip(parameters, results):
             self._evaluations += 1
@@ -293,7 +288,11 @@ class SizingOptimizer:
             parameters = problem.benchmark.design_space.denormalize(best_unit)
             specs = problem.simulate(parameters)
         if problem.targets is not None:
-            success = problem.benchmark.spec_space.all_met(specs, problem.targets)
+            space = problem.benchmark.spec_space
+            # A result that omits a spec meets no target group.
+            success = all(name in specs for name in space.names) and space.all_met(
+                specs, problem.targets
+            )
         else:
             success = True
         return OptimizationResult(

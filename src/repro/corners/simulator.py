@@ -17,20 +17,17 @@ into one :class:`~repro.simulation.base.SimulationResult`:
 * ``valid`` — true only when *every* corner simulates to a valid operating
   point.
 
-Two evaluation paths produce bitwise-identical results:
-
-* **batched** (default): for the simulators with a ``simulate_batch``
-  entry (:class:`OpAmpSimulator`, :class:`CmOtaSimulator`), the corners
-  ride as batch lanes — lane ``k`` takes its operating point from corner
-  ``k``'s clone, and one ``simulate_batch`` call assembles every lane's
-  result (one stacked MNA sweep instead of ``K`` for the MNA methods);
-* **sequential**: a per-corner loop over clones of the base simulator,
-  each carrying :meth:`Corner.apply`-derived technology constants.  This is
-  also the path for simulators without a batch entry (folded cascode, LNA,
-  RF PA).
-
-Both paths read every value from the netlist of the call, so nothing of an
-earlier netlist carries over.
+``simulate_batch`` evaluates several netlists at once.  Where the base
+simulator has a ``simulate_batch`` entry (:class:`OpAmpSimulator`,
+:class:`CmOtaSimulator`), every (netlist, corner) pair is a lane of one
+base ``simulate_batch`` call: lane ``k`` takes its operating point from
+corner ``k``'s clone of the base simulator, which carries
+:meth:`Corner.apply`-derived technology constants, and the MNA methods
+sweep all lanes in one stacked plan.  The other zoo simulators (folded
+cascode, LNA, RF PA) run each corner's clone on each netlist.  A lane's
+result does not depend on its batch, so both are bitwise the per-corner
+loop over the clones (``tests/corners`` keeps that loop as the parity
+reference), and every value is read from the netlist of the call.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.circuits.netlist import Netlist
 from repro.circuits.specs import Objective, SpecificationSpace
 from repro.corners.model import CornerSet, default_corner_set
-from repro.simulation import BATCHED_SIMULATOR_TYPES
 from repro.simulation.base import SimulationResult
 from repro.simulation.folded_cascode_sim import FoldedCascodeSimulator
 from repro.simulation.lna_sim import LnaSimulator
@@ -48,50 +44,33 @@ from repro.simulation.opamp_sim import OpAmpSimulator
 from repro.simulation.ota_sim import CmOtaSimulator
 from repro.simulation.pa_sim import RfPaCoarseSimulator, RfPaFineSimulator
 
-def clone_simulator_with_technology(simulator, technology):
+#: Per cloneable simulator type, the constructor arguments a clone copies.
+_CLONE_ARGUMENTS = {
+    OpAmpSimulator: ("method", "bias_overhead_current"),
+    CmOtaSimulator: ("method", "bias_overhead_current"),
+    FoldedCascodeSimulator: ("bias_overhead_current",),
+    LnaSimulator: (
+        "frequency", "source_resistance", "noise_gamma", "inductor_q", "bias_overhead_current",
+    ),
+    RfPaFineSimulator: (),
+    RfPaCoarseSimulator: ("mismatch",),
+}
+
+
+def clone_simulator_with_technology(base, technology):
     """A fresh simulator of the same type/configuration at ``technology``.
 
-    Exact-type dispatch (the vector env step's discipline too): a
-    subclass could override arithmetic the clone would silently drop, so
-    only the known simulator types are cloneable.
+    Only the known simulator types are cloneable, by exact type: a subclass
+    could override arithmetic the clone would silently drop.
     """
-    kind = type(simulator)
-    if kind is OpAmpSimulator:
-        return OpAmpSimulator(
-            technology=technology,
-            method=simulator.method,
-            bias_overhead_current=simulator.bias_overhead_current,
+    kind = type(base)
+    arguments = _CLONE_ARGUMENTS.get(kind)
+    if arguments is None:
+        raise TypeError(
+            f"no corner-cloning rule for simulator type {kind.__name__}; "
+            "corner sweeps support the built-in zoo simulators"
         )
-    if kind is CmOtaSimulator:
-        return CmOtaSimulator(
-            technology=technology,
-            method=simulator.method,
-            bias_overhead_current=simulator.bias_overhead_current,
-        )
-    if kind is FoldedCascodeSimulator:
-        return FoldedCascodeSimulator(
-            technology=technology,
-            bias_overhead_current=simulator.bias_overhead_current,
-        )
-    if kind is LnaSimulator:
-        return LnaSimulator(
-            technology=technology,
-            frequency=simulator.frequency,
-            source_resistance=simulator.source_resistance,
-            noise_gamma=simulator.noise_gamma,
-            inductor_q=simulator.inductor_q,
-            bias_overhead_current=simulator.bias_overhead_current,
-        )
-    if kind is RfPaFineSimulator:
-        return RfPaFineSimulator(technology=technology)
-    if kind is RfPaCoarseSimulator:
-        return RfPaCoarseSimulator(
-            technology=technology, mismatch=simulator.mismatch
-        )
-    raise TypeError(
-        f"no corner-cloning rule for simulator type {kind.__name__}; "
-        "corner sweeps support the built-in zoo simulators"
-    )
+    return kind(technology=technology, **{name: getattr(base, name) for name in arguments})
 
 
 class CornerSimulator:
@@ -109,11 +88,6 @@ class CornerSimulator:
         specification with respect to each objective direction (the value a
         conservative designer would quote); without it the first corner's
         values are reported.  Per-corner keys are emitted either way.
-    batched:
-        Run the corners as the lanes of one ``simulate_batch`` call when the
-        simulator has one (bitwise identical to the sequential loop, one
-        stacked MNA sweep instead of ``K`` for the MNA methods).  ``False``
-        forces the sequential per-corner loop (the parity reference).
     """
 
     def __init__(
@@ -121,7 +95,6 @@ class CornerSimulator:
         simulator,
         corner_set: Optional[CornerSet] = None,
         spec_space: Optional[SpecificationSpace] = None,
-        batched: bool = True,
     ) -> None:
         self.base_simulator = simulator
         self.corner_set = corner_set if corner_set is not None else default_corner_set()
@@ -135,32 +108,40 @@ class CornerSimulator:
             clone_simulator_with_technology(simulator, technology)
             for technology in self.technologies
         )
-        self.batched = bool(batched) and type(simulator) in BATCHED_SIMULATOR_TYPES
-        self.name = f"corners[{getattr(simulator, 'name', type(simulator).__name__)}]"
+        self.name = f"corners[{simulator.name}]"
 
     # ------------------------------------------------------------------
     # CircuitSimulator protocol
     # ------------------------------------------------------------------
     def simulate(self, netlist: Netlist) -> SimulationResult:
         """Merged worst-corner result plus flattened per-corner spec keys."""
-        return self.merge(self.corner_results(netlist))
+        return self.simulate_batch([netlist])[0]
+
+    def simulate_batch(self, netlists: Sequence[Netlist]) -> List[SimulationResult]:
+        """``[simulate(n) for n in netlists]``, every corner of every netlist one lane."""
+        return [self.merge(results) for results in self._corner_rows(netlists)]
 
     # ------------------------------------------------------------------
     # Per-corner evaluation
     # ------------------------------------------------------------------
     def corner_results(self, netlist: Netlist) -> List[SimulationResult]:
         """One :class:`SimulationResult` per corner, in corner-set order."""
-        if self.batched:
-            return self.base_simulator.simulate_batch(
-                [netlist] * len(self._corner_simulators),
-                operating_points=[
-                    simulator.operating_point(netlist)
-                    for simulator in self._corner_simulators
-                ],
-            )
-        return [
-            simulator.simulate(netlist) for simulator in self._corner_simulators
-        ]
+        return self._corner_rows([netlist])[0]
+
+    def _corner_rows(self, netlists: Sequence[Netlist]) -> List[List[SimulationResult]]:
+        """Per netlist, the per-corner results (one base batch where there is one)."""
+        clones = self._corner_simulators
+        batch = getattr(self.base_simulator, "simulate_batch", None)
+        if batch is None:
+            return [[clone.simulate(netlist) for clone in clones] for netlist in netlists]
+        lanes = batch(
+            [netlist for netlist in netlists for _ in clones],
+            operating_points=[
+                clone.operating_point(netlist) for netlist in netlists for clone in clones
+            ],
+        )
+        width = len(clones)
+        return [lanes[row * width:(row + 1) * width] for row in range(len(netlists))]
 
     # ------------------------------------------------------------------
     # Merging

@@ -28,7 +28,6 @@ from repro.parallel.cache import (
     DEFAULT_KEY_DIGITS,
     CacheStats,
     SimulationCache,
-    quantize_significant,
 )
 from repro.parallel.disk_cache import (
     DiskEntry,
@@ -48,7 +47,6 @@ __all__ = [
     "SimulationCache",
     "VectorCircuitEnv",
     "iter_disk_entries",
-    "quantize_significant",
     "read_disk_entry",
     "write_disk_entry",
 ]

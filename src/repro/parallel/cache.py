@@ -16,11 +16,15 @@ parameter snapshot, quantized so that float noise below simulator resolution
 maps to the same entry.  The key quantizes the *binary* mantissa of each
 parameter to the bit equivalent of ``key_digits`` decimal digits — every
 operation involved is exact in float64, so values straddling a rounding
-boundary can never split into different keys (the failure mode the decimal
-path of :func:`quantize_significant` had to be fixed for).  Parameters that
-the design space snaps onto a discrete grid are exactly representable well
-above the default 12-digit resolution, so distinct design points never
-collide.
+boundary can never split into different keys.  Parameters that the design
+space snaps onto a discrete grid are exactly representable well above the
+default 12-digit resolution, so distinct design points never collide.
+
+:meth:`SimulationCache.simulate_batch` is the one lookup path (``simulate``
+is a batch of one): the rows are looked up in order, the misses are
+simulated together in one inner ``simulate_batch`` call, and results,
+counters and LRU order come out exactly as a loop of ``simulate`` calls
+would leave them.
 """
 
 from __future__ import annotations
@@ -28,12 +32,12 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Sequence, Union
 
 import numpy as np
 
 from repro.circuits.netlist import Netlist
-from repro.simulation.base import CircuitSimulator, SimulationResult
+from repro.simulation.base import CircuitSimulator, SimulationResult, simulate_batch
 
 #: Default maximum number of memoized simulation results.
 DEFAULT_CACHE_SIZE = 4096
@@ -93,86 +97,6 @@ class CacheStats:
         }
 
 
-def _scale_by_pow10(values: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """``values * 10**exponents`` elementwise, via exact power-of-ten factors.
-
-    ``10.0**k`` is exactly representable in binary only for ``0 <= k <= 22``;
-    a single ``values * 10.0**e`` with ``e`` outside that range (e.g. the
-    ``1e24`` scale quantizing a 0.1 pF capacitance to 12 digits, or any
-    multiplication by an inexact reciprocal like ``1e-13``) injects rounding
-    error into the scaled mantissa.  This helper only ever multiplies or
-    divides by exact non-negative powers, staged in chunks of ``10**22``.
-    """
-    def _chunk(magnitude: np.ndarray) -> np.ndarray:
-        # Remainder-sized chunk first (then full 10**22 chunks): an integer
-        # mantissa divided by the small remainder power usually stays exact,
-        # so e.g. 1e11 * 10**-24 reconstructs as (1e11 / 1e2) / 1e22 — two
-        # exact steps — instead of rounding twice.
-        step = np.mod(magnitude, 22.0)
-        # repro: noqa[REP-FLT01] exact sentinel: np.mod of a float-valued
-        # integer by 22.0 yields exactly 0.0 for exact multiples, and only
-        # that exact value must select the full 10**22 chunk.
-        return np.where((step == 0.0) & (magnitude > 0.0), 22.0, step)
-
-    result = np.array(values, dtype=np.float64, copy=True)
-    remaining = np.asarray(exponents, dtype=np.float64).copy()
-    while np.any(remaining > 0.0):
-        step = np.where(remaining > 0.0, _chunk(remaining), 0.0)
-        result *= np.power(10.0, step)
-        remaining -= step
-    while np.any(remaining < 0.0):
-        step = np.where(remaining < 0.0, _chunk(-remaining), 0.0)
-        result /= np.power(10.0, step)
-        remaining += step
-    return result
-
-
-def quantize_significant(values: np.ndarray, digits: int) -> np.ndarray:
-    """Round each entry to ``digits`` significant (not decimal) digits.
-
-    The result is a pure function of the rounded *decimal* representation
-    ``(mantissa, exponent)``: every float that rounds to the same ``digits``-
-    digit decimal — including values whose rounding carries across a decade
-    boundary, e.g. ``9.99999999999995e-13`` vs ``1.0e-12`` at 12 digits —
-    reconstructs through the identical exact-power-of-ten arithmetic and so
-    maps to the identical cache key.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    # repro: noqa[REP-FLT01] exact sentinel: 0.0 has no log10/exponent, so
-    # exactly-zero entries (and only those) bypass the mantissa pipeline.
-    nonzero = (values != 0.0) & np.isfinite(values)
-    exponents = np.zeros(values.shape)
-    np.floor(np.log10(np.abs(values, where=nonzero, out=np.ones_like(values))),
-             where=nonzero, out=exponents)
-    # Integer decimal mantissa in [10^(digits-1), 10^digits].
-    mantissa = np.round(_scale_by_pow10(values, digits - 1 - exponents))
-    # A mantissa that rounded up across its decade boundary (|m| == 10^digits)
-    # is renormalized so it shares the representation — and therefore the
-    # cache key — of the next decade's values.
-    carry = np.abs(mantissa) >= 10.0**digits
-    mantissa = np.where(carry, mantissa / 10.0, mantissa)
-    exponents = np.where(carry, exponents + 1.0, exponents)
-    # Factor trailing zeros out of the integer mantissa: grid-like values
-    # (2e-12, 4.0e-05, ...) then reconstruct through one exact division and
-    # come back bitwise equal to their own float literal.  The trailing-zero
-    # count is binary-searched (divisibility by 10^k is monotone in k), and
-    # every factor involved stays an exactly representable integer.
-    trailing = np.zeros(values.shape)
-    # repro: noqa[REP-FLT01] exact sentinel: the quantization-step mantissa
-    # is an exactly-representable integer; only the exact 0.0 it assigns to
-    # zero inputs must skip the trailing-zero factorization.
-    candidate_mask = mantissa != 0.0
-    for bit in (8.0, 4.0, 2.0, 1.0):
-        factor = np.power(10.0, trailing + bit)
-        divisible = candidate_mask & (np.round(mantissa / factor) * factor == mantissa)
-        trailing = np.where(divisible, trailing + bit, trailing)
-    mantissa = np.where(candidate_mask, mantissa / np.power(10.0, trailing), mantissa)
-    quantized = _scale_by_pow10(mantissa, exponents - (digits - 1) + trailing)
-    # ``values + 0.0`` normalizes -0.0 to +0.0 so both zeros share one key;
-    # non-finite entries pass through unchanged.
-    return np.where(nonzero, quantized, values + 0.0)
-
-
 class SimulationCache:
     """LRU-memoizing :class:`CircuitSimulator` wrapper.
 
@@ -214,6 +138,7 @@ class SimulationCache:
         # digits: 2^ceil(digits / log10(2)) — 2^40 for the default 12.
         self._mantissa_scale = 2.0 ** math.ceil(self.key_digits / math.log10(2.0))
         self.stats = CacheStats()
+        # Values are results, or a miss's reservation while a batch runs.
         self._entries: "OrderedDict[bytes, SimulationResult]" = OrderedDict()
 
     # ------------------------------------------------------------------
@@ -225,23 +150,70 @@ class SimulationCache:
 
     def simulate(self, netlist: Netlist) -> SimulationResult:
         """Evaluate the netlist, serving repeats from the LRU table."""
-        key = self._key(netlist)
-        cached = self.lookup(key)
-        if cached is not None:
-            return cached
-        result = self._simulate_miss(key, netlist)
-        self.store(key, result)
-        return result
+        return self.simulate_batch([netlist])[0]
 
-    def _simulate_miss(self, key: bytes, netlist: Netlist) -> SimulationResult:
-        """Produce the result for a key absent from the in-memory table.
+    def simulate_batch(self, netlists: Sequence[Netlist]) -> List[SimulationResult]:
+        """``[self.simulate(n) for n in netlists]``, with the misses in one batch.
 
-        Subclasses (the persistent :class:`DiskSimulationCache`) interpose
-        additional lookup tiers here; the base implementation is one real
-        simulator call.
+        Results, :attr:`stats` and the LRU order of the table are exactly
+        what that loop leaves.  The rows are looked up in order, and a miss
+        reserves its entry at once, so a later row with the same key is a
+        hit and evictions fall where the loop's would.  Then
+        :meth:`_simulate_misses` resolves every miss, and the reserved
+        entries still in the table are filled.
         """
-        self.stats.misses += 1
-        return self.simulator.simulate(netlist)
+        entries = self._entries
+        rows: List[Union[SimulationResult, _Reserved]] = []
+        reserved: List[_Reserved] = []
+        for key, netlist in zip(self._keys(netlists), netlists):
+            entry = entries.get(key)
+            if entry is None:
+                entry = _Reserved(len(reserved), key, netlist)
+                reserved.append(entry)
+                entries[key] = entry
+                if len(entries) > self.max_entries:
+                    entries.popitem(last=False)
+                    self.stats.evictions += 1
+            else:
+                self.stats.hits += 1
+                entries.move_to_end(key)
+            rows.append(entry)
+        results = self._fill(reserved) if reserved else []
+        return [
+            self._copy(results[entry.miss] if isinstance(entry, _Reserved) else entry)
+            for entry in rows
+        ]
+
+    def _fill(self, reserved: List["_Reserved"]) -> List[SimulationResult]:
+        """Resolve the reserved misses and store them where still reserved."""
+        entries = self._entries
+        try:
+            results = self._simulate_misses(
+                [entry.key for entry in reserved], [entry.netlist for entry in reserved]
+            )
+        except BaseException:
+            # No reservation may outlive the batch.
+            for entry in reserved:
+                if entries.get(entry.key) is entry:
+                    del entries[entry.key]
+            raise
+        for entry, result in zip(reserved, results):
+            if entries.get(entry.key) is entry:
+                entries[entry.key] = self._copy(result)
+        return results
+
+    def _simulate_misses(
+        self, keys: List[bytes], netlists: List[Netlist]
+    ) -> List[SimulationResult]:
+        """The results of rows absent from the in-memory table, in row order.
+
+        The base implementation is one inner ``simulate_batch`` call, every
+        row counted in ``stats.misses``.  Subclasses (the persistent
+        :class:`DiskSimulationCache`, the surrogate tier) interpose further
+        tiers here.
+        """
+        self.stats.misses += len(netlists)
+        return simulate_batch(self.simulator, netlists)
 
     # ------------------------------------------------------------------
     # Cache management
@@ -283,32 +255,18 @@ class SimulationCache:
         ]
 
     def _key(self, netlist: Netlist) -> bytes:
-        """The key of one netlist: :meth:`keys` on its single row."""
-        return self.keys(netlist.name, netlist.parameter_array()[np.newaxis])[0]
+        """The key of one netlist."""
+        return self._keys([netlist])[0]
 
-    def __contains__(self, key: bytes) -> bool:
-        return key in self._entries
-
-    def lookup(self, key: bytes) -> Optional[SimulationResult]:
-        """A copy of the result stored under ``key``, or ``None`` on a miss.
-
-        A hit is counted and refreshes the entry's LRU position.  A miss
-        counts nothing here: whoever produces the result counts it (the
-        base :meth:`_simulate_miss` as one of ``stats.misses``).
-        """
-        cached = self._entries.get(key)
-        if cached is None:
-            return None
-        self.stats.hits += 1
-        self._entries.move_to_end(key)
-        return self._copy(cached)
-
-    def store(self, key: bytes, result: SimulationResult) -> None:
-        """Memoize a miss's result, evicting the least-recently-used entry when full."""
-        self._entries[key] = self._copy(result)
-        if len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
+    def _keys(self, netlists: Sequence[Netlist]) -> List[bytes]:
+        """The key of every netlist, in one :meth:`keys` call when they share a layout."""
+        if not netlists:
+            return []
+        rows = [netlist.parameter_array() for netlist in netlists]
+        name = netlists[0].name
+        if all(n.name == name and r.size == rows[0].size for n, r in zip(netlists, rows)):
+            return self.keys(name, np.stack(rows))
+        return [self.keys(n.name, r[np.newaxis])[0] for n, r in zip(netlists, rows)]
 
     @staticmethod
     def _copy(result: SimulationResult) -> SimulationResult:
@@ -317,3 +275,14 @@ class SimulationCache:
         return SimulationResult(
             specs=dict(result.specs), details=dict(result.details), valid=result.valid
         )
+
+
+class _Reserved:
+    """The table entry a miss holds until :meth:`SimulationCache._fill` resolves it."""
+
+    __slots__ = ("miss", "key", "netlist")
+
+    def __init__(self, miss: int, key: bytes, netlist: Netlist) -> None:
+        self.miss = miss
+        self.key = key
+        self.netlist = netlist

@@ -34,7 +34,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -180,6 +180,13 @@ class DiskSimulationCache(SimulationCache):
     @property
     def name(self) -> str:
         return f"disk_cached({self.simulator.name})"
+
+    def _simulate_misses(
+        self, keys: List[bytes], netlists: List[Netlist]
+    ) -> List[SimulationResult]:
+        # One row at a time, in row order: a row's file write is what a
+        # later row's disk read sees, exactly as in a loop of ``simulate``.
+        return [self._simulate_miss(key, netlist) for key, netlist in zip(keys, netlists)]
 
     def _simulate_miss(self, key: bytes, netlist: Netlist) -> SimulationResult:
         path = self._entry_path(key)

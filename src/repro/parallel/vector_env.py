@@ -33,18 +33,16 @@ run one implementation for every simulator:
 * **Batched pure work**: action snapping (the design space's vector methods
   are elementwise-equal to the scalar path), the netlist writes and the
   observation arrays.
-* **Simulation dispatch**, by exact type: an exact ``SimulationCache`` over
-  an exact :data:`~repro.simulation.BATCHED_SIMULATOR_TYPES` simulator is
-  replayed entry for entry in lane order (a miss simulates its lane together
-  with every later lane not cached at that moment, through the simulator's
-  own ``simulate_batch``); a bare batched simulator makes one
-  ``simulate_batch`` call; everything else calls ``simulate`` once per lane,
-  in lane order, inside the bookkeeping loop.  A lane of ``simulate_batch``
-  is bitwise its own ``simulate`` call, so how lanes are grouped changes no
-  bits.
+* **One simulation call**: the selected lanes' netlists go to the shared
+  simulator in one :func:`~repro.simulation.base.simulate_batch` call (one
+  call per lane, in lane order, only when the lanes do not share a
+  simulator).  Every simulator and wrapper answers a batch exactly as a
+  loop of ``simulate`` calls would, the shared
+  :class:`~repro.parallel.cache.SimulationCache` included (counters and
+  LRU order), so how lanes are grouped changes no bits.
 * **Sequential bookkeeping** in lane order for everything order-sensitive:
-  cache traffic, rewards, trajectory records and autoresets (an autoreset's
-  simulation runs before the next lane's, exactly like the sequential loop).
+  rewards and trajectory records, then the autoresets, after every lane
+  has stepped (EnvPool's step-then-reset order).
 * **Atomic errors**: invalid input raises before any lane's state, netlist,
   trajectory or cache counter changes.
 """
@@ -62,8 +60,7 @@ from repro.env.circuit_env import CircuitDesignEnv, EpisodeTrajectory, StepRecor
 from repro.env.spaces import NUM_ACTION_CHOICES, BatchedObservation, Observation
 from repro.graph.features import dynamic_parameter_reads
 from repro.parallel.cache import DEFAULT_CACHE_SIZE, SimulationCache
-from repro.simulation import BATCHED_SIMULATOR_TYPES
-from repro.simulation.base import SimulationResult
+from repro.simulation.base import simulate_batch
 
 #: Targets accepted by ``reset``: nothing (each sub-env samples its own), one
 #: group broadcast to every sub-env, or one group per sub-env.
@@ -164,7 +161,6 @@ class VectorCircuitEnv:
                 raise ValueError("sub-environments disagree on the netlist name")
             if netlist.parameter_array()[~knob_mask].tobytes() != fixed.tobytes():
                 raise ValueError("sub-environments disagree on non-tunable netlist parameters")
-        self._netlist_name = base_netlist.name
         self._base_row = base_row
         # Per-env (device-parameter dict, key) pairs for the knob writes —
         # Device.set_parameter is a key check plus ``dict[key] = float(v)``,
@@ -449,9 +445,7 @@ class VectorCircuitEnv:
         snapped = space.snap_vector(space.apply_actions(current, actions))
         rows = np.tile(self._base_row, (count, 1))
         rows[:, self._knob_cols] = snapped
-        # Write every selected lane's sizing before simulating any lane.  A
-        # lane's netlist is read only by its own simulation and reset, so
-        # the writes commute with the bookkeeping loop below.
+        # Write every selected lane's sizing before simulating any lane.
         step_values: List[np.ndarray] = []
         for row, lane in enumerate(lanes):
             values = snapped[row].copy()
@@ -462,57 +456,25 @@ class VectorCircuitEnv:
             self.envs[lane].data_processor._values = values
             step_values.append(values)
 
-        # --- simulation dispatch, by exact type -----------------------
+        # --- one simulate_batch call for the selected lanes -------------
+        netlists = [env.data_processor.netlist for env in envs]
         simulator = envs[0].simulator
-        if any(env.simulator is not simulator for env in envs):
-            simulator = None
-        cache: Optional[SimulationCache] = None
-        simulate_batch = None
-        if type(simulator) is SimulationCache:
-            if type(simulator.simulator) in BATCHED_SIMULATOR_TYPES:
-                cache = simulator
-                simulate_batch = simulator.simulator.simulate_batch
-        elif type(simulator) in BATCHED_SIMULATOR_TYPES:
-            simulate_batch = simulator.simulate_batch
-
-        def simulate_rows(batch: Sequence[int]) -> List[SimulationResult]:
-            return simulate_batch([envs[row].data_processor.netlist for row in batch])
-
-        # Results simulated ahead of their row, by row.
-        fresh: Dict[int, SimulationResult] = {}
-        if cache is not None:
-            keys = cache.keys(self._netlist_name, rows)
-        elif simulate_batch is not None:
-            fresh.update(enumerate(simulate_rows(range(count))))
+        if all(env.simulator is simulator for env in envs):
+            results = simulate_batch(simulator, netlists)
+        else:
+            results = [
+                simulate_batch(env.simulator, [netlist])[0]
+                for env, netlist in zip(envs, netlists)
+            ]
 
         # --- sequential bookkeeping (order-sensitive state) -----------
         measured_dicts: List[Dict[str, float]] = []
         target_dicts: List[Dict[str, float]] = []
         infos: List[Dict[str, object]] = []
-        reset_observations: List[Optional[Observation]] = []
         rewards = np.zeros(count)
         dones = np.zeros(count, dtype=bool)
-        for row, env in enumerate(envs):
+        for row, (env, result) in enumerate(zip(envs, results)):
             env._step_count += 1
-            if cache is not None:
-                result = cache.lookup(keys[row])
-                if result is None:
-                    # Counted as SimulationCache._simulate_miss counts it.
-                    cache.stats.misses += 1
-                    if row not in fresh:
-                        # A miss simulates its lane together with every
-                        # later lane that is not cached now.
-                        batch = [row] + [
-                            later for later in range(row + 1, count)
-                            if later not in fresh and keys[later] not in cache
-                        ]
-                        fresh.update(zip(batch, simulate_rows(batch)))
-                    result = fresh.pop(row)
-                    cache.store(keys[row], result)
-            elif simulate_batch is not None:
-                result = fresh.pop(row)
-            else:
-                result = env.simulator.simulate(env.data_processor.netlist)
             env._measured = dict(result.specs)
             measured = env._measured
             fom_mode = env.is_fom_mode
@@ -545,7 +507,10 @@ class VectorCircuitEnv:
             target_dicts.append(dict(env._targets))
             rewards[row] = float(outcome.reward)
             dones[row] = env._done
-            reset_observations.append(env.reset() if env._done and autoreset else None)
+        # Autoresets run after every lane has stepped, in lane order.
+        reset_observations: List[Optional[Observation]] = [
+            env.reset() if env._done and autoreset else None for env in envs
+        ]
 
         # --- batched observation assembly -----------------------------
         node_features = np.broadcast_to(

@@ -11,7 +11,7 @@ with from-scratch equivalents:
   RF PA evaluators used by the transfer-learning workflow.
 """
 
-from repro.simulation.base import CircuitSimulator, SimulationResult, Simulator
+from repro.simulation.base import CircuitSimulator, SimulationResult, Simulator, simulate_batch
 from repro.simulation.folded_cascode_sim import (
     FoldedCascodeOperatingPoint,
     FoldedCascodeSimulator,
@@ -36,14 +36,8 @@ from repro.simulation.pa_sim import (
 )
 from repro.simulation.technology import CMOS_45NM, GAN_150NM, CmosTechnology, GanTechnology
 
-#: The simulator types with a ``simulate_batch`` entry.  Callers batch only
-#: these exact types: a subclass could override ``simulate`` and leave the
-#: batch entry behind.
-BATCHED_SIMULATOR_TYPES = (OpAmpSimulator, CmOtaSimulator)
-
 __all__ = [
     "AcSolution",
-    "BATCHED_SIMULATOR_TYPES",
     "BatchedMNAPlan",
     "CMOS_45NM",
     "CircuitSimulator",
@@ -72,4 +66,5 @@ __all__ = [
     "RfPaFineSimulator",
     "SimulationResult",
     "Simulator",
+    "simulate_batch",
 ]

@@ -12,7 +12,7 @@ the heart of the transfer-learning contribution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Protocol
+from typing import Dict, List, Protocol, Sequence
 
 from repro.circuits.netlist import Netlist
 
@@ -47,7 +47,13 @@ class SimulationResult:
 
 
 class CircuitSimulator(Protocol):
-    """Anything that can evaluate a netlist into intermediate specifications."""
+    """Anything that can evaluate a netlist into intermediate specifications.
+
+    A simulator may also define ``simulate_batch(netlists)``, returning one
+    result per netlist, each exactly what ``simulate`` would return for it.
+    Callers that hold several netlists go through :func:`simulate_batch`,
+    which uses that entry when it exists.
+    """
 
     #: Human-readable simulator name (shown in experiment reports).
     name: str
@@ -55,6 +61,20 @@ class CircuitSimulator(Protocol):
     def simulate(self, netlist: Netlist) -> SimulationResult:
         """Evaluate the netlist and return the measured specifications."""
         ...
+
+
+def simulate_batch(
+    simulator: CircuitSimulator, netlists: Sequence[Netlist]
+) -> List[SimulationResult]:
+    """``[simulator.simulate(n) for n in netlists]`` in one call.
+
+    The simulator's own ``simulate_batch`` runs when it has one; any other
+    simulator is called once per netlist, in order.
+    """
+    batch = getattr(simulator, "simulate_batch", None)
+    if batch is not None:
+        return batch(netlists)
+    return [simulator.simulate(netlist) for netlist in netlists]
 
 
 #: Canonical short name of the simulator protocol.  Every evaluation tier —

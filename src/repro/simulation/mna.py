@@ -18,7 +18,7 @@ cache; a plan only stacks the ``(K, V)`` element values.
 :meth:`MnaCircuit.dc_operating_point` and :meth:`MnaCircuit.ac_analysis` are
 that plan at ``K = 1``; :func:`template_sweep_metrics`, behind the op-amp
 and OTA ``simulate_batch``, drives the same plan with one lane per circuit,
-restamping element values through :meth:`BatchedMNAPlan.set_values`.
+restamping element values through :meth:`BatchedMNAPlan.restamp`.
 
 Schur-form AC sweep
 -------------------
@@ -608,8 +608,8 @@ class BatchedMNAPlan:
 
     Build it with :meth:`from_circuits` (concrete circuits, MOSFETs allowed)
     or :meth:`from_template` (one linear circuit whose element values are
-    then restamped per lane with :meth:`set_values`).  Node ordering and
-    stamps come from the shared topology of the circuits'
+    then restamped per lane with :meth:`restamp`).
+    Node ordering and stamps come from the shared topology of the circuits'
     :meth:`~MnaCircuit.structure_signature`, built once per signature; a
     plan itself only holds the ``(K, V)`` element values.  A singular system
     raises :class:`ConvergenceError` naming the circuit and, for AC, the
@@ -649,7 +649,7 @@ class BatchedMNAPlan:
 
     @classmethod
     def from_template(cls, template: MnaCircuit, num_circuits: int) -> "BatchedMNAPlan":
-        """Plan from one template circuit; restamp values via :meth:`set_values`.
+        """Plan from one template circuit; restamp values via :meth:`restamp`.
 
         Template mode carries no per-circuit MOSFET models, so nonlinear
         circuits must use :meth:`from_circuits`.
@@ -664,12 +664,20 @@ class BatchedMNAPlan:
         values = np.tile(row, (int(num_circuits), 1))
         return cls(_topology(template.structure_signature()), values, template.name)
 
-    def set_values(self, name: str, values: np.ndarray) -> None:
-        """Restamp one element's per-circuit values (the per-step hot path)."""
-        column = self._topology.element_columns.get(name)
-        if column is None:
-            raise KeyError(f"no restampable element named '{name}'")
-        self._values[:, column] = np.asarray(values, dtype=np.float64)
+    def restamp(self, lane_values: Sequence[Mapping[str, float]]) -> None:
+        """Restamp circuit ``k`` from ``lane_values[k]``, in one assignment.
+
+        Every lane names the same elements (the per-step hot path of
+        :func:`template_sweep_metrics`).
+        """
+        names = list(lane_values[0])
+        columns = self._topology.element_columns
+        unknown = [name for name in names if name not in columns]
+        if unknown:
+            raise KeyError(f"no restampable element named '{unknown[0]}'")
+        self._values[:, [columns[name] for name in names]] = [
+            [values[name] for name in names] for values in lane_values
+        ]
 
     def _value_table(self, mosfet_lin: Optional[Dict[str, np.ndarray]] = None) -> np.ndarray:
         """Per-circuit stamp values: element values, MOSFET ``gm``/``gds``, ``1.0``."""
@@ -1006,8 +1014,7 @@ def template_sweep_metrics(
     ``ac_analysis`` on that lane's own circuit.
     """
     plan = BatchedMNAPlan.from_template(template, len(lane_values))
-    for name in lane_values[0]:
-        plan.set_values(name, [values[name] for values in lane_values])
+    plan.restamp(lane_values)
     return [
         frequency_response_metrics(SWEEP_FREQUENCIES, solution.voltage(node))
         for solution in plan.ac_sweep(SWEEP_FREQUENCIES)

@@ -29,11 +29,12 @@ Two evaluation paths are provided:
   frequency is a small back-substitution.
 
 :meth:`OpAmpSimulator.operating_point` is the only copy of the circuit
-equations.  :meth:`OpAmpSimulator.simulate_batch`, which the vector
-environment and the corner sweep call, loops its lanes through it and, for
+equations, and :meth:`OpAmpSimulator.simulate_batch` the only evaluation
+path: it loops its lanes through ``operating_point`` and, for
 ``method="mna"``, sweeps every lane's small-signal circuit in one
-:class:`~repro.simulation.mna.BatchedMNAPlan`; a lane's sweep does not
-depend on its batch, so each lane is bitwise ``simulate`` of its netlist.
+:class:`~repro.simulation.mna.BatchedMNAPlan`.  ``simulate`` is a batch of
+one; a lane's sweep does not depend on its batch, so each lane is bitwise
+``simulate`` of its netlist.
 """
 
 from __future__ import annotations
@@ -46,12 +47,7 @@ import numpy as np
 
 from repro.circuits.netlist import Netlist
 from repro.simulation.base import SimulationResult
-from repro.simulation.mna import (
-    SWEEP_FREQUENCIES,
-    MnaCircuit,
-    frequency_response_metrics,
-    template_sweep_metrics,
-)
+from repro.simulation.mna import MnaCircuit, template_sweep_metrics
 from repro.simulation.mosfet import MosfetModel
 from repro.simulation.technology import CMOS_45NM, CmosTechnology
 
@@ -117,6 +113,13 @@ def _small_signal_circuit(values: Dict[str, float]) -> MnaCircuit:
     return circuit
 
 
+#: The small-signal equivalent's structure; ``simulate_batch`` restamps
+#: every element ``_small_signal_values`` names, per lane.
+_TEMPLATE = _small_signal_circuit(
+    dict.fromkeys(("GM1", "R1", "C1", "GM6", "R2", "CL", "CC"), 1.0)
+)
+
+
 class OpAmpSimulator:
     """Evaluate the two-stage op-amp netlist into its four specifications."""
 
@@ -142,12 +145,7 @@ class OpAmpSimulator:
     # ------------------------------------------------------------------
     def simulate(self, netlist: Netlist) -> SimulationResult:
         """Return gain, bandwidth (Hz), phase margin (deg) and power (W)."""
-        op = self.operating_point(netlist)
-        if self.method == "mna":
-            response = self._mna_frequency_response(netlist, op)
-        else:
-            response = self._analytic_response(op)
-        return self._result(op, response)
+        return self.simulate_batch([netlist])[0]
 
     def simulate_batch(
         self,
@@ -169,9 +167,7 @@ class OpAmpSimulator:
             )
         if self.method == "mna" and operating_points:
             lane_values = [_small_signal_values(op) for op in operating_points]
-            responses = template_sweep_metrics(
-                _small_signal_circuit(lane_values[0]), lane_values
-            )
+            responses = template_sweep_metrics(_TEMPLATE, lane_values)
         else:
             responses = [self._analytic_response(op) for op in operating_points]
         return [
@@ -343,10 +339,3 @@ class OpAmpSimulator:
         linearization and only the frequency response is cross-checked.
         """
         return _small_signal_circuit(_small_signal_values(op or self.operating_point(netlist)))
-
-    def _mna_frequency_response(
-        self, netlist: Netlist, op: OpAmpOperatingPoint
-    ) -> tuple[float, float, float]:
-        """Gain, unity-gain bandwidth and phase margin from an MNA AC sweep."""
-        solution = self.build_small_signal_circuit(netlist, op).ac_analysis(SWEEP_FREQUENCIES)
-        return frequency_response_metrics(SWEEP_FREQUENCIES, solution.voltage("out"))

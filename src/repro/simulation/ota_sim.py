@@ -18,7 +18,8 @@ RL agent must discover.
 As for the op-amp, :meth:`CmOtaSimulator.operating_point` is the only copy
 of the circuit equations; :meth:`CmOtaSimulator.simulate_batch` loops its
 lanes through it and sweeps the ``method="mna"`` lanes in one
-:class:`~repro.simulation.mna.BatchedMNAPlan`.
+:class:`~repro.simulation.mna.BatchedMNAPlan`, and ``simulate`` is a batch
+of one.
 """
 
 from __future__ import annotations
@@ -29,12 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.netlist import Netlist
 from repro.simulation.base import SimulationResult
-from repro.simulation.mna import (
-    SWEEP_FREQUENCIES,
-    MnaCircuit,
-    frequency_response_metrics,
-    template_sweep_metrics,
-)
+from repro.simulation.mna import MnaCircuit, template_sweep_metrics
 from repro.simulation.mosfet import MosfetModel
 from repro.simulation.opamp_sim import _parallel
 from repro.simulation.technology import CMOS_45NM, CmosTechnology
@@ -81,6 +77,11 @@ def _small_signal_circuit(values: Dict[str, float]) -> MnaCircuit:
     return circuit
 
 
+#: The small-signal equivalent's structure; ``simulate_batch`` restamps
+#: every element ``_small_signal_values`` names, per lane.
+_TEMPLATE = _small_signal_circuit(dict.fromkeys(("GM", "ROUT", "CL"), 1.0))
+
+
 class CmOtaSimulator:
     """Evaluate the current-mirror OTA netlist into its four specifications."""
 
@@ -102,12 +103,7 @@ class CmOtaSimulator:
 
     def simulate(self, netlist: Netlist) -> SimulationResult:
         """Return gain, bandwidth (Hz), slew rate (V/s) and power (W)."""
-        op = self.operating_point(netlist)
-        if self.method == "mna":
-            response = self._mna_frequency_response(netlist, op)
-        else:
-            response = (op.gain, op.unity_gain_bandwidth_hz)
-        return self._result(op, response)
+        return self.simulate_batch([netlist])[0]
 
     def simulate_batch(
         self,
@@ -129,9 +125,7 @@ class CmOtaSimulator:
             lane_values = [_small_signal_values(op) for op in operating_points]
             responses = [
                 (gain, unity_freq)
-                for gain, unity_freq, _ in template_sweep_metrics(
-                    _small_signal_circuit(lane_values[0]), lane_values
-                )
+                for gain, unity_freq, _ in template_sweep_metrics(_TEMPLATE, lane_values)
             ]
         else:
             responses = [(op.gain, op.unity_gain_bandwidth_hz) for op in operating_points]
@@ -236,13 +230,3 @@ class CmOtaSimulator:
         only the frequency response differs.
         """
         return _small_signal_circuit(_small_signal_values(op or self.operating_point(netlist)))
-
-    def _mna_frequency_response(
-        self, netlist: Netlist, op: CmOtaOperatingPoint
-    ) -> "tuple[float, float]":
-        """DC gain and unity-gain bandwidth from an MNA AC sweep."""
-        solution = self.build_small_signal_circuit(netlist, op).ac_analysis(SWEEP_FREQUENCIES)
-        gain, unity_freq, _ = frequency_response_metrics(
-            SWEEP_FREQUENCIES, solution.voltage("out")
-        )
-        return gain, unity_freq

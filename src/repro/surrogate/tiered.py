@@ -103,6 +103,13 @@ class TieredSimulator(SimulationCache):
     def name(self) -> str:
         return f"tiered({self.simulator.name})"
 
+    def _simulate_misses(
+        self, keys: List[bytes], netlists: List[Netlist]
+    ) -> List[SimulationResult]:
+        # One row at a time, in row order: an exact result can trigger a
+        # refit, which changes the surrogate's answer for the next row.
+        return [self._simulate_miss(key, netlist) for key, netlist in zip(keys, netlists)]
+
     def _simulate_miss(self, key: bytes, netlist: Netlist) -> SimulationResult:
         if self.directory is not None:
             entry = read_disk_entry(entry_path(self.directory, key))

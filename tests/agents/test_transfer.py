@@ -26,6 +26,27 @@ class TestRewardFidelity:
         report = reward_fidelity_report(rf_pa_coarse_env, rf_pa_env, num_samples=80, seed=1)
         assert report.mean_abs_relative_error < 0.25
 
+    @pytest.mark.parametrize("broken", ["missing", "nan"])
+    def test_a_result_without_a_usable_spec_scores_minus_one(self, rf_pa_env, broken):
+        """The coarse side loses one spec: it scores the reward's -1.0 for it."""
+        spec = rf_pa_env.benchmark.spec_space.names[0]
+        coarse = make_env("rf_pa-fine-v0", seed=0)
+        coarse.simulator = _BrokenSpec(coarse.simulator, spec, broken)
+        report = reward_fidelity_report(coarse, rf_pa_env, num_samples=12, seed=0)
+        netlist = rf_pa_env.benchmark.fresh_netlist()
+        rng = np.random.default_rng(0)
+        errors = []
+        for _ in range(12):
+            rf_pa_env.benchmark.design_space.apply_to_netlist(
+                netlist, rf_pa_env.benchmark.design_space.sample(rng)
+            )
+            target = rf_pa_env.benchmark.spec_space.sample(rng)
+            measured = rf_pa_env.simulator.simulate(netlist).specs
+            space = rf_pa_env.benchmark.spec_space
+            errors.append(abs(-1.0 - space.normalized_errors(measured, target)[0]))
+        assert report.max_abs_error == pytest.approx(max(errors), abs=1e-12)
+        assert report.mean_abs_error == pytest.approx(np.mean(errors), abs=1e-12)
+
     def test_mismatched_circuits_rejected(self, rf_pa_env):
         opamp_env = make_env("opamp-p2s-v0", seed=0)
         with pytest.raises(ValueError):
@@ -67,3 +88,22 @@ class TestWorkflow:
         )
         assert result.fine_tune_history is not None
         assert result.fine_tune_history.records
+
+
+class _BrokenSpec:
+    """Wraps a simulator; one spec is left out of, or NaN in, every result."""
+
+    name = "broken_spec"
+
+    def __init__(self, simulator, spec, broken):
+        self._simulator = simulator
+        self._spec = spec
+        self._broken = broken
+
+    def simulate(self, netlist):
+        result = self._simulator.simulate(netlist)
+        if self._broken == "missing":
+            del result.specs[self._spec]
+        else:
+            result.specs[self._spec] = float("nan")
+        return result

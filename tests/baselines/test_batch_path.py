@@ -1,10 +1,12 @@
-"""The search baselines score op-amp/CM-OTA populations in one simulator batch.
+"""The search baselines score a population in one simulator batch.
 
-``SizingProblem.objective_from_unit_batch`` hands a whole population to
-``simulate_batch`` when the simulator's exact type is one of
-:data:`repro.simulation.BATCHED_SIMULATOR_TYPES`, and loops ``simulate``
-otherwise.  Both paths must give the same values, trace and simulation
-count (the goldens in ``test_sizing_goldens.py`` pin them bitwise).
+``SizingProblem.objective_from_unit_batch`` writes the population into its
+working netlists and hands them to one ``simulate_batch`` call: the
+simulator's own batch entry, or a loop of ``simulate`` for a simulator
+without one.  A cache-wrapped simulator batches its misses through the
+inner simulator.  Every path must give the same values, trace and
+simulation count (the goldens in ``test_sizing_goldens.py`` pin them
+bitwise).
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from repro.baselines.bayesian import BayesianOptimization, BayesianOptimizationC
 from repro.baselines.genetic import GeneticAlgorithm, GeneticAlgorithmConfig
 from repro.circuits.parameters import DesignSpace
 from repro.parallel import SimulationCache
-from repro.simulation.mna import MnaCircuit
+from repro.simulation import opamp_sim
 from repro.simulation.opamp_sim import OpAmpSimulator
 
-from test_sizing_goldens import result_digest
+from test_sizing_goldens import _GOLDEN, SEEDS, _run, result_digest
 
 
 class _CallCounter:
@@ -41,8 +43,16 @@ class _CallCounter:
         monkeypatch.setattr(target, method, spy)
 
 
-class _UnbatchedOpAmp(OpAmpSimulator):
-    """Same equations; a subclass is not a batched type, so it takes the loop."""
+class _UnbatchedOpAmp:
+    """Same equations behind ``simulate`` only, so batches loop it."""
+
+    name = "unbatched_opamp"
+
+    def __init__(self, method):
+        self._inner = OpAmpSimulator(method=method)
+
+    def simulate(self, netlist):
+        return self._inner.simulate(netlist)
 
 
 def _problem(simulator=None, env_id="opamp-mna-v0"):
@@ -63,43 +73,57 @@ def test_each_ga_generation_is_one_simulate_batch_call(monkeypatch):
     batches = _CallCounter(monkeypatch, problem.simulator, "simulate_batch")
     scalars = _CallCounter(monkeypatch, problem.simulator, "simulate")
     result = _ga(problem, generations=3)
-    # The initial population plus three generations; the one scalar call is
-    # the final re-simulation of the best design.
-    assert [len(args[0]) for args in batches.calls] == [8, 8, 8, 8]
+    # The initial population plus three generations, then the final
+    # re-simulation of the best design: a scalar call, a batch of one.
+    assert [len(args[0]) for args in batches.calls] == [8, 8, 8, 8, 1]
     assert len(scalars.calls) == 1
     assert result.num_simulations == 4 * 8 + 1
 
 
-def test_bo_iterations_call_scalar_simulate_and_reach_ac_analysis(monkeypatch):
+def test_bo_iterations_are_batches_of_one_through_the_sweep(monkeypatch):
     problem = _problem()
     batches = _CallCounter(monkeypatch, problem.simulator, "simulate_batch")
     scalars = _CallCounter(monkeypatch, problem.simulator, "simulate")
-    sweeps = _CallCounter(monkeypatch, MnaCircuit, "ac_analysis")
+    sweeps = _CallCounter(monkeypatch, opamp_sim, "template_sweep_metrics")
     config = BayesianOptimizationConfig(num_initial=6, num_iterations=5, stop_when_met=False)
     result = BayesianOptimization(config, seed=0).optimize(problem)
-    assert [len(args[0]) for args in batches.calls] == [6]
-    # Five iterations plus the final re-simulation, each one MNA sweep.
+    # The initial design, then five iterations and the final re-simulation,
+    # each a scalar call: a batch of one, one MNA sweep.
+    assert [len(args[0]) for args in batches.calls] == [6] + [1] * (5 + 1)
     assert len(scalars.calls) == 5 + 1
-    assert len(sweeps.calls) == 5 + 1
+    assert [len(args[1]) for args in sweeps.calls] == [6] + [1] * (5 + 1)
     assert result.num_simulations == 6 + 5 + 1
+
+
+def test_ga_through_a_cache_is_one_inner_batch_per_generation(monkeypatch):
+    inner = OpAmpSimulator(method="mna")
+    batches = _CallCounter(monkeypatch, inner, "simulate_batch")
+    cached = _ga(_problem(SimulationCache(inner)), generations=3)
+    # The initial population plus three generations, each one batch of its
+    # misses; the final re-simulation of the best design is a cache hit.
+    sizes = [len(args[0]) for args in batches.calls]
+    assert len(sizes) == 4 and sizes[0] == 8 and all(0 < size <= 8 for size in sizes)
+    assert result_digest(cached) == result_digest(_ga(_problem()))
 
 
 @pytest.mark.parametrize(
     "wrap",
     [
         pytest.param(lambda: SimulationCache(OpAmpSimulator(method="mna")), id="cache"),
-        pytest.param(lambda: _UnbatchedOpAmp(method="mna"), id="subclass"),
+        pytest.param(lambda: _UnbatchedOpAmp(method="mna"), id="simulate-only"),
     ],
 )
-def test_looped_simulators_give_the_batched_results(monkeypatch, wrap):
+def test_looped_simulators_give_the_batched_results(wrap):
     batched = _ga(_problem())
-    simulator = wrap()
-    inner = getattr(simulator, "simulator", simulator)
-    batches = _CallCounter(monkeypatch, inner, "simulate_batch")
-    looped = _ga(_problem(simulator))
-    assert batches.calls == []
+    looped = _ga(_problem(wrap()))
     assert result_digest(looped) == result_digest(batched)
     assert looped.trace.objective_values == batched.trace.objective_values
+
+
+@pytest.mark.parametrize("env_id", ["opamp-mna-v0", "current_mirror_ota-mna-v0"])
+def test_sizing_goldens_hold_through_a_cache(env_id):
+    for seed, golden in zip(SEEDS, _GOLDEN[env_id]["genetic"]):
+        assert result_digest(_run(env_id, "genetic", seed, cache_size=64)) == golden
 
 
 def _with_non_positive_width(problem):
@@ -127,7 +151,6 @@ def test_non_positive_width_raises_the_same_on_both_paths():
     population = np.random.default_rng(0).random((4, 15))
     batched = _with_non_positive_width(_problem())
     looped = _with_non_positive_width(_problem(_UnbatchedOpAmp(method="mna")))
-    assert type(batched.simulator) is OpAmpSimulator
     outcome = _raised(batched, population)
     assert outcome is not None and outcome == _raised(looped, population)
     assert outcome[0] is ValueError

@@ -98,3 +98,43 @@ def test_bayesian_optimization_models_minus_inf_observations():
     assert -np.inf in problem.trace.objective_values
     assert np.isfinite(result.best_objective)
     assert result.num_simulations == 6 + 8 + 1
+
+
+class _GainDroppingSimulator:
+    """The op-amp simulator with ``gain`` left out of every result."""
+
+    name = "gain_dropping"
+
+    def __init__(self, simulator):
+        self._simulator = simulator
+
+    def simulate(self, netlist):
+        result = self._simulator.simulate(netlist)
+        del result.specs["gain"]
+        return result
+
+
+def _gain_dropping_problem():
+    env = repro.make_env("opamp-p2s-v0", seed=0)
+    target = env.benchmark.spec_space.sample(np.random.default_rng(0))
+    return build_problem(env, target, simulator=_GainDroppingSimulator(env.simulator))
+
+
+def test_a_result_that_omits_a_spec_scores_minus_inf():
+    problem = _gain_dropping_problem()
+    assert problem.objective(problem.benchmark.design_space.center()) == -np.inf
+
+
+def test_a_population_that_omits_a_spec_scores_minus_inf():
+    problem = _gain_dropping_problem()
+    population = np.random.default_rng(0).random((5, problem.num_parameters))
+    assert problem.objective_from_unit_batch(population).tolist() == [-np.inf] * 5
+    assert problem.trace.objective_values == [-np.inf] * 5
+
+
+def test_a_search_over_spec_dropping_results_reports_no_success():
+    problem = _gain_dropping_problem()
+    config = GeneticAlgorithmConfig(population_size=6, num_generations=2)
+    result = GeneticAlgorithm(config, seed=0).optimize(problem)
+    assert result.success is False
+    assert "gain" not in result.best_specs

@@ -4,13 +4,15 @@ Mirrors ``tests/circuits/test_topology_zoo.py`` with the corner-specific
 deltas: ``info["specs"]`` carries the per-corner ``spec@corner`` keys on top
 of the plain worst-corner entries (superset, not equality), rewards come
 from :class:`~repro.corners.YieldP2SReward`, and the whole stack must agree
-bitwise with the sequential per-corner loop (``batched_corners=False``).
+bitwise with the per-corner reference loop
+(``corner_reference.SequentialCornerSimulator``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from corner_reference import SequentialCornerSimulator
 
 import repro
 from repro.circuits import BENCHMARK_BUILDERS, Objective
@@ -154,10 +156,14 @@ class TestEpisodeContract:
                     observation = env.reset()
                 assert np.array_equal(batch[i].spec_features, observation.spec_features)
 
-    def test_batched_corners_flag_is_bitwise_transparent(self, env_id):
+    def test_corner_lanes_are_bitwise_the_reference_loop(self, env_id):
         """An episode through the corner lanes equals the sequential loop."""
         batched = repro.make_env(env_id, seed=0)
-        sequential = repro.make_env(env_id, seed=0, batched_corners=False)
+        sequential = repro.make_env(env_id, seed=0)
+        corners = sequential.simulator
+        sequential.simulator = SequentialCornerSimulator(
+            corners.base_simulator, corner_set=corners.corner_set, spec_space=corners.spec_space
+        )
         batched.reset()
         sequential.reset()
         rng = np.random.default_rng(2)

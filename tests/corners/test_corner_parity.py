@@ -2,14 +2,16 @@
 
 The acceptance bar for the corner lanes is *bitwise* equality, not
 ``allclose`` — the batched path must be a pure re-vectorization of the
-sequential clone loop on every topology, including both the analytic and
-MNA methods of the kernel-batched simulators.
+sequential clone loop (``corner_reference.SequentialCornerSimulator``) on
+every topology, including both the analytic and MNA methods of the
+simulators with a ``simulate_batch`` entry.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from corner_reference import SequentialCornerSimulator
 
 from repro.circuits import BENCHMARK_BUILDERS
 from repro.corners import CornerSimulator, default_corner_set
@@ -62,10 +64,9 @@ def test_batched_sweep_is_bitwise_sequential(circuit, factory):
         factory(), corner_set=default_corner_set(),
         spec_space=BENCHMARK_BUILDERS[circuit]().spec_space,
     )
-    sequential = CornerSimulator(
+    sequential = SequentialCornerSimulator(
         factory(), corner_set=default_corner_set(),
         spec_space=BENCHMARK_BUILDERS[circuit]().spec_space,
-        batched=False,
     )
     for netlist in _sampled_netlists(circuit):
         merged_b = batched.simulate(netlist)
@@ -88,7 +89,7 @@ def test_per_corner_results_are_bitwise_sequential(circuit, factory):
     """corner_results() rows, not just the merged view, must match."""
     corner_set = default_corner_set()
     batched = CornerSimulator(factory(), corner_set=corner_set)
-    sequential = CornerSimulator(factory(), corner_set=corner_set, batched=False)
+    sequential = SequentialCornerSimulator(factory(), corner_set=corner_set)
     netlist = _sampled_netlists(circuit)[-1]
     rows_b = batched.corner_results(netlist)
     rows_s = sequential.corner_results(netlist)
@@ -100,12 +101,20 @@ def test_per_corner_results_are_bitwise_sequential(circuit, factory):
             assert _bitwise_equal(value, row_s.specs[name])
 
 
-def test_batched_flag_engages_the_kernel_path():
-    """The opamp/cm_ota sweeps really do take the corner-lane branch."""
-    assert CornerSimulator(OpAmpSimulator()).batched
-    assert CornerSimulator(CmOtaSimulator(method="mna")).batched
-    assert not CornerSimulator(LnaSimulator()).batched
-    assert not CornerSimulator(OpAmpSimulator(), batched=False).batched
+@pytest.mark.parametrize(
+    "circuit,factory",
+    [pytest.param(circuit, factory, id=case_id)
+     for case_id, circuit, factory in PARITY_CASES],
+)
+def test_simulate_batch_is_bitwise_per_netlist_simulate(circuit, factory):
+    """A batch of netlists equals the reference loop netlist by netlist."""
+    spec_space = BENCHMARK_BUILDERS[circuit]().spec_space
+    batched = CornerSimulator(factory(), spec_space=spec_space)
+    sequential = SequentialCornerSimulator(factory(), spec_space=spec_space)
+    netlists = _sampled_netlists(circuit)
+    _assert_rows_bitwise(
+        batched.simulate_batch(netlists), [sequential.simulate(n) for n in netlists]
+    )
 
 
 #: The simulators whose corner sweep runs as one batch.
@@ -129,11 +138,27 @@ def _assert_rows_bitwise(rows_b, rows_s):
 
 
 @pytest.mark.parametrize("circuit,factory", BATCHED_CASES)
+def test_corners_of_every_netlist_are_lanes_of_one_batch(monkeypatch, circuit, factory):
+    """The opamp/cm_ota sweeps run every (netlist, corner) pair in one batch."""
+    simulator = CornerSimulator(factory())
+    batch = simulator.base_simulator.simulate_batch
+    calls = []
+
+    def spy(netlists, operating_points=None):
+        calls.append(len(netlists))
+        return batch(netlists, operating_points=operating_points)
+
+    monkeypatch.setattr(simulator.base_simulator, "simulate_batch", spy)
+    simulator.simulate_batch(_sampled_netlists(circuit))
+    assert calls == [NUM_SIZINGS * len(simulator.corner_set)]
+
+
+@pytest.mark.parametrize("circuit,factory", BATCHED_CASES)
 def test_batched_sweep_reads_each_netlists_fixed_values(circuit, factory):
     """A second netlist of the same structure is not simulated with the
     first one's supply, bias or load values."""
     batched = CornerSimulator(factory())
-    sequential = CornerSimulator(factory(), batched=False)
+    sequential = SequentialCornerSimulator(factory())
     first = BENCHMARK_BUILDERS[circuit]().fresh_netlist()
     _assert_rows_bitwise(batched.corner_results(first), sequential.corner_results(first))
     changed = first.copy()
@@ -148,10 +173,12 @@ def test_batched_sweep_reads_each_netlists_fixed_values(circuit, factory):
 
 
 @pytest.mark.parametrize("circuit,factory", BATCHED_CASES)
-@pytest.mark.parametrize("batched", [True, False], ids=["batched", "sequential"])
-def test_non_positive_width_raises_on_both_paths(circuit, factory, batched):
+@pytest.mark.parametrize(
+    "kind", [CornerSimulator, SequentialCornerSimulator], ids=["batched", "sequential"]
+)
+def test_non_positive_width_raises_on_both_paths(circuit, factory, kind):
     netlist = BENCHMARK_BUILDERS[circuit]().fresh_netlist()
     netlist.set_parameter("M1", "width", 0.0)
-    simulator = CornerSimulator(factory(), batched=batched)
+    simulator = kind(factory())
     with pytest.raises(ValueError, match="width and fingers must be positive"):
         simulator.simulate(netlist)

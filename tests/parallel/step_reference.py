@@ -1,7 +1,8 @@
 """The per-environment reference loop for ``VectorCircuitEnv``'s step.
 
 :class:`ReferenceVectorEnv` steps every lane through the sequential
-``CircuitDesignEnv.step`` and stacks the observations — the definition the
+``CircuitDesignEnv.step``, then resets the lanes whose episodes ended (under
+autoreset, in lane order), and stacks the observations — the definition the
 single batched step must reproduce bit for bit.  The parity tests compare the
 two, and ``benchmarks/bench_parallel_rollout.py`` and ``bench_serve.py`` time
 it as the "interpreted" side (loaded by file path, like
@@ -51,13 +52,14 @@ class ReferenceVectorEnv(VectorCircuitEnv):
         dones = np.zeros(len(lanes), dtype=bool)
         infos: List[Dict[str, object]] = []
         for row, index in enumerate(lanes):
-            env = self.envs[index]
-            observation, reward, done, info = env.step(actions[row])
-            if done and autoreset:
-                info["terminal_observation"] = observation
-                observation = env.reset()
+            observation, reward, done, info = self.envs[index].step(actions[row])
             observations.append(observation)
             rewards[row] = reward
             dones[row] = done
             infos.append(info)
+        # Every lane steps first; then the finished ones reset, in lane order.
+        for row, index in enumerate(lanes):
+            if dones[row] and autoreset:
+                infos[row]["terminal_observation"] = observations[row]
+                observations[row] = self.envs[index].reset()
         return BatchedObservation.stack(observations), rewards, dones, infos

@@ -1,71 +1,18 @@
-"""Regression tests for cache-key quantization (decade-boundary bugfix).
+"""Regression tests for cache-key quantization at rounding boundaries.
 
-The original ``quantize_significant`` computed its scale ``10^(digits-1-e)``
-from the pre-rounding exponent and applied it as a single float multiply /
-divide.  For exponents where that scale is not exactly representable in
-binary (``|scale| > 1e22`` — e.g. every capacitance around ``1e-13`` F at
-the default 12 digits) the rounding landed at the wrong decimal position:
-values straddling a decade boundary split into different cache keys
-(``9.99999999999995e-13`` vs ``1.0e-12``) and outputs carried more than
-``digits`` significant digits.  These tests pin the fixed behaviour; every
-one of the boundary/identity assertions fails on the old implementation.
+Cache keys quantize each parameter's binary mantissa with operations that
+are exact in float64.  Values that straddle a decimal decade boundary
+(``1e-12`` against ``1e-12`` plus float noise) must share one entry, and
+distinct grid points of the design space must never collide.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.circuits.library.two_stage_opamp import build_two_stage_opamp
-from repro.parallel.cache import SimulationCache, quantize_significant
+from repro.parallel.cache import SimulationCache
 from repro.simulation.opamp_sim import OpAmpSimulator
-
-DIGITS = 12
-
-
-class TestQuantizeSignificantBoundary:
-    def test_decade_boundary_rounds_into_next_decade(self):
-        """A value that rounds up across a decade equals the decade's own key."""
-        below = quantize_significant(np.array([9.99999999999995e-13]), DIGITS)
-        exact = quantize_significant(np.array([1.0e-12]), DIGITS)
-        assert below[0] == exact[0] == 1.0e-12
-
-    def test_identity_on_already_quantized_values(self):
-        """Values with <= 12 significant digits are fixed points (the old
-        implementation returned 1.0000000000000002e-12 for 1e-12)."""
-        values = np.array([1e-12, 1e-13, 2e-12, 1.3e-13, 9.7e-13, 40e-6, 16.0, 1.2])
-        assert np.array_equal(quantize_significant(values, DIGITS), values)
-
-    @pytest.mark.parametrize("exponent", range(-15, 6))
-    def test_boundary_collapse_in_every_decade(self, exponent):
-        base = 10.0**exponent
-        just_below = base * (1.0 - 4e-13)      # rounds up to the decade
-        noisy = base * (1.0 + 1e-14)           # float noise below resolution
-        quantized = quantize_significant(np.array([just_below, base, noisy]), DIGITS)
-        assert quantized[0] == quantized[1] == quantized[2]
-
-    def test_distinct_decimals_stay_distinct(self):
-        for exponent in (-14, -13, -12, -6, 0, 3):
-            values = np.array(
-                [float(f"1.2345678901{d}e{exponent}") for d in range(10)]
-            )
-            quantized = quantize_significant(values, DIGITS)
-            assert len(set(quantized.tolist())) == len(values)
-
-    def test_zero_and_signed_zero(self):
-        quantized = quantize_significant(np.array([0.0, -0.0]), DIGITS)
-        assert np.array_equal(quantized, np.array([0.0, 0.0]))
-        assert not np.signbit(quantized).any()
-
-    def test_negative_values_mirror_positive(self):
-        positive = quantize_significant(np.array([9.99999999999995e-13]), DIGITS)
-        negative = quantize_significant(np.array([-9.99999999999995e-13]), DIGITS)
-        assert negative[0] == -positive[0]
-
-    def test_coarse_digit_counts(self):
-        quantized = quantize_significant(np.array([1.23456789, 0.000987654321]), 3)
-        assert quantized[0] == pytest.approx(1.23)
-        assert quantized[1] == pytest.approx(0.000988)
 
 
 class TestCacheKeyBoundary:

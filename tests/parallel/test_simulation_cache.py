@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.circuits.library.two_stage_opamp import build_two_stage_opamp
-from repro.parallel import CacheStats, SimulationCache, quantize_significant
+from repro.parallel import CacheStats, SimulationCache
 from repro.simulation.base import SimulationResult
 from repro.simulation.opamp_sim import OpAmpSimulator
 
@@ -130,14 +129,6 @@ class TestEviction:
 
 
 class TestKeying:
-    def test_quantize_significant(self):
-        values = np.array([1.00000000000004e-6, 0.0, -3.1415926535897931, 2.5e11])
-        rounded = quantize_significant(values, 12)
-        assert rounded[0] == 1e-6
-        assert rounded[1] == 0.0
-        assert rounded[2] == pytest.approx(-3.14159265359, abs=0)
-        assert rounded[3] == 2.5e11
-
     def test_float_noise_below_resolution_hits(self, opamp, netlist):
         cache = SimulationCache(CountingSimulator(), key_digits=10)
         netlist.set_parameter("M1", "width", 1e-6)

@@ -181,7 +181,7 @@ def test_vectors_sharing_one_simulator_step_interleaved(env_id, tmp_path):
 
 
 class OtherSimulator:
-    """A simulator of no known type: the step calls ``simulate`` per lane."""
+    """A simulator with no ``simulate_batch``: the step's batch loops ``simulate``."""
 
     name = "other"
 
@@ -193,20 +193,19 @@ class OtherSimulator:
 
 
 class TweakedOpAmp(OpAmpSimulator):
-    """A subclass of a batched type: an override could change the arithmetic,
-    so it takes the per-lane path too."""
+    """A subclass of a batched simulator: it inherits the batch entry."""
 
 
 class CountingCache(SimulationCache):
-    """A cache subclass: its ``_simulate_miss`` hook must run on every miss."""
+    """A cache subclass: its ``_simulate_misses`` hook must see every miss."""
 
     def __init__(self, simulator):
         super().__init__(simulator, max_entries=16)
         self.miss_calls = 0
 
-    def _simulate_miss(self, key, netlist):
-        self.miss_calls += 1
-        return super()._simulate_miss(key, netlist)
+    def _simulate_misses(self, keys, netlists):
+        self.miss_calls += len(netlists)
+        return super()._simulate_misses(keys, netlists)
 
 
 @pytest.mark.parametrize(

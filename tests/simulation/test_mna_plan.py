@@ -27,6 +27,7 @@ from repro.simulation.mna import (
     frequency_response_metrics,
 )
 from repro.simulation.mosfet import MosfetModel
+from repro.simulation.opamp_sim import OpAmpSimulator
 from repro.simulation.technology import CMOS_45NM
 
 FREQUENCIES = np.logspace(1, 9, 57)
@@ -337,10 +338,10 @@ def test_sweep_grid_is_one_read_only_constant():
 
 
 class TestPlanConstruction:
-    def test_set_values_restamps_one_element(self):
-        """Template lanes restamped with set_values sweep like the circuits alone."""
+    def test_restamp_restamps_one_element(self):
+        """Template lanes restamped with restamp sweep like the circuits alone."""
         plan = BatchedMNAPlan.from_template(_two_pole_circuit(), 3)
-        plan.set_values("R2", np.array([1e5, 2e5, 4e5]))
+        plan.restamp([{"R2": 1e5}, {"R2": 2e5}, {"R2": 4e5}])
         circuits = [_two_pole_circuit(r2=r) for r in (1e5, 2e5, 4e5)]
         for circuit, solution in zip(circuits, plan.ac_sweep(FREQUENCIES)):
             _assert_ac_equal(solution, circuit.ac_analysis(FREQUENCIES))
@@ -353,10 +354,10 @@ class TestPlanConstruction:
         assert first._topology is not other._topology
         assert list(first._topology.nodes) == _two_pole_circuit().node_names
 
-    def test_set_values_unknown_element(self):
+    def test_restamp_unknown_element(self):
         plan = BatchedMNAPlan.from_template(_two_pole_circuit(), 2)
         with pytest.raises(KeyError):
-            plan.set_values("R99", np.zeros(2))
+            plan.restamp([{"R99": 0.0}, {"R99": 0.0}])
 
     def test_topology_mismatch_is_rejected(self):
         other = _two_pole_circuit()
@@ -462,15 +463,28 @@ class TestMnaSimulators:
         assert simulator.method == "mna"
         assert _digests(simulator, netlists) == _GOLDEN_SIMULATE[env_id]
 
-    def test_simulate_matches_reference_engine(self, env_id, monkeypatch):
+    def test_simulate_matches_reference_engine(self, env_id):
         """Details and validity are exact; the AC-derived specs meet SPEC_RTOL."""
         simulator, netlists = _probe_netlists(env_id)
-        engine = [simulator.simulate(n) for n in netlists]
-        monkeypatch.setattr(MnaCircuit, "ac_analysis", reference.ac_analysis)
-        for result, expected in zip(engine, [simulator.simulate(n) for n in netlists]):
+        for netlist in netlists:
+            result = simulator.simulate(netlist)
+            expected = _reference_simulate(simulator, netlist)
             assert result.valid == expected.valid
             assert result.details == expected.details
             assert list(result.specs) == list(expected.specs)
             np.testing.assert_allclose(
                 list(result.specs.values()), list(expected.specs.values()), rtol=SPEC_RTOL
             )
+
+
+def _reference_simulate(simulator, netlist):
+    """``simulate`` with the small-signal sweep run by the per-frequency engine."""
+    op = simulator.operating_point(netlist)
+    circuit = simulator.build_small_signal_circuit(netlist, op)
+    solution = reference.ac_analysis(circuit, SWEEP_FREQUENCIES)
+    gain, bandwidth, phase_margin = frequency_response_metrics(
+        SWEEP_FREQUENCIES, solution.voltage("out")
+    )
+    if isinstance(simulator, OpAmpSimulator):
+        return simulator._result(op, (gain, bandwidth, phase_margin))
+    return simulator._result(op, (gain, bandwidth))
