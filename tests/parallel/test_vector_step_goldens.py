@@ -3,7 +3,11 @@
 Every digest below was recorded from the per-environment loop over
 ``CircuitDesignEnv.step`` and must never be edited: any change to the
 vector step that moves a single bit of what a caller can observe fails
-here.  What is hashed:
+here.  The one deliberate exception: when autoresets moved after every
+lane's step (step-then-reset), the two ``common_source_lna-p2s-v0``
+cached digests at 3 and 8 lanes were re-recorded from the new step.  Only
+the shared cache's counters and LRU order moved; with the cache section
+left out, each still equals its ``nocache`` digest.  What is hashed:
 
 * the reset and every step's observation arrays, rewards, done flags and
   info dicts (terminal observations included);
@@ -21,6 +25,7 @@ of 5 lanes), with and without a ``max_steps`` override.
 from __future__ import annotations
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -262,13 +267,13 @@ STEP_GOLDENS = {
         "aeebe8e96ec61f113c9bf3ff20e38958803705d16b09030fe8a229dce3749bb1"
     ),
     "common_source_lna-p2s-v0/3/cache": (
-        "c86a8ccfac931001e7a56ecda9c6cf5cb827f4965ab0a5ce22ee245cd1724167"
+        "c9e260596a735c557057c3e374f75c8cc61a96f7915162839f6ed35e4e73fe2a"
     ),
     "common_source_lna-p2s-v0/3/nocache": (
         "ee0be340cee64294d9f1e9daec8240dd4ea6e6c959bcaf2bf075b187b6e28a8d"
     ),
     "common_source_lna-p2s-v0/8/cache": (
-        "42e97c970e62e568bd3769752cbc48aacb8d189de14de5b9b4af11198f5db82c"
+        "68b272dd8c0be84de9ed98dbb7706d6bb345a553d1ed4c9c7379cee29230d98d"
     ),
     "common_source_lna-p2s-v0/8/nocache": (
         "2d944a44e7128342dff9a2bc029a06b0326cfdb17540f19b25dc4a11017f5769"
@@ -336,6 +341,16 @@ STEP_GOLDENS = {
 def test_vector_step_golden(env_id, num_envs, cached, tmp_path):
     key = f"{env_id}/{num_envs}/{'cache' if cached else 'nocache'}"
     assert vector_step_digest(env_id, num_envs, cached, tmp_path) == STEP_GOLDENS[key]
+
+
+@pytest.mark.parametrize("num_envs", [3, 8])
+def test_rerecorded_digests_differ_only_in_the_cache_section(num_envs, tmp_path, monkeypatch):
+    """The re-recorded LNA digests hash the ``nocache`` run plus the cache."""
+    monkeypatch.setattr(
+        sys.modules[__name__], "_feed_cache", lambda digest, simulator: _feed(digest, None)
+    )
+    digest = vector_step_digest("common_source_lna-p2s-v0", num_envs, True, tmp_path)
+    assert digest == STEP_GOLDENS[f"common_source_lna-p2s-v0/{num_envs}/nocache"]
 
 
 # ----------------------------------------------------------------------
