@@ -265,7 +265,7 @@ class SimulationCache:
         rows = [netlist.parameter_array() for netlist in netlists]
         name = netlists[0].name
         if all(n.name == name and r.size == rows[0].size for n, r in zip(netlists, rows)):
-            return self.keys(name, np.stack(rows))
+            return self.keys(name, np.array(rows))
         return [self.keys(n.name, r[np.newaxis])[0] for n, r in zip(netlists, rows)]
 
     @staticmethod
