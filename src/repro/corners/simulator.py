@@ -50,7 +50,7 @@ _CLONE_ARGUMENTS = {
     CmOtaSimulator: ("method", "bias_overhead_current"),
     FoldedCascodeSimulator: ("bias_overhead_current",),
     LnaSimulator: (
-        "frequency", "source_resistance", "noise_gamma", "inductor_q", "bias_overhead_current",
+        "frequency", "source_resistance", "noise_gamma", "inductor_q", "bias_overhead_current"
     ),
     RfPaFineSimulator: (),
     RfPaCoarseSimulator: ("mismatch",),
