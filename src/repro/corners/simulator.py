@@ -44,33 +44,50 @@ from repro.simulation.opamp_sim import OpAmpSimulator
 from repro.simulation.ota_sim import CmOtaSimulator
 from repro.simulation.pa_sim import RfPaCoarseSimulator, RfPaFineSimulator
 
-#: Per cloneable simulator type, the constructor arguments a clone copies.
-_CLONE_ARGUMENTS = {
-    OpAmpSimulator: ("method", "bias_overhead_current"),
-    CmOtaSimulator: ("method", "bias_overhead_current"),
-    FoldedCascodeSimulator: ("bias_overhead_current",),
-    LnaSimulator: (
-        "frequency", "source_resistance", "noise_gamma", "inductor_q", "bias_overhead_current"
-    ),
-    RfPaFineSimulator: (),
-    RfPaCoarseSimulator: ("mismatch",),
-}
 
-
-def clone_simulator_with_technology(base, technology):
+def clone_simulator_with_technology(simulator, technology):
     """A fresh simulator of the same type/configuration at ``technology``.
 
-    Only the known simulator types are cloneable, by exact type: a subclass
-    could override arithmetic the clone would silently drop.
+    Exact-type dispatch: a subclass could override arithmetic the clone
+    would silently drop, so only the known simulator types are cloneable.
     """
-    kind = type(base)
-    arguments = _CLONE_ARGUMENTS.get(kind)
-    if arguments is None:
-        raise TypeError(
-            f"no corner-cloning rule for simulator type {kind.__name__}; "
-            "corner sweeps support the built-in zoo simulators"
+    kind = type(simulator)
+    if kind is OpAmpSimulator:
+        return OpAmpSimulator(
+            technology=technology,
+            method=simulator.method,
+            bias_overhead_current=simulator.bias_overhead_current,
         )
-    return kind(technology=technology, **{name: getattr(base, name) for name in arguments})
+    if kind is CmOtaSimulator:
+        return CmOtaSimulator(
+            technology=technology,
+            method=simulator.method,
+            bias_overhead_current=simulator.bias_overhead_current,
+        )
+    if kind is FoldedCascodeSimulator:
+        return FoldedCascodeSimulator(
+            technology=technology,
+            bias_overhead_current=simulator.bias_overhead_current,
+        )
+    if kind is LnaSimulator:
+        return LnaSimulator(
+            technology=technology,
+            frequency=simulator.frequency,
+            source_resistance=simulator.source_resistance,
+            noise_gamma=simulator.noise_gamma,
+            inductor_q=simulator.inductor_q,
+            bias_overhead_current=simulator.bias_overhead_current,
+        )
+    if kind is RfPaFineSimulator:
+        return RfPaFineSimulator(technology=technology)
+    if kind is RfPaCoarseSimulator:
+        return RfPaCoarseSimulator(
+            technology=technology, mismatch=simulator.mismatch
+        )
+    raise TypeError(
+        f"no corner-cloning rule for simulator type {kind.__name__}; "
+        "corner sweeps support the built-in zoo simulators"
+    )
 
 
 class CornerSimulator:
@@ -108,7 +125,7 @@ class CornerSimulator:
             clone_simulator_with_technology(simulator, technology)
             for technology in self.technologies
         )
-        self.name = f"corners[{simulator.name}]"
+        self.name = f"corners[{getattr(simulator, 'name', type(simulator).__name__)}]"
 
     # ------------------------------------------------------------------
     # CircuitSimulator protocol

@@ -22,9 +22,9 @@ default 12-digit resolution, so distinct design points never collide.
 
 :meth:`SimulationCache.simulate_batch` is the one lookup path (``simulate``
 is a batch of one): the rows are looked up in order, the misses are
-simulated together in one inner ``simulate_batch`` call, and results,
-counters and LRU order come out exactly as a loop of ``simulate`` calls
-would leave them.
+simulated together in one inner ``simulate_batch`` call, and a batch that
+completes leaves results, counters and LRU order exactly as a loop of
+``simulate`` calls would.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class SimulationCache:
         Key resolution, expressed in decimal significant digits; the key
         quantizes each parameter's *binary* mantissa to the equivalent bit
         count (``2^ceil(digits / log10 2)``), which collapses the same float
-        noise with exact-in-float64 arithmetic (see :meth:`keys`).
+        noise with exact-in-float64 arithmetic (see :meth:`_keys`).
 
     The wrapper satisfies the :class:`CircuitSimulator` protocol, so it can
     stand in anywhere a simulator is expected — a whole
@@ -155,12 +155,18 @@ class SimulationCache:
     def simulate_batch(self, netlists: Sequence[Netlist]) -> List[SimulationResult]:
         """``[self.simulate(n) for n in netlists]``, with the misses in one batch.
 
-        Results, :attr:`stats` and the LRU order of the table are exactly
-        what that loop leaves.  The rows are looked up in order, and a miss
-        reserves its entry at once, so a later row with the same key is a
-        hit and evictions fall where the loop's would.  Then
-        :meth:`_simulate_misses` resolves every miss, and the reserved
-        entries still in the table are filled.
+        When the batch completes, results, :attr:`stats` and the LRU order
+        of the table are exactly what that loop leaves.  The rows are looked
+        up in order, and a miss reserves its entry at once, so a later row
+        with the same key is a hit and evictions fall where the loop's
+        would.  Then :meth:`_simulate_misses` resolves every miss, and the
+        reserved entries still in the table are filled.
+
+        A batch that raises stores none of its misses and leaves no
+        reservation behind, but rolls nothing else back: its hits, the
+        misses handed to the simulator and the entries its reservations
+        evicted stand.  (A loop would have stored the rows before the
+        failing one, and evicted only for those.)
         """
         entries = self._entries
         rows: List[Union[SimulationResult, _Reserved]] = []
@@ -225,13 +231,14 @@ class SimulationCache:
         """Drop all memoized entries (the stats counters are kept)."""
         self._entries.clear()
 
-    def keys(self, name: str, rows: np.ndarray) -> List[bytes]:
-        """The keys of ``(K, P)`` parameter rows of netlists called ``name``.
+    def _keys(self, netlists: Sequence[Netlist]) -> List[bytes]:
+        """The key of every netlist.
 
-        A row is a netlist's :meth:`~repro.circuits.netlist.Netlist.parameter_array`:
-        device parameters in netlist insertion order fully determine a
+        A netlist's :meth:`~repro.circuits.netlist.Netlist.parameter_array`
+        (device parameters in netlist insertion order) fully determines a
         deterministic simulator's output, and the order is fixed per
-        topology, so the quantized row (plus the circuit name) is the key.
+        topology, so the quantized array (plus the circuit name) is the key.
+        Netlists that share a name and a layout are quantized as one array.
 
         The key quantizes the *binary* mantissa to the bit count matching
         ``key_digits`` decimal digits.  Binary quantization collapses the
@@ -241,7 +248,13 @@ class SimulationCache:
         and it costs a tenth of a decimal rounding pass, which matters on a
         path that must stay well below one simulator call.
         """
-        mantissas, exponents = np.frexp(rows)
+        if not netlists:
+            return []
+        name = netlists[0].name
+        rows = [netlist.parameter_array() for netlist in netlists]
+        if any(n.name != name or r.size != rows[0].size for n, r in zip(netlists, rows)):
+            return [self._keys([netlist])[0] for netlist in netlists]
+        mantissas, exponents = np.frexp(np.array(rows))
         scaled = np.round(mantissas * self._mantissa_scale)
         # A mantissa that rounded up to 1.0 (e.g. 0.999...9 at full precision)
         # is renormalized so it shares the key of the next binade's values.
@@ -251,22 +264,8 @@ class SimulationCache:
         prefix = name.encode()
         return [
             prefix + scaled[row].tobytes() + exponents[row].tobytes()
-            for row in range(rows.shape[0])
+            for row in range(len(rows))
         ]
-
-    def _key(self, netlist: Netlist) -> bytes:
-        """The key of one netlist."""
-        return self._keys([netlist])[0]
-
-    def _keys(self, netlists: Sequence[Netlist]) -> List[bytes]:
-        """The key of every netlist, in one :meth:`keys` call when they share a layout."""
-        if not netlists:
-            return []
-        rows = [netlist.parameter_array() for netlist in netlists]
-        name = netlists[0].name
-        if all(n.name == name and r.size == rows[0].size for n, r in zip(netlists, rows)):
-            return self.keys(name, np.array(rows))
-        return [self.keys(n.name, r[np.newaxis])[0] for n, r in zip(netlists, rows)]
 
     @staticmethod
     def _copy(result: SimulationResult) -> SimulationResult:

@@ -11,6 +11,7 @@ the heart of the transfer-learning contribution.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Protocol, Sequence
 
@@ -52,7 +53,8 @@ class CircuitSimulator(Protocol):
     A simulator may also define ``simulate_batch(netlists)``, returning one
     result per netlist, each exactly what ``simulate`` would return for it.
     Callers that hold several netlists go through :func:`simulate_batch`,
-    which uses that entry when it exists.
+    which uses that entry when it exists (and ``simulate`` is not
+    overridden below it).
     """
 
     #: Human-readable simulator name (shown in experiment reports).
@@ -68,13 +70,26 @@ def simulate_batch(
 ) -> List[SimulationResult]:
     """``[simulator.simulate(n) for n in netlists]`` in one call.
 
-    The simulator's own ``simulate_batch`` runs when it has one; any other
-    simulator is called once per netlist, in order.
+    The simulator's own ``simulate_batch`` runs when it has one, unless its
+    class overrides ``simulate`` below the class that defines
+    ``simulate_batch`` (a subclass that changes only ``simulate`` would
+    otherwise be bypassed); any other simulator is called once per
+    netlist, in order.
     """
     batch = getattr(simulator, "simulate_batch", None)
-    if batch is not None:
-        return batch(netlists)
-    return [simulator.simulate(netlist) for netlist in netlists]
+    if batch is None or _simulate_overrides_batch(type(simulator)):
+        return [simulator.simulate(netlist) for netlist in netlists]
+    return batch(netlists)
+
+
+@functools.lru_cache(maxsize=None)
+def _simulate_overrides_batch(kind: type) -> bool:
+    """Whether ``kind`` defines ``simulate`` in a subclass of where it gets ``simulate_batch``."""
+
+    def definer(name: str) -> int:
+        return next((depth for depth, cls in enumerate(kind.__mro__) if name in vars(cls)), -1)
+
+    return definer("simulate") < definer("simulate_batch")
 
 
 #: Canonical short name of the simulator protocol.  Every evaluation tier —

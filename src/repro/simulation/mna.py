@@ -16,9 +16,10 @@ lists and element columns depend only on the circuit structure, so they are
 built once per :meth:`MnaCircuit.structure_signature` and kept in a bounded
 cache; a plan only stacks the ``(K, V)`` element values.
 :meth:`MnaCircuit.dc_operating_point` and :meth:`MnaCircuit.ac_analysis` are
-that plan at ``K = 1``; :func:`template_sweep_metrics`, behind the op-amp
-and OTA ``simulate_batch``, drives the same plan with one lane per circuit,
-restamping element values through :meth:`BatchedMNAPlan.restamp`.
+that plan at ``K = 1``.  ``ac_analysis`` with ``lane_values`` — behind the
+op-amp and OTA ``simulate_batch``, through :func:`template_sweep_metrics` —
+drives the same plan with one lane per circuit, restamping element values
+through :meth:`BatchedMNAPlan.restamp`.
 
 Schur-form AC sweep
 -------------------
@@ -175,7 +176,11 @@ class DcSolution:
 
 @dataclass
 class AcSolution:
-    """Result of an AC sweep: complex node voltages per frequency."""
+    """Result of an AC sweep: complex node voltages per frequency.
+
+    A lane sweep (``MnaCircuit.ac_analysis`` with ``lane_values``) puts a
+    leading lane axis on every node voltage.
+    """
 
     frequencies: np.ndarray
     node_voltages: Dict[str, np.ndarray]
@@ -392,6 +397,7 @@ class MnaCircuit:
         self,
         frequencies: Sequence[float],
         operating_point: Optional[DcSolution] = None,
+        lane_values: Optional[Sequence[Mapping[str, float]]] = None,
     ) -> AcSolution:
         """Small-signal frequency sweep.
 
@@ -399,9 +405,20 @@ class MnaCircuit:
         computed on the fly if not supplied and any MOSFET is present).
         Independent sources contribute their ``ac`` amplitude; DC values are
         zeroed as usual for small-signal analysis.
+
+        ``lane_values`` sweeps one copy of this (linear) circuit per entry,
+        each with the elements the entry names restamped to its values
+        (every entry names the same elements), in one
+        :class:`BatchedMNAPlan`; each node voltage then has a leading lane
+        axis.  Lane ``k`` is bitwise the sweep of its own circuit.
         """
-        operating_points = None if operating_point is None else [operating_point]
-        return BatchedMNAPlan.from_circuits([self]).ac_sweep(frequencies, operating_points)[0]
+        if lane_values is None:
+            operating_points = None if operating_point is None else [operating_point]
+            return BatchedMNAPlan.from_circuits([self]).ac_sweep(frequencies, operating_points)[0]
+        plan = BatchedMNAPlan.from_template(self, len(lane_values))
+        plan.restamp(lane_values)
+        frequencies, voltages = plan._sweep(frequencies)
+        return AcSolution(frequencies, dict(zip(plan._topology.nodes, voltages.transpose(1, 0, 2))))
 
 
 @dataclass(frozen=True)
@@ -709,10 +726,28 @@ class BatchedMNAPlan:
         """Small-signal sweep of every circuit over ``frequencies``.
 
         MOSFETs are linearized around ``operating_points`` (one per circuit),
-        computed with :meth:`dc_operating_points` when not supplied.  Each
-        circuit's ``(G + jωC) x = b`` is reduced once (see the module's
-        "Schur-form AC sweep") and every frequency is then one
-        back-substitution, vectorised over the circuits and the sweep.
+        computed with :meth:`dc_operating_points` when not supplied.
+        """
+        frequencies, voltages = self._sweep(frequencies, operating_points)
+        return [
+            AcSolution(
+                frequencies=frequencies.copy(),
+                node_voltages=dict(zip(self._topology.nodes, voltages[k])),
+            )
+            for k in range(self.num_circuits)
+        ]
+
+    def _sweep(
+        self,
+        frequencies: Sequence[float],
+        operating_points: Optional[Sequence[DcSolution]] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The sweep of :meth:`ac_sweep` as ``(frequencies, voltages)``.
+
+        ``voltages`` is ``(K, nodes, F)``.  Each circuit's
+        ``(G + jωC) x = b`` is reduced once (see the module's "Schur-form AC
+        sweep") and every frequency is then one back-substitution,
+        vectorised over the circuits and the sweep.
         """
         frequencies = np.array(frequencies, dtype=np.float64)
         if frequencies.ndim != 1 or frequencies.size == 0:
@@ -758,14 +793,7 @@ class BatchedMNAPlan:
                 y[:j] -= schur[:, :j, j].T[:, :, None] * (s * y[j])
         # x = Qy, summed over j in order for every node and frequency.
         voltages = (basis[:, :, :, None] * y.transpose(1, 0, 2)[:, None]).sum(axis=2)
-
-        return [
-            AcSolution(
-                frequencies=frequencies.copy(),
-                node_voltages=dict(zip(topology.nodes, voltages[k])),
-            )
-            for k in range(K)
-        ]
+        return frequencies, voltages
 
     def _schur_reduce(
         self, k: int, g: np.ndarray, c: np.ndarray, b: np.ndarray, frequencies: np.ndarray
@@ -1009,13 +1037,9 @@ def template_sweep_metrics(
 
     Lane ``k`` is ``template``'s topology with every element named in
     ``lane_values[k]`` restamped to that value, swept over
-    :data:`SWEEP_FREQUENCIES` in one :class:`BatchedMNAPlan`.  A lane's
-    sweep does not depend on its batch, so its metrics are bitwise those of
-    ``ac_analysis`` on that lane's own circuit.
+    :data:`SWEEP_FREQUENCIES` in one ``template.ac_analysis`` call.  A
+    lane's sweep does not depend on its batch, so its metrics are bitwise
+    those of ``ac_analysis`` on that lane's own circuit.
     """
-    plan = BatchedMNAPlan.from_template(template, len(lane_values))
-    plan.restamp(lane_values)
-    return [
-        frequency_response_metrics(SWEEP_FREQUENCIES, solution.voltage(node))
-        for solution in plan.ac_sweep(SWEEP_FREQUENCIES)
-    ]
+    voltages = template.ac_analysis(SWEEP_FREQUENCIES, lane_values=lane_values).voltage(node)
+    return [frequency_response_metrics(SWEEP_FREQUENCIES, lane) for lane in voltages]

@@ -137,6 +137,25 @@ def test_a_failing_batch_leaves_no_reservation():
     )
 
 
+def test_a_failing_batch_over_a_warm_table():
+    """A batch that raises stores none of its misses and rolls nothing back.
+
+    On a full table ``[a, b, c]``, the batch ``[a, d, e]`` hits ``a``, and
+    the reservations of ``d`` and ``e`` evict ``b`` and ``c``; then the
+    simulator fails.  Only ``a`` is left, and the hit, the two misses handed
+    to the simulator and the two evictions stay counted.
+    """
+    a, b, c, d, e = _netlists("opamp-p2s-v0", 5)
+    cache = SimulationCache(OpAmpSimulator(), max_entries=3)
+    cache.simulate_batch([a, b, c])
+    cache.simulator = Failing()
+    with pytest.raises(RuntimeError, match="simulator down"):
+        cache.simulate_batch([a, d, e])
+    assert list(cache._entries) == cache._keys([a])
+    assert isinstance(cache._entries[cache._keys([a])[0]], SimulationResult)
+    assert (cache.stats.hits, cache.stats.misses, cache.stats.evictions) == (1, 5, 2)
+
+
 def _files(directory):
     return {path.name: path.read_bytes() for path in sorted(directory.glob("*.json"))}
 

@@ -41,7 +41,7 @@ class TestCacheKeyBoundary:
             benchmark.design_space.apply_to_netlist(
                 netlist, benchmark.design_space.sample(rng)
             )
-            keys.add(cache._key(netlist))
+            keys.add(cache._keys([netlist])[0])
         assert len(keys) == 300
 
     def test_key_distinguishes_topologies(self):
@@ -50,4 +50,4 @@ class TestCacheKeyBoundary:
         netlist = benchmark.fresh_netlist()
         renamed = benchmark.fresh_netlist()
         renamed.name = "other_circuit"
-        assert cache._key(netlist) != cache._key(renamed)
+        assert cache._keys([netlist])[0] != cache._keys([renamed])[0]

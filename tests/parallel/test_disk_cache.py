@@ -71,11 +71,11 @@ def test_memory_tier_still_serves_repeats(tmp_path, netlists):
 
 def test_same_quantized_keys_as_memory_cache(tmp_path, netlists):
     # The persistent tier must collapse exactly the float noise the
-    # in-memory cache collapses: same _key, same sharing semantics.
+    # in-memory cache collapses: same keys, same sharing semantics.
     memory = SimulationCache(CountingSimulator())
     disk = DiskSimulationCache(CountingSimulator(), tmp_path / "cache")
     for netlist in netlists:
-        assert memory._key(netlist) == disk._key(netlist)
+        assert memory._keys([netlist]) == disk._keys([netlist])
 
 
 @pytest.mark.parametrize(

@@ -196,6 +196,15 @@ class TweakedOpAmp(OpAmpSimulator):
     """A subclass of a batched simulator: it inherits the batch entry."""
 
 
+class ScaledOpAmp(OpAmpSimulator):
+    """A subclass that overrides only ``simulate``: the step must call it."""
+
+    def simulate(self, netlist):
+        result = super().simulate(netlist)
+        result.specs["gain"] *= 1.5
+        return result
+
+
 class CountingCache(SimulationCache):
     """A cache subclass: its ``_simulate_misses`` hook must see every miss."""
 
@@ -210,8 +219,20 @@ class CountingCache(SimulationCache):
 
 @pytest.mark.parametrize(
     "make_simulator",
-    [OtherSimulator, TweakedOpAmp, lambda: CountingCache(OpAmpSimulator())],
-    ids=["unknown-type", "batched-subclass", "cache-subclass"],
+    [
+        OtherSimulator,
+        TweakedOpAmp,
+        ScaledOpAmp,
+        lambda: CountingCache(OpAmpSimulator()),
+        lambda: CountingCache(ScaledOpAmp()),
+    ],
+    ids=[
+        "unknown-type",
+        "batched-subclass",
+        "simulate-override",
+        "cache-subclass",
+        "cache-of-simulate-override",
+    ],
 )
 @pytest.mark.parametrize("cache_size", [24, None])
 def test_per_lane_dispatch(make_simulator, cache_size):

@@ -346,6 +346,18 @@ class TestPlanConstruction:
         for circuit, solution in zip(circuits, plan.ac_sweep(FREQUENCIES)):
             _assert_ac_equal(solution, circuit.ac_analysis(FREQUENCIES))
 
+    def test_lane_ac_analysis_is_bitwise_each_circuit(self):
+        """``ac_analysis(lane_values=...)`` stacks each lane's own sweep."""
+        lanes = [{"R2": 1e5, "C2": 1e-12}, {"R2": 2e5, "C2": 3e-12}]
+        solution = _two_pole_circuit().ac_analysis(FREQUENCIES, lane_values=lanes)
+        for k, values in enumerate(lanes):
+            circuit = _two_pole_circuit(r2=values["R2"], c2=values["C2"])
+            expected = circuit.ac_analysis(FREQUENCIES)
+            assert solution.frequencies.tobytes() == expected.frequencies.tobytes()
+            assert list(solution.node_voltages) == list(expected.node_voltages)
+            for node, voltages in expected.node_voltages.items():
+                assert solution.voltage(node)[k].tobytes() == voltages.tobytes(), node
+
     def test_topology_is_built_once_per_signature(self):
         first = BatchedMNAPlan.from_circuits([_two_pole_circuit(gm=1e-3)])
         second = BatchedMNAPlan.from_template(_two_pole_circuit(gm=5e-3), 4)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.simulation import simulate_batch
 from repro.simulation.opamp_sim import OpAmpSimulator
 from repro.simulation.ota_sim import CmOtaSimulator
 
@@ -101,3 +102,40 @@ def test_simulator_method_validation():
         OpAmpSimulator(method="spice")
     with pytest.raises(ValueError):
         CmOtaSimulator(method="spice")
+
+
+class _ScaledOpAmp(OpAmpSimulator):
+    """Overrides only ``simulate``; the inherited batch entry would bypass it."""
+
+    def simulate(self, netlist):
+        result = super().simulate(netlist)
+        result.specs["gain"] *= 1.5
+        return result
+
+
+class _ScaledBatchOpAmp(OpAmpSimulator):
+    """Overrides both entries in one class."""
+
+    def simulate(self, netlist):
+        return self.simulate_batch([netlist])[0]
+
+    def simulate_batch(self, netlists, operating_points=None):
+        results = OpAmpSimulator.simulate_batch(self, netlists, operating_points)
+        for result in results:
+            result.specs["gain"] *= 1.5
+        return results
+
+
+@pytest.mark.parametrize("kind", [OpAmpSimulator, _ScaledOpAmp, _ScaledBatchOpAmp])
+def test_helper_calls_what_a_loop_of_simulate_would(kind, monkeypatch):
+    _, netlists = _lane_netlists("opamp-mna-v0", 3, ())
+    simulator = kind(method="mna")
+    expected = [_bits(simulator.simulate(netlist)) for netlist in netlists]
+    calls = []
+    batch = simulator.simulate_batch
+    monkeypatch.setattr(simulator, "simulate_batch", lambda ns: calls.append(len(ns)) or batch(ns))
+    assert [_bits(result) for result in simulate_batch(simulator, netlists)] == expected
+    # A class whose simulate_batch is at least as derived as its simulate
+    # gets one batch call; the other loops its simulate (which here reaches
+    # the batch entry once per netlist).
+    assert calls == ([1, 1, 1] if kind is _ScaledOpAmp else [3])
