@@ -45,44 +45,44 @@ from repro.simulation.ota_sim import CmOtaSimulator
 from repro.simulation.pa_sim import RfPaCoarseSimulator, RfPaFineSimulator
 
 
-def clone_simulator_with_technology(simulator, technology):
+def clone_simulator_with_technology(base, technology):
     """A fresh simulator of the same type/configuration at ``technology``.
 
     Exact-type dispatch: a subclass could override arithmetic the clone
     would silently drop, so only the known simulator types are cloneable.
     """
-    kind = type(simulator)
+    kind = type(base)
     if kind is OpAmpSimulator:
         return OpAmpSimulator(
             technology=technology,
-            method=simulator.method,
-            bias_overhead_current=simulator.bias_overhead_current,
+            method=base.method,
+            bias_overhead_current=base.bias_overhead_current,
         )
     if kind is CmOtaSimulator:
         return CmOtaSimulator(
             technology=technology,
-            method=simulator.method,
-            bias_overhead_current=simulator.bias_overhead_current,
+            method=base.method,
+            bias_overhead_current=base.bias_overhead_current,
         )
     if kind is FoldedCascodeSimulator:
         return FoldedCascodeSimulator(
             technology=technology,
-            bias_overhead_current=simulator.bias_overhead_current,
+            bias_overhead_current=base.bias_overhead_current,
         )
     if kind is LnaSimulator:
         return LnaSimulator(
             technology=technology,
-            frequency=simulator.frequency,
-            source_resistance=simulator.source_resistance,
-            noise_gamma=simulator.noise_gamma,
-            inductor_q=simulator.inductor_q,
-            bias_overhead_current=simulator.bias_overhead_current,
+            frequency=base.frequency,
+            source_resistance=base.source_resistance,
+            noise_gamma=base.noise_gamma,
+            inductor_q=base.inductor_q,
+            bias_overhead_current=base.bias_overhead_current,
         )
     if kind is RfPaFineSimulator:
         return RfPaFineSimulator(technology=technology)
     if kind is RfPaCoarseSimulator:
         return RfPaCoarseSimulator(
-            technology=technology, mismatch=simulator.mismatch
+            technology=technology, mismatch=base.mismatch
         )
     raise TypeError(
         f"no corner-cloning rule for simulator type {kind.__name__}; "
@@ -125,7 +125,7 @@ class CornerSimulator:
             clone_simulator_with_technology(simulator, technology)
             for technology in self.technologies
         )
-        self.name = f"corners[{getattr(simulator, 'name', type(simulator).__name__)}]"
+        self.name = f"corners[{simulator.name}]"
 
     # ------------------------------------------------------------------
     # CircuitSimulator protocol

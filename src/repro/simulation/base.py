@@ -82,7 +82,7 @@ def simulate_batch(
     return batch(netlists)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)  # keyed on classes, of which a process has few
 def _simulate_overrides_batch(kind: type) -> bool:
     """Whether ``kind`` defines ``simulate`` in a subclass of where it gets ``simulate_batch``."""
 

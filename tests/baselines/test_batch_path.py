@@ -23,7 +23,7 @@ from repro.baselines.bayesian import BayesianOptimization, BayesianOptimizationC
 from repro.baselines.genetic import GeneticAlgorithm, GeneticAlgorithmConfig
 from repro.circuits.parameters import DesignSpace
 from repro.parallel import SimulationCache
-from repro.simulation import opamp_sim
+from repro.simulation.mna import MnaCircuit
 from repro.simulation.opamp_sim import OpAmpSimulator
 
 from test_sizing_goldens import _GOLDEN, SEEDS, _run, result_digest
@@ -34,10 +34,12 @@ class _CallCounter:
 
     def __init__(self, monkeypatch, target, method):
         self.calls = []
+        self.keywords = []
         original = getattr(target, method)
 
         def spy(*args, **kwargs):
             self.calls.append(args)
+            self.keywords.append(kwargs)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(target, method, spy)
@@ -80,18 +82,18 @@ def test_each_ga_generation_is_one_simulate_batch_call(monkeypatch):
     assert result.num_simulations == 4 * 8 + 1
 
 
-def test_bo_iterations_are_batches_of_one_through_the_sweep(monkeypatch):
+def test_bo_iterations_call_scalar_simulate_and_reach_ac_analysis(monkeypatch):
     problem = _problem()
     batches = _CallCounter(monkeypatch, problem.simulator, "simulate_batch")
     scalars = _CallCounter(monkeypatch, problem.simulator, "simulate")
-    sweeps = _CallCounter(monkeypatch, opamp_sim, "template_sweep_metrics")
+    sweeps = _CallCounter(monkeypatch, MnaCircuit, "ac_analysis")
     config = BayesianOptimizationConfig(num_initial=6, num_iterations=5, stop_when_met=False)
     result = BayesianOptimization(config, seed=0).optimize(problem)
     # The initial design, then five iterations and the final re-simulation,
     # each a scalar call: a batch of one, one MNA sweep.
     assert [len(args[0]) for args in batches.calls] == [6] + [1] * (5 + 1)
     assert len(scalars.calls) == 5 + 1
-    assert [len(args[1]) for args in sweeps.calls] == [6] + [1] * (5 + 1)
+    assert [len(kwargs["lane_values"]) for kwargs in sweeps.keywords] == [6] + [1] * (5 + 1)
     assert result.num_simulations == 6 + 5 + 1
 
 
