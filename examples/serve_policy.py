@@ -8,7 +8,9 @@ Walks the full ``repro.serve`` workflow end to end:
 3. stand up a :class:`repro.serve.DeploymentService` around it and serve a
    batch of sampled specification targets, micro-batched through the shared
    simulation cache;
-4. compare grad-free vs grad-recording deployment wall-clock for one target.
+4. deploy the first target again on the environment itself
+   (``deploy_policy``: the service's lock-step loop with one lane) and show
+   that it reproduces the served episode.
 
 Run with:  python examples/serve_policy.py [--episodes N] [--targets K]
 """
@@ -76,17 +78,14 @@ def main(episodes: int, targets: int, batch_size: int, seed: int = 0) -> None:
               f"{stats.episodes_per_second:.1f} episodes/s, "
               f"cache hit rate {service.cache_stats().hit_rate:.0%}")
 
-        print("\nGrad-recording vs grad-free deployment (one target):")
-        target = dict(requests[0])
+        print("\nThe first target again, deployed on the environment itself:")
         start = time.perf_counter()
-        deploy_policy(env, checkpoint.policy, target, inference=False)
-        grad_s = time.perf_counter() - start
-        start = time.perf_counter()
-        deploy_policy(env, checkpoint.policy, target)
-        inference_s = time.perf_counter() - start
-        print(f"  grad-recording: {grad_s * 1e3:7.1f} ms")
-        print(f"  inference mode: {inference_s * 1e3:7.1f} ms "
-              f"({grad_s / inference_s:.1f}x faster, identical episode)")
+        serial = deploy_policy(env, checkpoint.policy, dict(requests[0]))
+        serial_s = time.perf_counter() - start
+        served = responses[0]
+        same = (serial.steps, serial.success) == (served.steps, served.success)
+        print(f"  {serial.steps} steps in {serial_s * 1e3:.1f} ms "
+              f"({'identical to' if same else 'DIFFERENT from'} the served episode)")
 
 
 if __name__ == "__main__":

@@ -3,40 +3,36 @@
 "Policy deployment applies a trained policy to automatically find the device
 parameters for given specifications" (Sec. 4).  This module implements
 
-* :func:`deploy_policy` — run one deployment episode for one specification
-  group and return its trajectory (the data behind Fig. 5 and Fig. 6),
 * :func:`deploy_policy_batch` — run many specification-group episodes
-  lock-step on a :class:`~repro.parallel.VectorCircuitEnv`, paying one
-  batched policy forward and one ``step_selected`` call over the
-  still-active lanes per step instead of one of each per episode
-  (episode-level results identical to sequential :func:`deploy_policy`), and
+  lock-step on the lanes of a batched environment, paying one batched
+  policy forward and one ``step_selected`` call over the still-active lanes
+  per step;
+* :func:`deploy_policy` — one deployment episode for one specification
+  group, returning its trajectory (the data behind Fig. 5 and Fig. 6): the
+  batched deployment on the environment as one lane;
 * :func:`evaluate_deployment` — deploy over a batch of sampled specification
   groups and report the two headline Table 2 metrics: *design accuracy*
   (fraction of groups for which all specs are met within the step budget)
-  and *mean number of design steps*.
+  and *mean number of design steps*;
+* :func:`greedy_fom_rollouts` — greedy episodes on a FoM environment,
+  keeping the best figure of merit seen (Fig. 7).
 
-Deployment never back-propagates, so by default both entry points use the
-policy's grad-free fast paths (:meth:`ActorCriticPolicy.select_action` /
-``select_action_batch``) — pure-numpy actor forwards with no critic, no
-log-probabilities, and no autograd graph.  Pass ``inference=False`` to run
-the legacy grad-recording path (``benchmarks/bench_serve.py`` measures the
-two against each other); the chosen actions are identical either way.
+Deployment never back-propagates, so it uses the policy's grad-free
+``select_action_batch`` — a pure-numpy actor forward with no critic, no
+log-probabilities and no autograd graph.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.agents.policy import ActorCriticPolicy
-from repro.env.circuit_env import CircuitDesignEnv, EpisodeTrajectory
-from repro.env.spaces import BatchedObservation
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.parallel.vector_env import VectorCircuitEnv
+from repro.env.circuit_env import BatchedCircuitEnv, CircuitDesignEnv, EpisodeTrajectory
+from repro.parallel.vector_env import VectorCircuitEnv
 
 
 @dataclass
@@ -104,9 +100,11 @@ def deploy_policy(
     deterministic: bool = True,
     rng: Optional[np.random.Generator] = None,
     max_steps: Optional[int] = None,
-    inference: bool = True,
 ) -> DeploymentResult:
     """Run one deployment episode toward ``target_specs``.
+
+    This is :func:`deploy_policy_batch` with ``env`` as its one lane
+    (``env.engine``), so the episode runs on ``env`` itself.
 
     Parameters
     ----------
@@ -125,63 +123,46 @@ def deploy_policy(
     max_steps:
         Optional per-deployment step budget overriding the environment's
         default (Fig. 6 uses a longer budget for out-of-distribution specs).
-    inference:
-        Use the grad-free pure-numpy action-selection fast path (default).
-        ``False`` runs the legacy grad-recording ``policy.act`` path; the
-        actions — and therefore the whole episode — are identical.
     """
-    rng = rng if rng is not None else np.random.default_rng()
-    with _max_steps_override([env], max_steps):
-        observation = env.reset(target_specs=target_specs)
-        done = False
-        while not done:
-            if inference:
-                action = policy.select_action(observation, rng, deterministic=deterministic)
-            else:
-                action, _, _ = policy.act(
-                    observation, rng, deterministic=deterministic, inference=False
-                )
-            observation, _, done, info = env.step(action)
-        trajectory = env.trajectory
-        assert trajectory is not None
-        return DeploymentResult(
-            target_specs=dict(target_specs),
-            success=trajectory.success,
-            steps=trajectory.length,
-            final_specs=dict(env.measured_specs),
-            trajectory=trajectory,
-        )
+    return deploy_policy_batch(
+        env.engine,
+        policy,
+        [target_specs],
+        deterministic=deterministic,
+        rng=rng,
+        max_steps=max_steps,
+    )[0]
 
 
 def deploy_policy_batch(
-    vector_env: "VectorCircuitEnv",
+    vector_env: BatchedCircuitEnv,
     policy: ActorCriticPolicy,
     targets: Sequence[Mapping[str, float]],
     deterministic: bool = True,
     rng: Optional[np.random.Generator] = None,
     max_steps: Optional[int] = None,
 ) -> List[DeploymentResult]:
-    """Deploy one episode per target group, micro-batched over a vector env.
+    """Deploy one episode per target group, micro-batched over the lanes.
 
-    Targets are processed in chunks of ``vector_env.num_envs``: each chunk's
-    episodes run lock-step — one batched grad-free policy forward and one
-    :meth:`~repro.parallel.VectorCircuitEnv.step_selected` call over the
-    still-active lanes per step — with finished episodes dropping out of the
-    batch, so every episode is exactly the step sequence the sequential
-    :func:`deploy_policy` would have produced (deterministic deployment
-    results are episode-level identical; the shared simulation cache changes
-    cost, never values).
+    ``vector_env`` is a :class:`~repro.parallel.VectorCircuitEnv` (or an
+    environment's one-lane ``engine``).  Targets are processed in chunks of
+    ``vector_env.num_envs``: each chunk's lanes reset in one
+    :meth:`~repro.env.circuit_env.BatchedCircuitEnv.reset_selected` call and
+    run lock-step — one batched grad-free policy forward and one
+    ``step_selected`` call over the still-active lanes per step — with
+    finished episodes dropping out of the batch, so every episode is exactly
+    the step sequence a one-lane deployment would have produced
+    (deterministic deployment results are episode-level identical; the
+    shared simulation cache changes cost, never values).
 
     ``rng`` is only consulted for ``deterministic=False``; sampled actions
-    then draw per lock-step batch, so the stochastic stream differs from the
-    sequential call order (seed accounting, not result quality).  The
-    episode-identity guarantee likewise assumes deterministic episode starts
-    (the default ``"center"`` initial sizing) — ``"random"`` starts draw from
-    each sub-environment's own RNG stream.
+    then draw per lock-step batch, so with several lanes the stochastic
+    stream differs from the one-lane call order (seed accounting, not result
+    quality).  The episode-identity guarantee likewise assumes deterministic
+    episode starts (the default ``"center"`` initial sizing) — ``"random"``
+    starts draw from each lane's own RNG stream.
     """
-    from repro.parallel.vector_env import VectorCircuitEnv  # local: avoid import cycle
-
-    if not isinstance(vector_env, VectorCircuitEnv):
+    if not isinstance(vector_env, BatchedCircuitEnv):
         raise TypeError(
             f"deploy_policy_batch needs a VectorCircuitEnv, got {type(vector_env).__name__}"
         )
@@ -198,7 +179,7 @@ def deploy_policy_batch(
 
 
 def _deploy_chunk(
-    vector_env: "VectorCircuitEnv",
+    vector_env: BatchedCircuitEnv,
     policy: ActorCriticPolicy,
     targets: Sequence[Mapping[str, float]],
     deterministic: bool,
@@ -206,9 +187,7 @@ def _deploy_chunk(
 ) -> List[DeploymentResult]:
     """Run one lock-step micro-batch (at most ``num_envs`` episodes)."""
     envs = vector_env.envs[: len(targets)]
-    batch = BatchedObservation.stack(
-        [env.reset(target_specs=target) for env, target in zip(envs, targets)]
-    )
+    batch = vector_env.reset_selected(range(len(targets)), targets)
     results: List[Optional[DeploymentResult]] = [None] * len(targets)
     active = list(range(len(targets)))
     while active:
@@ -243,7 +222,6 @@ def evaluate_deployment(
     targets: Optional[Sequence[Mapping[str, float]]] = None,
     deterministic: bool = True,
     batch_size: Optional[int] = None,
-    inference: bool = True,
 ) -> DeploymentEvaluation:
     """Deploy the policy over a batch of specification groups.
 
@@ -252,42 +230,63 @@ def evaluate_deployment(
     Pass an explicit ``targets`` sequence to evaluate every method on the
     identical batch (as done by the Table 2 harness).
 
-    ``batch_size > 1`` micro-batches the episodes over a
+    Episodes run on ``env`` itself, one after another, unless
+    ``batch_size > 1``: then they are micro-batched over a
     :class:`~repro.parallel.VectorCircuitEnv` sharing one simulation cache
     (see :func:`deploy_policy_batch`); deterministic evaluations report
-    exactly the sequential metrics, just faster.  The batched path is
-    always grad-free, so it cannot be combined with ``inference=False``.
+    exactly the same metrics, just faster.
     """
-    if batch_size is not None and batch_size > 1 and not inference:
-        raise ValueError(
-            "batched evaluation always uses the grad-free fast path; "
-            "use batch_size=None (or 1) to exercise inference=False"
-        )
     rng = np.random.default_rng(seed)
     if targets is None:
         targets = env.benchmark.spec_space.sample_batch(rng, num_targets)
-    evaluation = DeploymentEvaluation()
+    lanes: BatchedCircuitEnv = env.engine
     if batch_size is not None and batch_size > 1 and len(targets) > 1:
-        from repro.parallel.vector_env import VectorCircuitEnv  # local: avoid import cycle
-
         # Seed the sub-environments from this function's seed so stochastic
         # episode starts (initial_sizing="random") stay reproducible run to
         # run; an unseeded call stays unseeded, like the sequential path.
-        vector_env = VectorCircuitEnv.from_env(
+        lanes = VectorCircuitEnv.from_env(
             env,
             num_envs=min(int(batch_size), len(targets)),
             seed=seed,
             autoreset=False,
         )
-        evaluation.results.extend(
-            deploy_policy_batch(
-                vector_env, policy, targets, deterministic=deterministic, rng=rng
-            )
-        )
-        return evaluation
-    for target in targets:
-        result = deploy_policy(
-            env, policy, target, deterministic=deterministic, rng=rng, inference=inference
-        )
-        evaluation.results.append(result)
-    return evaluation
+    return DeploymentEvaluation(
+        results=deploy_policy_batch(lanes, policy, targets, deterministic=deterministic, rng=rng)
+    )
+
+
+@dataclass
+class FomRollouts:
+    """Greedy FoM episodes: every step's figure of merit and the best step."""
+
+    foms: List[float] = field(default_factory=list)
+    best_fom: float = -np.inf
+    best_specs: Dict[str, float] = field(default_factory=dict)
+    best_parameters: Optional[np.ndarray] = None
+
+
+def greedy_fom_rollouts(
+    env: CircuitDesignEnv,
+    policy: ActorCriticPolicy,
+    episodes: int,
+    rng: np.random.Generator,
+) -> FomRollouts:
+    """Greedy roll-outs on a FoM environment; keep the best FoM seen.
+
+    FoM episodes have no goal, so each runs its full step budget; the first
+    step reaching the highest figure of merit is the best one.
+    """
+    rollouts = FomRollouts()
+    for _ in range(episodes):
+        observation = env.reset()
+        done = False
+        while not done:
+            action, _, _ = policy.act(observation, rng, deterministic=True)
+            observation, _, done, info = env.step(action)
+            fom = float(info["figure_of_merit"])
+            rollouts.foms.append(fom)
+            if fom > rollouts.best_fom:
+                rollouts.best_fom = fom
+                rollouts.best_specs = dict(info["specs"])
+                rollouts.best_parameters = env.parameter_values
+    return rollouts

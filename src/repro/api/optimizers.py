@@ -23,7 +23,7 @@ import dataclasses
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
@@ -462,32 +462,19 @@ class PPOOptimizer:
 
     def _fom_result(self, env: CircuitDesignEnv, policy, seed: Optional[int]) -> OptimizationResult:
         """Greedy roll-outs on the FoM environment; keep the best FoM seen."""
-        rng = np.random.default_rng(seed)
+        from repro.agents.deployment import greedy_fom_rollouts
+
+        rollouts = greedy_fom_rollouts(env, policy, self.fom_episodes, np.random.default_rng(seed))
+        assert rollouts.best_parameters is not None
         trace = OptimizationTrace()
-        best = -np.inf
-        best_specs: Dict[str, float] = {}
-        best_parameters: Optional[np.ndarray] = None
-        steps = 0
-        for _ in range(self.fom_episodes):
-            observation = env.reset()
-            done = False
-            while not done:
-                action, _, _ = policy.act(observation, rng, deterministic=True)
-                observation, _, done, info = env.step(action)
-                steps += 1
-                fom = float(info["figure_of_merit"])
-                trace.record(fom)
-                if fom > best:
-                    best = fom
-                    best_specs = dict(info["specs"])
-                    best_parameters = env.parameter_values.copy()
-        assert best_parameters is not None
+        for fom in rollouts.foms:
+            trace.record(fom)
         return OptimizationResult(
-            best_parameters=best_parameters,
-            best_objective=float(best),
-            best_specs=best_specs,
+            best_parameters=rollouts.best_parameters,
+            best_objective=float(rollouts.best_fom),
+            best_specs=rollouts.best_specs,
             success=True,
-            num_simulations=steps,
+            num_simulations=len(rollouts.foms),
             trace=trace,
             metadata={"fom_episodes": self.fom_episodes},
         )

@@ -12,7 +12,7 @@ simulator.  :class:`Netlist` is that mutable circuit description.  It offers
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -112,28 +112,11 @@ class Netlist:
     def set_parameter(self, device_name: str, key: str, value: float) -> None:
         self.device(device_name).set_parameter(key, value)
 
-    def update_parameters(self, updates: Mapping[Tuple[str, str], float]) -> None:
-        """Apply a batch of ``(device, parameter) -> value`` updates."""
-        for (device_name, key), value in updates.items():
-            self.set_parameter(device_name, key, value)
-
     # ------------------------------------------------------------------
-    # Copying and export
+    # Copying and fingerprinting
     # ------------------------------------------------------------------
     def copy(self) -> "Netlist":
         return Netlist(self.name, (device.copy() for device in self._devices.values()))
-
-    def to_spice(self) -> str:
-        """Render a SPICE-like card deck (for logs, debugging, golden tests)."""
-        lines = [f"* netlist: {self.name}"]
-        for device in self._devices.values():
-            terminals = " ".join(device.terminals.values())
-            params = " ".join(
-                f"{key}={value:.6g}" for key, value in sorted(device.parameters.items())
-            )
-            lines.append(f"{device.name} {terminals} {device.dtype.value} {params}".rstrip())
-        lines.append(".end")
-        return "\n".join(lines)
 
     def parameter_array(self) -> np.ndarray:
         """Every device parameter as one flat array (netlist insertion order).
@@ -146,14 +129,6 @@ class Netlist:
         for device in self._devices.values():
             values.extend(device.parameters.values())
         return np.array(values, dtype=np.float64)
-
-    def parameter_snapshot(self) -> Dict[Tuple[str, str], float]:
-        """Flat copy of every device parameter — useful for diffing steps."""
-        snapshot: Dict[Tuple[str, str], float] = {}
-        for device in self._devices.values():
-            for key, value in device.parameters.items():
-                snapshot[(device.name, key)] = value
-        return snapshot
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Netlist(name={self.name!r}, devices={len(self)})"

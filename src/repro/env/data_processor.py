@@ -3,27 +3,27 @@
 In Fig. 2 of the paper the environment contains, besides the simulator, a
 "data processor" that (a) converts the agent's actions into device-parameter
 updates and rewrites the netlist, and (b) converts simulated specifications
-into rewards and state features.  :class:`DataProcessor` is that component.
-Keeping it separate from the environment makes each piece independently
-testable and lets the optimization baselines (GA/BO) reuse the exact same
-netlist-rewriting and spec-normalization code paths.
+into rewards and state features.  :class:`DataProcessor` holds one
+environment's side of that: its working netlist, the sizing last written
+into it, and the topology constants (graph, static node features,
+adjacency).  The batched rewrite and the observation assembly themselves
+live in the episode engine,
+:class:`~repro.env.circuit_env.BatchedCircuitEnv`.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.circuits.library.benchmark import CircuitBenchmark
 from repro.circuits.netlist import Netlist
 from repro.graph.circuit_graph import CircuitGraph
-from repro.env.spaces import Observation
 
 
 class DataProcessor:
-    """Bridges agent actions, netlist parameters, and observations.
+    """One environment's working netlist, its sizing and topology constants.
 
     Parameters
     ----------
@@ -56,10 +56,9 @@ class DataProcessor:
     def adjacency(self) -> np.ndarray:
         """The processor's stable adjacency object (shared into observations).
 
-        Every :class:`~repro.env.spaces.Observation` this processor emits
-        carries this exact array object, so identity-keyed operator caches
-        (e.g. ``GraphEncoder``) and the vector env's step can rely on it.
-        Treat it as read-only.
+        Every :class:`~repro.env.spaces.Observation` of this topology carries
+        this exact array object, so identity-keyed operator caches (e.g.
+        ``GraphEncoder``) can rely on it.  Treat it as read-only.
         """
         return self._adjacency
 
@@ -70,10 +69,10 @@ class DataProcessor:
     def parameter_values(self) -> np.ndarray:
         """Current device-parameter vector of the working netlist.
 
-        Served from a cached copy of the last vector written through
-        :meth:`set_parameters` — every rewrite of this processor's netlist
-        goes through that method, so the cache cannot go stale.  The first
-        access (before any write) reads the netlist directly.
+        Served from a cached copy of the last vector written (by
+        :meth:`set_parameters` or the engine's step) — every rewrite of this
+        processor's netlist records it, so the cache cannot go stale.  The
+        first access (before any write) reads the netlist directly.
         """
         if self._values is None:
             self._values = self.benchmark.design_space.vector_from_netlist(self.netlist)
@@ -84,66 +83,9 @@ class DataProcessor:
         self._values = self.benchmark.design_space.apply_to_netlist(self.netlist, values)
         return self._values.copy()
 
-    def apply_actions(self, action_indices: np.ndarray) -> np.ndarray:
-        """Apply one ``M``-vector of discrete actions and rewrite the netlist."""
-        updated = self.benchmark.design_space.apply_actions(
-            self.parameter_values, action_indices
-        )
-        return self.set_parameters(updated)
-
-    # ------------------------------------------------------------------
-    # Observation construction
-    # ------------------------------------------------------------------
-    def spec_feature_vector(
-        self, measured: Mapping[str, float], targets: Mapping[str, float]
-    ) -> np.ndarray:
-        """Specification context for the FCNN branch.
-
-        Concatenates the range-normalized target specs, the range-normalized
-        measured specs, and the per-spec clipped normalized error (the same
-        quantity the reward uses), giving the policy a direct view of the
-        remaining design gap and the couplings between specifications.  A
-        missing or non-finite measured spec gets normalized feature 0.0 and
-        error -1.0, the reward's convention for it.
-        """
-        spec_space = self.benchmark.spec_space
-        normalized_targets = spec_space.normalize(targets)
-        normalized_measured = []
-        errors = []
-        for spec in spec_space:
-            value = float(measured.get(spec.name, math.nan))
-            if math.isfinite(value):
-                normalized_measured.append(spec.normalize_value(value))
-                errors.append(spec.normalized_error(value, float(targets[spec.name])))
-            else:
-                normalized_measured.append(0.0)
-                errors.append(-1.0)
-        return np.concatenate(
-            [normalized_targets, np.array(normalized_measured), np.array(errors)]
-        )
-
-    def observation(
-        self, measured: Mapping[str, float], targets: Mapping[str, float]
-    ) -> Observation:
-        """Assemble the full observation for the current netlist state.
-
-        The static-feature and adjacency arrays are shared (not copied) across
-        every observation this processor produces — they are constants of the
-        topology and all consumers treat observations as read-only.
-        """
-        return Observation(
-            node_features=self.graph.node_feature_matrix(),
-            static_node_features=self._static_features,
-            adjacency=self._adjacency,
-            spec_features=self.spec_feature_vector(measured, targets),
-            normalized_parameters=self.benchmark.design_space.normalize(self.parameter_values),
-            measured_specs=dict(measured),
-            target_specs=dict(targets),
-        )
-
     @property
     def spec_feature_dimension(self) -> int:
-        """Length of :meth:`spec_feature_vector` (3 entries per specification)."""
+        """Length of an observation's spec features (3 entries per specification)."""
         return 3 * len(self.benchmark.spec_space)
 
     @property

@@ -9,16 +9,16 @@ the FoM directly.  The paper reports final FoM values of 3.25 (GAT-FC),
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
+from repro.agents.deployment import greedy_fom_rollouts
 from repro.agents.policy import ActorCriticPolicy
 from repro.agents.ppo import PPOTrainer, TrainingHistory
 from repro.api.catalog import make_env, make_optimizer, make_policy
-from repro.env.reward import FomReward
-from repro.experiments.configs import ExperimentScale, RL_METHODS, bench_scale, rl_hyperparameters
+from repro.experiments.configs import ExperimentScale, bench_scale, rl_hyperparameters
 
 
 @dataclass
@@ -36,22 +36,10 @@ def _best_fom_from_policy(
     policy: ActorCriticPolicy, seed: int = 0, episodes: int = 3
 ) -> tuple[float, Dict[str, float]]:
     """Greedy roll-outs on the fine FoM environment; return the best FoM seen."""
-    env = make_env("rf_pa-fom-v0", seed=seed)
-    reward_fn: FomReward = env.reward_fn  # type: ignore[assignment]
-    rng = np.random.default_rng(seed)
-    best = -np.inf
-    best_specs: Dict[str, float] = {}
-    for episode in range(episodes):
-        observation = env.reset()
-        done = False
-        while not done:
-            action, _, _ = policy.act(observation, rng, deterministic=True)
-            observation, _, done, info = env.step(action)
-            fom = float(info["figure_of_merit"])
-            if fom > best:
-                best = fom
-                best_specs = dict(info["specs"])
-    return float(best), best_specs
+    rollouts = greedy_fom_rollouts(
+        make_env("rf_pa-fom-v0", seed=seed), policy, episodes, np.random.default_rng(seed)
+    )
+    return float(rollouts.best_fom), rollouts.best_specs
 
 
 def run_fom_training(
@@ -103,33 +91,3 @@ def run_fom_optimizer(
         num_simulations=result.num_simulations,
         curve=result.trace.best_curve(),
     )
-
-
-@dataclass
-class FomComparison:
-    """The full Fig. 7 / Table 2 FoM comparison."""
-
-    rl_results: Dict[str, FomTrainingResult] = field(default_factory=dict)
-    optimizer_results: Dict[str, FomOptimizerResult] = field(default_factory=dict)
-
-    def summary(self) -> Dict[str, float]:
-        """Method name to final FoM value (the Table 2 "FoM value" column)."""
-        values = {name: result.best_fom for name, result in self.rl_results.items()}
-        values.update({name: result.best_fom for name, result in self.optimizer_results.items()})
-        return values
-
-
-def run_fom_comparison(
-    rl_methods: Sequence[str] = RL_METHODS,
-    optimizer_methods: Sequence[str] = ("genetic_algorithm", "bayesian_optimization"),
-    scale: Optional[ExperimentScale] = None,
-    seed: int = 0,
-) -> FomComparison:
-    """Run the complete FoM comparison across RL methods and optimizers."""
-    scale = scale or bench_scale()
-    comparison = FomComparison()
-    for method in rl_methods:
-        comparison.rl_results[method] = run_fom_training(method, scale=scale, seed=seed)
-    for method in optimizer_methods:
-        comparison.optimizer_results[method] = run_fom_optimizer(method, seed=seed)
-    return comparison

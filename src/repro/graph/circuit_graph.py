@@ -5,7 +5,7 @@ work the paper criticizes — also the supply, ground and bias sources).  Two
 nodes share an edge when the corresponding devices share a net.  The graph
 structure is fixed for a given topology; only the node features change as the
 agent tunes device parameters, which is why :class:`CircuitGraph` caches the
-adjacency matrix and recomputes features on demand.
+adjacency matrix and the plan that reads the dynamic features.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ class CircuitGraph:
     Parameters
     ----------
     netlist:
-        The circuit.  The graph keeps a reference, so node features always
-        reflect the netlist's *current* parameters.
+        The circuit.  The graph keeps a reference; the dynamic node
+        features are read from a sizing by the episode engine.
     exclude_types:
         Device types to drop from the graph.  The paper's Baseline B uses a
         *partial* topology that excludes supply and bias nodes; passing
@@ -60,18 +60,17 @@ class CircuitGraph:
         """Build the dynamic node-feature assembly once.
 
         The one-hot type block of every node feature is constant, and the
-        dynamic block is a fixed set of ``parameter dict -> (row, column)``
-        reads with fixed scales.  Building that plan once turns
-        :meth:`node_feature_matrix` from a per-device Python loop into one
-        gather + one vectorized multiply per step (bitwise-identical values:
-        the same float64 ``value * scale`` products land in the same slots).
+        dynamic block is a fixed set of ``device parameter -> (row, column)``
+        reads with fixed scales (:func:`dynamic_parameter_reads`, in node
+        order).  The episode engine
+        (:class:`~repro.env.circuit_env.BatchedCircuitEnv`) turns that plan
+        into one gather + one vectorized multiply per step for a whole batch.
         """
         one_hot_width = feature_dimension() - 2  # PARAMETER_SLOTS trailing columns
         base = np.zeros((len(self._node_names), feature_dimension()))
         rows: List[int] = []
         cols: List[int] = []
         scales: List[float] = []
-        reads: List[tuple] = []  # (parameters dict, key) pairs, dicts are stable
         for row, name in enumerate(self._node_names):
             device = self._netlist.device(name)
             base[row] = device_feature_vector(device)
@@ -80,12 +79,10 @@ class CircuitGraph:
                 rows.append(row)
                 cols.append(one_hot_width + slot)
                 scales.append(scale)
-                reads.append((device.parameters, key))
         self._base_features = base
         self._feature_rows = np.array(rows, dtype=np.intp)
         self._feature_cols = np.array(cols, dtype=np.intp)
         self._feature_scales = np.array(scales)
-        self._feature_reads = reads
 
     # ------------------------------------------------------------------
     # Construction
@@ -154,17 +151,6 @@ class CircuitGraph:
     # ------------------------------------------------------------------
     # Feature matrices
     # ------------------------------------------------------------------
-    def node_feature_matrix(self) -> np.ndarray:
-        """Dynamic ``(n, d)`` node features from the *current* netlist state."""
-        matrix = self._base_features.copy()
-        values = np.fromiter(
-            (parameters[key] for parameters, key in self._feature_reads),
-            dtype=np.float64,
-            count=len(self._feature_reads),
-        )
-        matrix[self._feature_rows, self._feature_cols] = values * self._feature_scales
-        return matrix
-
     def static_feature_matrix(
         self, technology_constants: Optional[Dict[str, float]] = None
     ) -> np.ndarray:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from itertools import chain
 from dataclasses import dataclass
 from typing import List, Sequence, Union
 
@@ -251,10 +252,18 @@ class SimulationCache:
         if not netlists:
             return []
         name = netlists[0].name
-        rows = [netlist.parameter_array() for netlist in netlists]
-        if any(n.name != name or r.size != rows[0].size for n, r in zip(netlists, rows)):
+        # One pass over every device's parameter dict, in netlist order: the
+        # rows of ``parameter_array()``, when every netlist shares the first
+        # one's name and per-device layout (else each is keyed on its own).
+        dicts = [device.parameters for netlist in netlists for device in netlist]
+        sizes = list(map(len, dicts))
+        layout = sizes[: len(netlists[0])]
+        if sizes != layout * len(netlists) or any(netlist.name != name for netlist in netlists):
             return [self._keys([netlist])[0] for netlist in netlists]
-        mantissas, exponents = np.frexp(np.array(rows))
+        rows = np.fromiter(
+            chain.from_iterable(map(dict.values, dicts)), dtype=np.float64, count=sum(sizes)
+        ).reshape(len(netlists), sum(layout))
+        mantissas, exponents = np.frexp(rows)
         scaled = np.round(mantissas * self._mantissa_scale)
         # A mantissa that rounded up to 1.0 (e.g. 0.999...9 at full precision)
         # is renormalized so it shares the key of the next binade's values.
@@ -264,7 +273,7 @@ class SimulationCache:
         prefix = name.encode()
         return [
             prefix + scaled[row].tobytes() + exponents[row].tobytes()
-            for row in range(len(rows))
+            for row in range(len(netlists))
         ]
 
     @staticmethod

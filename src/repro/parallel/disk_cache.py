@@ -261,14 +261,6 @@ class DiskSimulationCache(SimulationCache):
                 pass  # another worker pruned it first
         return removed
 
-    def clear_disk(self) -> None:
-        """Delete every persisted entry (the in-memory tier is untouched)."""
-        for path in self.directory.glob("*.json"):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
 
 def _float_dict(mapping) -> dict:
     """Best-effort float coercion for the free-form ``details`` dict."""

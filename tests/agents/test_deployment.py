@@ -49,31 +49,39 @@ class TestDeployPolicy:
         assert first.final_specs == second.final_specs
 
 
+def _grad_recording_episode(env, policy, target, deterministic=True, rng=None):
+    """One episode through the grad-recording ``policy.act`` path."""
+    rng = rng if rng is not None else np.random.default_rng(0)
+    observation = env.reset(target_specs=target)
+    done = False
+    while not done:
+        action, _, _ = policy.act(observation, rng, deterministic=deterministic, inference=False)
+        observation, _, done, _ = env.step(action)
+    return env.trajectory
+
+
 class TestInferenceFastPath:
-    def test_inference_and_grad_paths_deploy_identically(self, env, policy):
+    def test_grad_recording_loop_deploys_identically(self, env, policy):
         targets = env.benchmark.spec_space.sample_batch(np.random.default_rng(9), 3)
         for target in targets:
-            grad = deploy_policy(env, policy, target, inference=False)
+            grad = _grad_recording_episode(env, policy, target)
             fast = deploy_policy(env, policy, target)
-            assert grad.steps == fast.steps
+            assert grad.length == fast.steps
             assert grad.success == fast.success
-            assert grad.final_specs == fast.final_specs
-            for record_a, record_b in zip(
-                grad.trajectory.records, fast.trajectory.records
-            ):
+            assert grad.records[-1].specs == fast.final_specs
+            for record_a, record_b in zip(grad.records, fast.trajectory.records):
                 np.testing.assert_array_equal(record_a.parameters, record_b.parameters)
 
     def test_stochastic_paths_share_the_rng_stream(self, env, policy):
         target = {"gain": 400.0, "bandwidth": 1e7, "phase_margin": 57.0, "power": 2e-3}
-        grad = deploy_policy(
-            env, policy, target, deterministic=False,
-            rng=np.random.default_rng(4), inference=False,
+        grad = _grad_recording_episode(
+            env, policy, target, deterministic=False, rng=np.random.default_rng(4)
         )
         fast = deploy_policy(
             env, policy, target, deterministic=False, rng=np.random.default_rng(4)
         )
-        assert grad.steps == fast.steps
-        for record_a, record_b in zip(grad.trajectory.records, fast.trajectory.records):
+        assert grad.length == fast.steps
+        for record_a, record_b in zip(grad.records, fast.trajectory.records):
             np.testing.assert_array_equal(record_a.parameters, record_b.parameters)
 
 
@@ -159,10 +167,6 @@ class TestEvaluateDeployment:
             r.final_specs for r in second.results
         ]
 
-    def test_batched_evaluation_rejects_grad_path(self, env, policy):
-        with pytest.raises(ValueError, match="grad-free"):
-            evaluate_deployment(env, policy, num_targets=4, batch_size=4, inference=False)
-
     def test_empty_evaluation_degenerate_values(self):
         from repro.agents.deployment import DeploymentEvaluation
 
@@ -170,3 +174,20 @@ class TestEvaluateDeployment:
         assert empty.accuracy == 0.0
         assert empty.mean_steps == 0.0
         assert np.isnan(empty.mean_successful_steps)
+
+
+class TestGreedyFomRollouts:
+    @pytest.mark.parametrize("episodes", [1, 2])
+    def test_best_step_is_the_first_maximum(self, episodes):
+        from repro.agents.deployment import greedy_fom_rollouts
+
+        env = make_env("rf_pa-fom-v0", seed=0, max_steps=4)
+        policy = make_policy("gcn_fc", env, np.random.default_rng(0))
+        rollouts = greedy_fom_rollouts(env, policy, episodes, np.random.default_rng(0))
+        assert len(rollouts.foms) == episodes * env.max_steps
+        best = int(np.argmax(rollouts.foms))
+        assert rollouts.best_fom == rollouts.foms[best] == max(rollouts.foms)
+        if episodes == 1:
+            record = env.trajectory.records[best]
+            np.testing.assert_array_equal(rollouts.best_parameters, record.parameters)
+            assert rollouts.best_specs == record.specs

@@ -63,27 +63,9 @@ class TestParameterRewriting:
         small_netlist.set_parameter("RL", "value", 22e3)
         assert small_netlist.get_parameter("RL", "value") == pytest.approx(22e3)
 
-    def test_update_parameters_batch(self, small_netlist):
-        small_netlist.update_parameters({("M1", "width"): 5e-6, ("CL", "value"): 2e-12})
-        assert small_netlist.get_parameter("M1", "width") == pytest.approx(5e-6)
-        assert small_netlist.get_parameter("CL", "value") == pytest.approx(2e-12)
-
-    def test_parameter_snapshot(self, small_netlist):
-        snapshot = small_netlist.parameter_snapshot()
-        assert snapshot[("RL", "value")] == pytest.approx(10e3)
-        assert snapshot[("VP", "voltage")] == pytest.approx(1.2)
-
 
 class TestCopyAndExport:
     def test_copy_is_deep(self, small_netlist):
         clone = small_netlist.copy()
         clone.set_parameter("M1", "width", 77e-6)
         assert small_netlist.get_parameter("M1", "width") != pytest.approx(77e-6)
-
-    def test_to_spice_contains_devices_and_end(self, small_netlist):
-        card = small_netlist.to_spice()
-        assert card.startswith("* netlist: amp")
-        assert card.rstrip().endswith(".end")
-        for name in ("M1", "RL", "CL", "VP", "VGND"):
-            assert name in card
-        assert "width=" in card

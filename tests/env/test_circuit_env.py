@@ -101,6 +101,80 @@ class TestStep:
         assert isinstance(trajectory.total_reward, float)
 
 
+class TestActionRewrite:
+    """The engine's step rewrites the netlist by one grid step per action."""
+
+    def test_actions_move_by_one_step(self, opamp_env, opamp_benchmark):
+        space = opamp_benchmark.design_space
+        opamp_env.reset(initial_parameters=space.center())
+        before = opamp_env.parameter_values
+        opamp_env.step(np.full(len(space), 2, dtype=np.int64))
+        np.testing.assert_allclose(opamp_env.parameter_values, before + space.steps)
+
+    def test_actions_rewrite_netlist(self, opamp_env):
+        opamp_env.reset()
+        netlist = opamp_env.data_processor.netlist
+        before_width = netlist.get_parameter("M1", "width")
+        action = np.full(15, 1, dtype=np.int64)
+        action[0] = 2  # increase M1.width only
+        opamp_env.step(action)
+        assert netlist.get_parameter("M1", "width") == pytest.approx(before_width + 1e-6)
+
+
+class TestObservationAssembly:
+    """The engine's observation rows, seen through one lane."""
+
+    TARGETS = {"gain": 350.0, "bandwidth": 2e7, "phase_margin": 58.0, "power": 5e-3}
+
+    def test_spec_features_layout(self, opamp_env, opamp_benchmark):
+        observation = opamp_env.reset(target_specs=self.TARGETS)
+        assert observation.spec_features.shape == (opamp_env.spec_feature_dimension,)
+        assert opamp_env.spec_feature_dimension == 3 * len(opamp_benchmark.spec_space)
+        # Last block holds the clipped normalized errors, all in [-1, 0].
+        errors = observation.spec_features[-len(opamp_benchmark.spec_space):]
+        assert np.all(errors <= 0.0) and np.all(errors >= -1.0)
+
+    def test_observation_fields_consistent(self, opamp_env, opamp_benchmark):
+        observation = opamp_env.reset(target_specs=self.TARGETS)
+        assert observation.node_features.shape == (
+            opamp_env.num_graph_nodes, opamp_env.node_feature_dimension
+        )
+        assert observation.adjacency.shape == (
+            opamp_env.num_graph_nodes, opamp_env.num_graph_nodes
+        )
+        assert observation.normalized_parameters.shape == (len(opamp_benchmark.design_space),)
+        normalized = observation.normalized_parameters
+        assert np.all((normalized >= 0) & (normalized <= 1))
+        assert observation.measured_specs == opamp_env.measured_specs
+        assert observation.target_specs == self.TARGETS
+
+    def test_observation_tracks_parameter_changes(self, opamp_env):
+        first = opamp_env.reset(target_specs=self.TARGETS)
+        second, _, _, _ = opamp_env.step(np.full(15, 2, dtype=np.int64))
+        assert not np.allclose(first.node_features, second.node_features)
+        assert not np.allclose(first.normalized_parameters, second.normalized_parameters)
+        # Static features and topology do not change with sizing.
+        np.testing.assert_allclose(first.static_node_features, second.static_node_features)
+        np.testing.assert_allclose(first.adjacency, second.adjacency)
+
+    def test_dynamic_node_features_track_the_sizing(self, opamp_env, opamp_benchmark):
+        space = opamp_benchmark.design_space
+        center = space.center()
+        before = opamp_env.reset(initial_parameters=center).node_features.copy()
+        wider = center.copy()
+        wider[space.names.index("M1.width")] = 99e-6
+        after = opamp_env.reset(initial_parameters=wider).node_features
+        row = opamp_env.data_processor.graph.node_index("M1")
+        assert not np.allclose(before[row], after[row])
+        other_rows = [i for i in range(opamp_env.num_graph_nodes) if i != row]
+        np.testing.assert_allclose(before[other_rows], after[other_rows])
+
+    def test_node_feature_shape(self, rf_pa_env):
+        features = rf_pa_env.reset().node_features
+        graph = rf_pa_env.data_processor.graph
+        assert features.shape == (graph.num_nodes, graph.feature_dimension)
+
+
 class TestConfiguration:
     def test_max_steps_default_from_metadata(self, opamp_env, rf_pa_env):
         assert opamp_env.max_steps == 50

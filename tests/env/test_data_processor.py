@@ -1,4 +1,8 @@
-"""Tests for the data-processing module (DPM)."""
+"""Tests for the data-processing module (DPM).
+
+The action rewrite and the observation assembly are the episode engine's;
+``tests/env/test_circuit_env.py`` covers them through ``CircuitDesignEnv``.
+"""
 
 from __future__ import annotations
 
@@ -19,60 +23,3 @@ class TestParameterHandling:
         values = processor.set_parameters(center)
         np.testing.assert_allclose(values, center)
         np.testing.assert_allclose(processor.parameter_values, center)
-
-    def test_apply_actions_moves_by_one_step(self, processor, opamp_benchmark):
-        space = opamp_benchmark.design_space
-        processor.set_parameters(space.center())
-        before = processor.parameter_values
-        increase_all = np.full(len(space), 2, dtype=np.int64)
-        after = processor.apply_actions(increase_all)
-        np.testing.assert_allclose(after, before + space.steps)
-
-    def test_apply_actions_rewrites_netlist(self, processor, opamp_benchmark):
-        processor.set_parameters(opamp_benchmark.design_space.center())
-        before_width = processor.netlist.get_parameter("M1", "width")
-        action = np.full(15, 1, dtype=np.int64)
-        action[0] = 2  # increase M1.width only
-        processor.apply_actions(action)
-        assert processor.netlist.get_parameter("M1", "width") == pytest.approx(before_width + 1e-6)
-
-
-class TestObservationConstruction:
-    def test_spec_feature_vector_layout(self, processor, opamp_benchmark):
-        measured = {"gain": 400.0, "bandwidth": 1e7, "phase_margin": 60.0, "power": 1e-3}
-        targets = {"gain": 350.0, "bandwidth": 2e7, "phase_margin": 58.0, "power": 5e-3}
-        vector = processor.spec_feature_vector(measured, targets)
-        assert vector.shape == (processor.spec_feature_dimension,)
-        assert processor.spec_feature_dimension == 3 * len(opamp_benchmark.spec_space)
-        # Last block holds the clipped normalized errors, all in [-1, 0].
-        errors = vector[-len(opamp_benchmark.spec_space):]
-        assert np.all(errors <= 0.0) and np.all(errors >= -1.0)
-
-    def test_observation_fields_consistent(self, processor, opamp_benchmark):
-        measured = {"gain": 400.0, "bandwidth": 1e7, "phase_margin": 60.0, "power": 1e-3}
-        targets = {"gain": 350.0, "bandwidth": 2e7, "phase_margin": 58.0, "power": 5e-3}
-        observation = processor.observation(measured, targets)
-        assert observation.node_features.shape == (
-            processor.num_graph_nodes, processor.node_feature_dimension
-        )
-        assert observation.adjacency.shape == (
-            processor.num_graph_nodes, processor.num_graph_nodes
-        )
-        assert observation.normalized_parameters.shape == (len(opamp_benchmark.design_space),)
-        normalized = observation.normalized_parameters
-        assert np.all((normalized >= 0) & (normalized <= 1))
-        assert observation.measured_specs == measured
-        assert observation.target_specs == targets
-
-    def test_observation_tracks_parameter_changes(self, processor, opamp_benchmark):
-        measured = {"gain": 400.0, "bandwidth": 1e7, "phase_margin": 60.0, "power": 1e-3}
-        targets = dict(measured)
-        processor.set_parameters(opamp_benchmark.design_space.center())
-        first = processor.observation(measured, targets)
-        processor.apply_actions(np.full(15, 2, dtype=np.int64))
-        second = processor.observation(measured, targets)
-        assert not np.allclose(first.node_features, second.node_features)
-        assert not np.allclose(first.normalized_parameters, second.normalized_parameters)
-        # Static features and topology do not change with sizing.
-        np.testing.assert_allclose(first.static_node_features, second.static_node_features)
-        np.testing.assert_allclose(first.adjacency, second.adjacency)

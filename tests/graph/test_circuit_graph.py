@@ -78,28 +78,12 @@ class TestPartialGraph:
 
 
 class TestFeatureMatrices:
-    def test_dynamic_features_track_netlist(self, opamp_benchmark):
-        netlist = opamp_benchmark.fresh_netlist()
-        graph = CircuitGraph(netlist)
-        before = graph.node_feature_matrix().copy()
-        netlist.set_parameter("M1", "width", 99e-6)
-        after = graph.node_feature_matrix()
-        row = graph.node_index("M1")
-        assert not np.allclose(before[row], after[row])
-        other_rows = [i for i in range(graph.num_nodes) if i != row]
-        np.testing.assert_allclose(before[other_rows], after[other_rows])
-
     def test_static_features_do_not_track_netlist(self, opamp_benchmark):
         netlist = opamp_benchmark.fresh_netlist()
         graph = CircuitGraph(netlist)
         before = graph.static_feature_matrix().copy()
         netlist.set_parameter("M1", "width", 99e-6)
         np.testing.assert_allclose(before, graph.static_feature_matrix())
-
-    def test_feature_matrix_shape(self, rf_pa_benchmark):
-        graph = CircuitGraph(rf_pa_benchmark.netlist)
-        features = graph.node_feature_matrix()
-        assert features.shape == (graph.num_nodes, graph.feature_dimension)
 
     def test_requires_at_least_two_nodes(self, opamp_benchmark):
         with pytest.raises(ValueError):

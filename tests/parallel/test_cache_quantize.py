@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.circuits.library.folded_cascode import build_folded_cascode
 from repro.circuits.library.two_stage_opamp import build_two_stage_opamp
 from repro.parallel.cache import SimulationCache
 from repro.simulation.opamp_sim import OpAmpSimulator
@@ -51,3 +52,50 @@ class TestCacheKeyBoundary:
         renamed = benchmark.fresh_netlist()
         renamed.name = "other_circuit"
         assert cache._keys([netlist])[0] != cache._keys([renamed])[0]
+
+
+def _row_keys(cache, netlists):
+    """Keys built as before the one-pass row build: a ``parameter_array()``
+    per netlist, quantized as one array when names and sizes agree."""
+    rows = [netlist.parameter_array() for netlist in netlists]
+    if any(n.name != netlists[0].name or r.size != rows[0].size for n, r in zip(netlists, rows)):
+        return [_row_keys(cache, [netlist])[0] for netlist in netlists]
+    mantissas, exponents = np.frexp(np.array(rows))
+    scaled = np.round(mantissas * cache._mantissa_scale)
+    carry = np.abs(scaled) >= cache._mantissa_scale
+    scaled = np.where(carry, scaled * 0.5, scaled)
+    exponents = exponents + carry
+    prefix = netlists[0].name.encode()
+    return [prefix + scaled[row].tobytes() + exponents[row].tobytes() for row in range(len(rows))]
+
+
+class TestBatchKeys:
+    """``_keys`` over a batch is byte-equal to the per-netlist row build."""
+
+    def _netlists(self):
+        benchmark = build_two_stage_opamp()
+        rng = np.random.default_rng(3)
+        netlists = []
+        for _ in range(5):
+            netlist = benchmark.fresh_netlist()
+            benchmark.design_space.apply_to_netlist(netlist, benchmark.design_space.sample(rng))
+            netlists.append(netlist)
+        return netlists
+
+    def test_one_topology(self):
+        cache = SimulationCache(OpAmpSimulator(), max_entries=16)
+        netlists = self._netlists()
+        assert cache._keys(netlists) == _row_keys(cache, netlists)
+
+    def test_mixed_names_and_layouts_fall_back_per_netlist(self):
+        cache = SimulationCache(OpAmpSimulator(), max_entries=16)
+        netlists = self._netlists()
+        netlists[1].name = "other_circuit"
+        other = build_folded_cascode().fresh_netlist()
+        # Same name, different layout: keyed on its own.
+        other.name = netlists[0].name
+        batch = netlists + [other]
+        keys = cache._keys(batch)
+        assert keys == [cache._keys([netlist])[0] for netlist in batch]
+        assert keys == [_row_keys(cache, [netlist])[0] for netlist in batch]
+        assert len(set(keys)) == len(batch)

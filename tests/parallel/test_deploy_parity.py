@@ -1,14 +1,16 @@
 """Lock-step deployment on the single vector step: bitwise parity.
 
-``deploy_policy_batch`` steps the still-active lanes of each micro-batch
-through ``VectorCircuitEnv.step_selected``.  The CI ``parity`` job runs this
-file as its ``deploy`` leg: on every circuit family, a deployment on the
-single step and one on ``ReferenceVectorEnv`` (the per-environment loop)
-must agree on every trajectory record, the final specs, step counts and
-success flags, and the shared cache's counters and LRU order — with lanes
-that finish at different steps, a ragged last chunk and a ``max_steps``
-override.  A surrogate-tier service must serve the same results as a plain
-one.
+``deploy_policy_batch`` resets each micro-batch's lanes in one
+``reset_selected`` call and steps the still-active lanes through
+``VectorCircuitEnv.step_selected``.  The CI ``parity`` job runs this file as
+its ``deploy`` leg: on every circuit family, a deployment on the single step
+and one on ``ReferenceVectorEnv`` (the per-environment loop) must agree on
+every trajectory record, the final specs, step counts and success flags, and
+the shared cache's counters and LRU order — with lanes that finish at
+different steps, a ragged last chunk and a ``max_steps`` override.
+``deploy_policy`` (the same loop with the environment as its one lane) must
+match a deployment on one ``ReferenceCircuitEnv``.  A surrogate-tier service
+must serve the same results as a plain one.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import repro
 from repro.agents.deployment import deploy_policy, deploy_policy_batch
 from repro.parallel import SimulationCache, VectorCircuitEnv
 from repro.serve import DeploymentService
-from step_reference import ReferenceVectorEnv
+from step_reference import ReferenceCircuitEnv, ReferenceVectorEnv
 from test_vector_step_goldens import deploy_targets
 
 #: The surrogate-tier variant of ``opamp-p2s-v0`` (a ``TieredSimulator``).
@@ -120,6 +122,22 @@ def test_deployment_matches_reference(setup, max_steps, tmp_path):
     assert single_env.envs[0].simulator.stats.evictions > 0
     if max_steps is not None:
         assert max(result.steps for result in single) == max_steps
+
+
+@pytest.mark.parametrize("max_steps", [None, 12])
+def test_one_lane_deployment_matches_reference(setup, max_steps, tmp_path):
+    env_id, policy, targets = setup
+    env = _env(env_id, tmp_path / "single")
+    reference = ReferenceCircuitEnv.like(_env(env_id, tmp_path / "reference"))
+    single = [deploy_policy(env, policy, target, max_steps=max_steps) for target in targets]
+    looped = deploy_policy_batch(
+        ReferenceVectorEnv([reference], autoreset=False), policy, targets, max_steps=max_steps
+    )
+    assert_results_equal(single, looped)
+    assert env.max_steps == reference.max_steps
+    if isinstance(env.simulator, SimulationCache):
+        assert env.simulator.stats == reference.simulator.stats
+        assert list(env.simulator._entries) == list(reference.simulator._entries)
 
 
 def test_surrogate_tier_service(tmp_path):

@@ -112,17 +112,6 @@ def test_prune_bounds_the_directory(tmp_path, netlists):
     assert cache.disk_entries() == 2
 
 
-def test_clear_disk_removes_entries_only(tmp_path, netlists):
-    cache = DiskSimulationCache(CountingSimulator(), tmp_path / "cache")
-    for netlist in netlists:
-        cache.simulate(netlist)
-    cache.clear_disk()
-    assert cache.disk_entries() == 0
-    # In-memory LRU still intact.
-    cache.simulate(netlists[0])
-    assert cache.stats.hits == 1
-
-
 def test_invalid_limits_rejected(tmp_path):
     with pytest.raises(ValueError, match="max_disk_entries"):
         DiskSimulationCache(CountingSimulator(), tmp_path / "c", max_disk_entries=0)

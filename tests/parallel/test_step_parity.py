@@ -2,7 +2,8 @@
 
 ``VectorCircuitEnv.step`` batches the action math, the netlist writes, the
 simulation and the observation arrays; ``ReferenceVectorEnv``
-(``step_reference.py``) loops over ``CircuitDesignEnv.step``.  On every
+(``step_reference.py``) loops over the per-environment step and reset of
+``ReferenceCircuitEnv``, the sequential code the engine replaced.  On every
 circuit family — the batched op-amp/CM-OTA simulators, the zoo and RF PA
 simulators, every corner sweep and the surrogate tier — full episodes with
 autoresets must agree bit for bit: observations, rewards, done flags, info

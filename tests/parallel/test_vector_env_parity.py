@@ -1,10 +1,12 @@
 """Vector/sequential parity: the vector path must be bit-for-bit sequential.
 
 ``VectorCircuitEnv.from_env(env, num_envs=k, seed=s)`` sub-environment ``i``
-must reproduce a sequential ``CircuitDesignEnv`` seeded ``s + i`` exactly —
+must reproduce a sequential environment seeded ``s + i`` exactly —
 identical observations, rewards, termination flags and terminal FoMs — under
 identical action sequences.  This is the guarantee that makes ``num_envs`` a
-pure throughput knob.
+pure throughput knob.  The sequential side is ``ReferenceCircuitEnv``
+(``step_reference.py``), the per-environment step and reset, since
+``CircuitDesignEnv`` itself runs as one lane of the same engine.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import pytest
 
 from repro import make_env
 from repro.parallel import SimulationCache, VectorCircuitEnv
+from step_reference import ReferenceCircuitEnv
 
 NUM_ENVS = 4
 STEPS = 25
@@ -32,7 +35,9 @@ def _observations_equal(vector_row, sequential):
 def _run_parity(env_id: str, seed: int = 123) -> None:
     vector_env = make_env(env_id, seed=seed, num_envs=NUM_ENVS)
     assert isinstance(vector_env, VectorCircuitEnv)
-    sequential = [make_env(env_id, seed=seed + i) for i in range(NUM_ENVS)]
+    sequential = [
+        ReferenceCircuitEnv.like(make_env(env_id, seed=seed + i)) for i in range(NUM_ENVS)
+    ]
 
     batch = vector_env.reset()
     reference = [env.reset() for env in sequential]
@@ -73,7 +78,10 @@ class TestBitwiseParity:
         """FoM mode: per-step and terminal figures of merit match exactly."""
         seed = 7
         vector_env = make_env("rf_pa-fom-v0", seed=seed, num_envs=NUM_ENVS)
-        sequential = [make_env("rf_pa-fom-v0", seed=seed + i) for i in range(NUM_ENVS)]
+        sequential = [
+            ReferenceCircuitEnv.like(make_env("rf_pa-fom-v0", seed=seed + i))
+            for i in range(NUM_ENVS)
+        ]
         vector_env.reset()
         for env in sequential:
             env.reset()
