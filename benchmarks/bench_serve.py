@@ -21,6 +21,7 @@ hot path.
 from __future__ import annotations
 
 import importlib.util
+import statistics
 import time
 from pathlib import Path
 
@@ -39,6 +40,27 @@ MAX_STEPS = 20
 
 #: The paper's best-performing policy variant.
 POLICY_ID = "gat_fc"
+
+#: Timed repeats per side of a throughput comparison.  The sides alternate
+#: which runs first, and the gates compare medians, so one noisy-neighbour
+#: stall on a shared runner cannot decide a ratio.
+REPEATS = 5
+
+
+def _alternating_medians(runs):
+    """Run every ``runs[key]()`` REPEATS times, alternating the order.
+
+    Each run returns ``(result, seconds)``.  Returns ``{key: (results,
+    median_seconds)}`` with every repeat's result, in repeat order.
+    """
+    keys = list(runs)
+    outcomes = {key: ([], []) for key in keys}
+    for repeat in range(REPEATS):
+        for key in keys if repeat % 2 == 0 else keys[::-1]:
+            result, seconds = runs[key]()
+            outcomes[key][0].append(result)
+            outcomes[key][1].append(seconds)
+    return {key: (results, statistics.median(times)) for key, (results, times) in outcomes.items()}
 
 
 def _policy_and_targets(seed: int = 0):
@@ -118,6 +140,7 @@ def test_batched_serving_throughput(benchmark):
     _, _, targets = _policy_and_targets()
 
     def serve_at(batch_size: int):
+        # A fresh service (cold cache) per run.
         env = repro.make_env("opamp-p2s-v0", seed=0, max_steps=MAX_STEPS)
         policy = repro.make_policy(POLICY_ID, env, np.random.default_rng(0))
         service = DeploymentService(batch_size=batch_size)
@@ -125,35 +148,42 @@ def test_batched_serving_throughput(benchmark):
         start = time.perf_counter()
         responses = service.serve([dict(t) for t in targets])
         elapsed = time.perf_counter() - start
-        return responses, len(targets) / elapsed, service.cache_stats().hit_rate
+        return (responses, service.cache_stats().hit_rate), elapsed
 
     def run():
-        return {batch_size: serve_at(batch_size) for batch_size in (1, 4, 8)}
+        return _alternating_medians(
+            {batch_size: lambda b=batch_size: serve_at(b) for batch_size in (1, 4, 8)}
+        )
 
     outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    # Identical episode-level results at every batch size.
-    reference = [(r.steps, r.success, tuple(sorted(r.final_specs.items())))
-                 for r in outcomes[1][0]]
-    for batch_size, (responses, _, _) in outcomes.items():
-        observed = [(r.steps, r.success, tuple(sorted(r.final_specs.items())))
-                    for r in responses]
-        assert observed == reference, f"batch_size={batch_size} changed results"
+    # Identical episode-level results at every batch size, in every repeat.
+    def episodes(responses):
+        return [(r.steps, r.success, tuple(sorted(r.final_specs.items()))) for r in responses]
 
-    throughputs = {batch_size: eps for batch_size, (_, eps, _) in outcomes.items()}
+    reference = episodes(outcomes[1][0][0][0])
+    for batch_size, (runs, _) in outcomes.items():
+        for responses, _ in runs:
+            assert episodes(responses) == reference, f"batch_size={batch_size} changed results"
+
+    throughputs = {
+        batch_size: len(targets) / seconds for batch_size, (_, seconds) in outcomes.items()
+    }
     benchmark.extra_info.update(
         {
             "policy": POLICY_ID,
             "num_targets": NUM_TARGETS,
+            "repeats": REPEATS,
             "episodes_per_s": {str(k): round(v, 1) for k, v in throughputs.items()},
             "scaling_8_vs_1": round(throughputs[8] / throughputs[1], 2),
-            "cache_hit_rate": round(outcomes[8][2], 4),
+            "cache_hit_rate": round(outcomes[8][0][0][1], 4),
         }
     )
     # Measured ~1.8x (batch 8 vs 1) on dedicated hardware; the episodes are
     # simulator-step-bound once inference is batched, so the gate is set
     # well below that to keep shared CI runners from flaking while still
-    # catching an unbatched (~1.0x) regression.
+    # catching an unbatched (~1.0x) regression.  Both gates compare medians
+    # of alternating repeats.
     assert throughputs[8] >= 1.2 * throughputs[1], (
         f"micro-batched serving does not scale: {throughputs[8]:.1f} eps/s at "
         f"batch 8 vs {throughputs[1]:.1f} eps/s at batch 1"
@@ -208,41 +238,49 @@ def test_compiled_deployment_speedup(benchmark):
     targets = env.benchmark.spec_space.sample_batch(np.random.default_rng(1), 64)
 
     def timed(cls):
-        # Best of two passes, each on a fresh vector env (cold cache).
-        best, results = float("inf"), None
-        for _ in range(2):
-            vector_env = cls.from_env(env, num_envs=8, autoreset=False)
-            start = time.perf_counter()
-            results = deploy_policy_batch(vector_env, policy, targets)
-            best = min(best, time.perf_counter() - start)
-        return results, best
+        # A fresh vector env (cold cache) per run.
+        vector_env = cls.from_env(env, num_envs=8, autoreset=False)
+        start = time.perf_counter()
+        results = deploy_policy_batch(vector_env, policy, targets)
+        return results, time.perf_counter() - start
+
+    reference_cls = reference_vector_env()
 
     def run():
-        interpreted_results, interpreted_s = timed(reference_vector_env())
-        compiled_results, compiled_s = timed(VectorCircuitEnv)
-        return interpreted_results, compiled_results, interpreted_s, compiled_s
+        return _alternating_medians(
+            {
+                "interpreted": lambda: timed(reference_cls),
+                "compiled": lambda: timed(VectorCircuitEnv),
+            }
+        )
 
-    interpreted_results, compiled_results, interpreted_s, compiled_s = benchmark.pedantic(
-        run, rounds=1, iterations=1
+    outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
+    (interpreted_runs, interpreted_s), (compiled_runs, compiled_s) = (
+        outcomes["interpreted"],
+        outcomes["compiled"],
     )
-    for interpreted, compiled in zip(interpreted_results, compiled_results):
-        assert interpreted.steps == compiled.steps
-        assert interpreted.success == compiled.success
-        assert interpreted.final_specs == compiled.final_specs
+    for compiled_results in compiled_runs:
+        for interpreted, compiled in zip(interpreted_runs[0], compiled_results):
+            assert interpreted.steps == compiled.steps
+            assert interpreted.success == compiled.success
+            assert interpreted.final_specs == compiled.final_specs
     speedup = interpreted_s / compiled_s
 
     benchmark.extra_info.update(
         {
             "policy": "gcn_fc",
             "num_targets": len(targets),
+            "repeats": REPEATS,
             "interpreted_s": round(interpreted_s, 4),
             "compiled_s": round(compiled_s, 4),
             "speedup": round(speedup, 2),
         }
     )
-    # Measured 1.7-1.9x (0.59-0.84 s -> 0.34-0.43 s) on a shared 2-core x86
-    # VM: the batched step replays the shared cache directly and calls
-    # simulate_batch only on a miss.  The gate leaves room for CI noise.
+    # Measured 3.4-3.6x (0.63-0.84 s -> 0.18-0.25 s) on a shared 2-core x86
+    # VM, medians of alternating repeats: the batched step keys the shared
+    # cache on its own parameter rows, snaps once and scores each lane in one
+    # error pass, where the reference loop re-reads, re-snaps and re-scores
+    # each lane.  The gate leaves room for CI noise.
     assert speedup >= 1.3, (
         f"batched lock-step deployment regressed: measured {speedup:.2f}x vs "
         "the reference step loop (expect >= 1.3x)"

@@ -26,6 +26,13 @@ from repro.circuits.netlist import Netlist
 #: per-parameter categorical choice produced by the policy.
 ACTION_DELTAS: Tuple[int, int, int] = (-1, 0, +1)
 
+_DELTAS = np.asarray(ACTION_DELTAS, dtype=np.float64)
+
+#: The clip ufunc itself: ``np.clip``'s Python-level wrapper costs more than
+#: the clip on the few-row arrays of an environment step, and ends in this
+#: same ufunc call (so results are bitwise those of ``np.clip``).
+_clip = np._core.umath.clip
+
 
 @dataclass(frozen=True)
 class DesignParameter:
@@ -198,8 +205,8 @@ class DesignSpace:
         identical to the scalar path.
         """
         values = self._check_last_axis(values, "parameter values")
-        levels = np.clip(np.rint((values - self._mins) / self._steps), 0.0, self._max_levels)
-        snapped = np.clip(self._mins + levels * self._steps, self._mins, self._maxs)
+        levels = _clip(np.rint((values - self._mins) / self._steps), 0.0, self._max_levels)
+        snapped = _clip(self._mins + levels * self._steps, self._mins, self._maxs)
         return np.where(self._integer_mask, np.rint(snapped), snapped)
 
     def clip_vector(self, values: np.ndarray) -> np.ndarray:
@@ -216,11 +223,12 @@ class DesignSpace:
                 f"expected {len(self)} actions along the last axis, "
                 f"got shape {action_indices.shape}"
             )
-        if np.any(action_indices < 0) or np.any(action_indices >= len(ACTION_DELTAS)):
+        # One comparison covers both bounds: a negative int64 viewed as
+        # uint64 is at least 2**63.
+        if (action_indices.view(np.uint64) >= len(ACTION_DELTAS)).any():
             raise ValueError("action index out of range [0, 2]")
         values = np.asarray(values, dtype=np.float64)
-        deltas = np.asarray(ACTION_DELTAS, dtype=np.float64)[action_indices]
-        return self.snap_vector(values + deltas * self._steps)
+        return self.snap_vector(values + _DELTAS[action_indices] * self._steps)
 
     # ------------------------------------------------------------------
     # Normalization and sampling
@@ -228,14 +236,14 @@ class DesignSpace:
     def normalize(self, values: np.ndarray) -> np.ndarray:
         """Map values into ``[0, 1]^M``; accepts any ``(..., M)`` batch."""
         values = self._check_last_axis(values, "parameter values")
-        clipped = np.clip(values, self._mins, self._maxs)
+        clipped = _clip(values, self._mins, self._maxs)
         clipped = np.where(self._integer_mask, np.rint(clipped), clipped)
         return (clipped - self._mins) / (self._maxs - self._mins)
 
     def denormalize(self, unit_values: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`normalize`; accepts any ``(..., M)`` batch."""
         unit_values = self._check_last_axis(unit_values, "unit values")
-        unit_values = np.clip(unit_values, 0.0, 1.0)
+        unit_values = _clip(unit_values, 0.0, 1.0)
         return self.snap_vector(self._mins + unit_values * (self._maxs - self._mins))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:

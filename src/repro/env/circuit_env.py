@@ -29,18 +29,23 @@ engine over a lane sees what another one left.
 * **Built once** (``__init__``): the topology — design space, the knob
   columns of the netlist parameter array, the node-feature scatter, the
   adjacency and the static features.  Lanes that disagree on it raise
-  ``ValueError``.  The netlist's non-tunable parameters are read here, once.
+  ``ValueError``.  The netlist's non-tunable parameters are read here, once:
+  they are the base row of every step's ``(B, P)`` parameter rows.
 * **Read live** on every call: each lane's simulator, reward function and
   ``max_steps``, and the engine's ``autoreset``; swapping one takes effect on
   the next call.
 * **One simulation call**: a step or a reset hands the selected lanes'
-  netlists to the shared simulator in one
-  :func:`~repro.simulation.base.simulate_batch` call (one call per lane, in
-  lane order, only when the lanes do not share a simulator).  Every
+  netlists, with their parameter rows, to the shared simulator in one
+  :func:`~repro.simulation.base.simulate_rows` call (one call per lane, in
+  lane order, only when the lanes do not share a simulator); a simulation
+  cache keys on those rows instead of reading each netlist again.  Every
   simulator and wrapper answers a batch exactly as a loop of ``simulate``
   would, so how lanes are grouped changes no bits.
 * **Sequential bookkeeping** in lane order: target and start draws from
-  each lane's own ``rng``, rewards and trajectory records; under autoreset
+  each lane's own ``rng``, one :func:`~repro.env.reward.error_pass` per
+  lane (its spec features and, for a P2S reward that does not override
+  ``__call__``, its reward; the reset holds the lane's normalized targets
+  for the episode), rewards and trajectory records; under autoreset
   the finished lanes are reset after every lane has stepped (EnvPool's
   step-then-reset order, Weng et al., NeurIPS 2022).
 * **One observation assembly** for every step and reset row.
@@ -52,7 +57,6 @@ engine over a lane sees what another one left.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -60,14 +64,18 @@ import numpy as np
 
 from repro.circuits.library.benchmark import CircuitBenchmark
 from repro.circuits.netlist import Netlist
-from repro.circuits.specs import Objective
 from repro.env.data_processor import DataProcessor
-from repro.env.reward import FomReward, P2SReward
+from repro.env.reward import FomReward, P2SReward, error_pass, spec_table
 from repro.env.spaces import NUM_ACTION_CHOICES, ActionSpace, BatchedObservation, Observation
 from repro.graph.features import dynamic_parameter_reads
-from repro.simulation.base import CircuitSimulator, simulate_batch
+from repro.simulation.base import CircuitSimulator, simulate_rows
 
 RewardFunction = Union[P2SReward, FomReward]
+
+#: A lane whose reward function runs this ``__call__`` (a P2S reward, or a
+#: subclass that does not override it) is scored from the step's own error
+#: pass; any other reward function is called.
+_P2S_CALL = P2SReward.__call__
 
 #: Targets accepted by a reset: nothing (each lane samples its own), one
 #: group for every lane, or one group per lane.
@@ -164,6 +172,10 @@ class CircuitDesignEnv:
         self._netlist = benchmark.fresh_netlist()
         self._processor = DataProcessor(benchmark, self._netlist)
         self._targets: Dict[str, float] = {}
+        # The targets in spec order and range-normalized (the first third of
+        # the spec features), set by the reset; None while a spec is missing.
+        self._target_values: Optional[List[float]] = None
+        self._target_features: Optional[List[float]] = None
         self._measured: Dict[str, float] = {}
         self._step_count = 0
         self._done = True
@@ -312,6 +324,10 @@ class BatchedCircuitEnv:
         base_netlist = first.data_processor.netlist
         base_row = base_netlist.parameter_array()
         knob_cols = [_param_flat_index(base_netlist, p.device, p.attribute) for p in parameters]
+        # A step's parameter rows are this base with the knob columns
+        # written: what each lane's ``parameter_array()`` reads back.
+        self._base_row = base_row
+        self._knob_cols = np.array(knob_cols, dtype=np.intp)
         knob_mask = np.zeros(base_row.shape[0], dtype=bool)
         knob_mask[knob_cols] = True
         fixed = base_row[~knob_mask]
@@ -332,18 +348,9 @@ class BatchedCircuitEnv:
             for env in envs
         ]
 
-        spec_space = first.benchmark.spec_space
-        self._spec_names = list(spec_space.names)
-        # (name, minimum, span, minimize) per spec, for the spec features.
-        self._spec_table = [
-            (
-                spec.name,
-                spec.minimum,
-                spec.maximum - spec.minimum,
-                spec.objective is Objective.MINIMIZE,
-            )
-            for spec in spec_space
-        ]
+        self._spec_space = first.benchmark.spec_space
+        self._spec_names = list(self._spec_space.names)
+        self._spec_table = spec_table(self._spec_space)
 
         graph = first.data_processor.graph
         # Each dynamic node feature reads one netlist parameter, a knob or a
@@ -502,24 +509,47 @@ class BatchedCircuitEnv:
             if target is None:
                 target = env.sample_target()
             env._targets = {name: float(value) for name, value in dict(target).items()}
+            self._hold_targets(env)
             if start is None:
                 if env.initial_sizing == "center":
                     start = self._center
                 else:
                     start = self._design_space.sample(env.rng)
             sizings.append(env.data_processor.set_parameters(start))
-        results = self._simulate(envs)
+        sizings = np.array(sizings)
+        results = self._simulate(envs, sizings)
         for env, result in zip(envs, results):
             env._measured = dict(result.specs)
             env._step_count = 0
             env._done = False
             env._trajectory = EpisodeTrajectory(target_specs=dict(env._targets))
+        spec_rows = []
+        for env in envs:
+            if env._target_features is None:
+                # The per-environment reset raised here too: after the lanes
+                # were reset, naming the first missing spec.
+                raise KeyError(next(name for name in self._spec_names if name not in env._targets))
+            features = error_pass(self._spec_table, env._measured, env._target_values)[1]
+            spec_rows.append(env._target_features + features)
         return self._observations(
             lanes,
-            np.array(sizings),
+            sizings,
             [dict(env._measured) for env in envs],
             [dict(env._targets) for env in envs],
+            spec_rows,
         )
+
+    def _hold_targets(self, env: CircuitDesignEnv) -> None:
+        """Hold ``env``'s targets in spec order and range-normalized for its episode."""
+        targets = env._targets
+        if all(name in targets for name in self._spec_names):
+            env._target_values = [targets[name] for name in self._spec_names]
+            env._target_features = [
+                (target - minimum) / span
+                for target, (_, minimum, span, _) in zip(env._target_values, self._spec_table)
+            ]
+        else:
+            env._target_values = env._target_features = None
 
     # ------------------------------------------------------------------
     # Step
@@ -582,13 +612,12 @@ class BatchedCircuitEnv:
                 f"invalid action of shape ({num_parameters},); expected "
                 f"({num_parameters},) with entries in [0, 2]"
             )
-        names = self._spec_names
         for env in envs:
             if env._done:
                 raise RuntimeError("step() called on a finished episode; call reset() first")
         for env in envs:
-            missing = [name for name in names if name not in env._targets]
-            if missing:
+            if env._target_values is None:
+                missing = [name for name in self._spec_names if name not in env._targets]
                 raise KeyError(f"missing target specifications: {missing}")
 
     def _step(self, actions: np.ndarray, lanes: List[int], autoreset: bool) -> StepOutput:
@@ -597,20 +626,24 @@ class BatchedCircuitEnv:
         self._check_step(actions, envs)
         count = len(lanes)
 
-        # Snap every selected lane's actions at once, then write each lane's
-        # sizing into its netlist before simulating any lane.
-        space = self._design_space
-        current = np.array([env.data_processor._values for env in envs])
-        sizings = space.snap_vector(space.apply_actions(current, actions))
+        # Apply (and snap) every selected lane's actions at once, then write
+        # each lane's sizing into its netlist before simulating any lane.
+        sizings = self._design_space.apply_actions(
+            np.array([env.data_processor._values for env in envs]), actions
+        )
         for row, (lane, values) in enumerate(zip(lanes, sizings.tolist())):
             for (device_parameters, attribute), value in zip(self._knob_writes[lane], values):
                 device_parameters[attribute] = value
             envs[row].data_processor._values = sizings[row]
-        results = self._simulate(envs)
+        results = self._simulate(envs, sizings)
 
-        # Sequential bookkeeping, in lane order.
+        # Sequential bookkeeping, in lane order.  One error pass per lane
+        # gives its spec features and, for a P2S reward that does not
+        # override ``__call__``, its reward.
+        table, spec_space = self._spec_table, self._spec_space
         measured_dicts: List[Dict[str, float]] = []
         target_dicts: List[Dict[str, float]] = []
+        spec_rows: List[List[float]] = []
         infos: List[Dict[str, object]] = []
         rewards = np.zeros(count)
         dones = np.zeros(count, dtype=bool)
@@ -619,7 +652,15 @@ class BatchedCircuitEnv:
             env._measured = dict(result.specs)
             measured = env._measured
             fom_mode = env.is_fom_mode
-            outcome = env.reward_fn(measured, env._targets, valid=result.valid)
+            errors, features, raw, goal_reached, met, complete = error_pass(
+                table, measured, env._target_values
+            )
+            spec_rows.append(env._target_features + features)
+            reward_fn = env.reward_fn
+            if type(reward_fn).__call__ is _P2S_CALL and reward_fn.spec_space is spec_space:
+                outcome = reward_fn.outcome(errors, raw, goal_reached, met, complete, result.valid)
+            else:
+                outcome = reward_fn(measured, env._targets, valid=result.valid)
             goal_reached = outcome.goal_reached and not fom_mode
             env._done = bool(goal_reached or env._step_count >= env.max_steps)
 
@@ -648,7 +689,7 @@ class BatchedCircuitEnv:
             target_dicts.append(dict(env._targets))
             rewards[row] = float(outcome.reward)
             dones[row] = env._done
-        batch = self._observations(lanes, sizings, measured_dicts, target_dicts)
+        batch = self._observations(lanes, sizings, measured_dicts, target_dicts, spec_rows)
 
         finished = np.flatnonzero(dones) if autoreset else ()
         if len(finished):
@@ -677,15 +718,22 @@ class BatchedCircuitEnv:
     # ------------------------------------------------------------------
     # Shared pieces of the step and the reset
     # ------------------------------------------------------------------
-    @staticmethod
-    def _simulate(envs: List[CircuitDesignEnv]) -> list:
-        """One ``simulate_batch`` call for lanes sharing a simulator."""
+    def _simulate(self, envs: List[CircuitDesignEnv], sizings: np.ndarray) -> list:
+        """One simulation call for lanes sharing a simulator.
+
+        The lanes' ``(count, P)`` parameter rows are the fixed-parameter base
+        row with the knob columns set to ``sizings``, so a simulator that
+        keys on them (a simulation cache) does not read each netlist again.
+        """
         netlists = [env.data_processor.netlist for env in envs]
+        rows = self._base_row[None].repeat(len(envs), 0)
+        rows[:, self._knob_cols] = sizings
         simulator = envs[0].simulator
         if all(env.simulator is simulator for env in envs):
-            return simulate_batch(simulator, netlists)
+            return simulate_rows(simulator, netlists, rows)
         return [
-            simulate_batch(env.simulator, [netlist])[0] for env, netlist in zip(envs, netlists)
+            simulate_rows(env.simulator, [netlist], rows[row : row + 1])[0]
+            for row, (env, netlist) in enumerate(zip(envs, netlists))
         ]
 
     def _observations(
@@ -694,8 +742,15 @@ class BatchedCircuitEnv:
         sizings: np.ndarray,
         measured_dicts: List[Dict[str, float]],
         target_dicts: List[Dict[str, float]],
+        spec_rows: List[List[float]],
     ) -> BatchedObservation:
-        """The observation rows of ``lanes`` at ``(count, M)`` sizings."""
+        """The observation rows of ``lanes`` at ``(count, M)`` sizings.
+
+        ``spec_rows`` are the lanes' spec features (the FCNN branch's
+        specification context): the range-normalized targets held from the
+        reset, then the range-normalized measured specs and the clipped
+        normalized errors of the lane's :func:`~repro.env.reward.error_pass`.
+        """
         node_features = self._node_base[None].repeat(len(lanes), 0)
         node_features[:, self._knob_feature_rows, self._knob_feature_cols] = (
             sizings[:, self._knob_feature_knobs] * self._knob_feature_scales
@@ -705,44 +760,11 @@ class BatchedCircuitEnv:
             node_features=node_features,
             static_node_features=static if lanes == self._all_lanes else static[lanes],
             adjacency=self._adjacency,
-            spec_features=self._spec_features(measured_dicts, target_dicts),
+            spec_features=np.array(spec_rows),
             normalized_parameters=self._design_space.normalize(sizings),
             measured_specs=measured_dicts,
             target_specs=target_dicts,
         )
-
-    def _spec_features(
-        self, measured_dicts: List[Dict[str, float]], target_dicts: List[Dict[str, float]]
-    ) -> np.ndarray:
-        """The FCNN branch's specification context, one row per lane.
-
-        Concatenates the range-normalized target specs, the range-normalized
-        measured specs, and the per-spec clipped normalized error (the same
-        quantity the reward uses, :meth:`Specification.normalized_error`).
-        A missing or non-finite measured spec gets normalized feature 0.0 and
-        error -1.0, the reward's convention.  Plain-float arithmetic: a few
-        specs per lane cost less than the fixed overhead of array calls.
-        """
-        rows = []
-        for measured, targets in zip(measured_dicts, target_dicts):
-            normalized_targets, normalized_measured, errors = [], [], []
-            for name, minimum, span, minimize in self._spec_table:
-                target = float(targets[name])
-                value = float(measured.get(name, math.nan))
-                normalized_targets.append((target - minimum) / span)
-                if not math.isfinite(value):
-                    normalized_measured.append(0.0)
-                    errors.append(-1.0)
-                    continue
-                normalized_measured.append((value - minimum) / span)
-                denominator = abs(value) + abs(target)
-                if denominator <= 0.0:
-                    errors.append(0.0)
-                    continue
-                difference = (value - target) / denominator
-                errors.append(min(-difference if minimize else difference, 0.0))
-            rows.append(normalized_targets + normalized_measured + errors)
-        return np.array(rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.circuits.specs import Objective, SpecificationSpace
 
@@ -66,6 +66,84 @@ def _defensive_errors(
     return errors, complete
 
 
+#: ``(name, minimum, span, minimize)`` of one specification, as scored.
+SpecRow = Tuple[str, float, float, bool]
+
+#: What :func:`error_pass` returns: ``(errors, features, raw, goal_reached,
+#: met, complete)``.
+ErrorPass = Tuple[Dict[str, float], List[float], float, bool, int, bool]
+
+
+def spec_table(spec_space: SpecificationSpace) -> List[SpecRow]:
+    """The rows :func:`error_pass` scores, in spec-space order."""
+    return [
+        (spec.name, spec.minimum, spec.maximum - spec.minimum, spec.objective is Objective.MINIMIZE)
+        for spec in spec_space
+    ]
+
+
+def error_pass(
+    table: Sequence[SpecRow], measured: Mapping[str, float], target_values: Sequence[float]
+) -> ErrorPass:
+    """One pass over a measurement's specs, shared by the P2S reward and the spec features.
+
+    ``target_values`` holds the target of every row of ``table``, in order.
+    Plain Python floats: a few specs cost less than the fixed overhead of
+    array calls.  Returns:
+
+    * ``errors`` — each spec's clipped normalized error
+      (:meth:`Specification.normalized_error`), the reward's diagnostics;
+      ``-1.0`` where the measured value is missing or non-finite, or the
+      target is non-finite;
+    * ``features`` — the range-normalized measured values, then the errors
+      as the observation's spec features carry them: a missing or
+      non-finite measured value gets ``0.0`` and ``-1.0``, and a non-finite
+      target keeps the arithmetic's (NaN) error;
+    * ``raw`` — the Eq. (1) shaping sum, folded left to right from ``-0.0``
+      (the exact identity of float addition, so a lone ``-0.0`` error stays
+      ``-0.0``).  Below 8 specs that is bitwise numpy's
+      ``np.array(errors).sum()`` (numpy sums pairwise from 8 elements on),
+      and every catalog spec space has 2–4;
+    * ``goal_reached`` (every usable error is ``>= 0``), ``met`` (the count
+      of usable specs meeting their target) and ``complete`` (no spec was
+      unusable).
+    """
+    errors: Dict[str, float] = {}
+    normalized: List[float] = []
+    feature_errors: List[float] = []
+    raw = -0.0
+    goal_reached = True
+    met = 0
+    complete = True
+    for (name, minimum, span, minimize), target in zip(table, target_values):
+        value = measured.get(name)
+        if value is None or not math.isfinite(value := float(value)):
+            errors[name] = -1.0
+            normalized.append(0.0)
+            feature_errors.append(-1.0)
+            complete = False
+            continue
+        normalized.append((value - minimum) / span)
+        denominator = abs(value) + abs(target)
+        if denominator <= 0.0:
+            error = 0.0
+        else:
+            difference = (value - target) / denominator
+            error = min(-difference if minimize else difference, 0.0)
+        feature_errors.append(error)
+        if not math.isfinite(target):
+            errors[name] = -1.0
+            complete = False
+            continue
+        errors[name] = error
+        raw += error
+        if not error >= 0.0:
+            goal_reached = False
+        if (value <= target) if minimize else (value >= target):
+            met += 1
+    return errors, normalized + feature_errors, raw, goal_reached, met, complete
+
+
 @dataclass
 class RewardOutcome:
     """Reward plus the per-spec diagnostics environments expose in ``info``."""
@@ -97,6 +175,7 @@ class P2SReward:
         invalid_penalty: float | None = None,
     ) -> None:
         self.spec_space = spec_space
+        self._table = spec_table(spec_space)
         self.goal_bonus = goal_bonus
         # Default: one unit of penalty per specification (the worst possible
         # Eq. 1 value), used for invalid simulation results.
@@ -112,54 +191,31 @@ class P2SReward:
     ) -> RewardOutcome:
         """Score one measurement against one target group.
 
-        One pass in plain Python floats computes each spec's clipped
-        normalized error (:meth:`Specification.normalized_error`; ``-1.0``
-        for a missing or non-finite value, which makes the outcome invalid),
-        the shaping sum and the met count.  The sum folds the errors left to
-        right from the first element (the ``-0.0`` start is the exact
-        identity of float addition, so a lone ``-0.0`` error stays ``-0.0``).
-        Below 8 specs that is bitwise numpy's ``np.array(errors).sum()``
-        (numpy sums pairwise from 8 elements on), and every catalog spec
-        space has 2–4.  A missing *target* raises ``KeyError`` naming every
+        One :func:`error_pass` over the specs (``-1.0`` for a missing or
+        non-finite value, which makes the outcome invalid), then
+        :meth:`outcome`.  A missing *target* raises ``KeyError`` naming every
         missing spec.
         """
-        errors: Dict[str, float] = {}
-        complete = True
-        raw = -0.0
-        goal_reached = True
-        met = 0
-        for spec in self.spec_space:
-            name = spec.name
-            measured_value = measured.get(name)
-            try:
-                target_value = float(targets[name])
-            except KeyError:
-                missing = [s.name for s in self.spec_space if s.name not in targets]
-                raise KeyError(f"missing target specifications: {missing}") from None
-            if (
-                measured_value is None
-                or not math.isfinite(float(measured_value))
-                or not math.isfinite(target_value)
-            ):
-                errors[name] = -1.0
-                complete = False
-                continue
-            value = float(measured_value)
-            minimize = spec.objective is Objective.MINIMIZE
-            # Inlined Specification.normalized_error (a method call per spec
-            # would cost more than the arithmetic).
-            denominator = abs(value) + abs(target_value)
-            if denominator <= 0.0:
-                error = 0.0
-            else:
-                difference = (value - target_value) / denominator
-                error = float(min(-difference if minimize else difference, 0.0))
-            errors[name] = error
-            raw += error
-            if not error >= 0.0:
-                goal_reached = False
-            if (value <= target_value) if minimize else (value >= target_value):
-                met += 1
+        try:
+            target_values = [float(targets[name]) for name, *_ in self._table]
+        except KeyError:
+            missing = [s.name for s in self.spec_space if s.name not in targets]
+            raise KeyError(f"missing target specifications: {missing}") from None
+        errors, _, raw, goal_reached, met, complete = error_pass(
+            self._table, measured, target_values
+        )
+        return self.outcome(errors, raw, goal_reached, met, complete, valid)
+
+    def outcome(
+        self,
+        errors: Dict[str, float],
+        raw: float,
+        goal_reached: bool,
+        met: int,
+        complete: bool,
+        valid: bool,
+    ) -> RewardOutcome:
+        """The Eq. (1) outcome of one :func:`error_pass` over ``spec_space``."""
         if not valid or not complete:
             # Missing or non-finite required specs are an invalid outcome in
             # disguise; both take the invalid-penalty path.
@@ -173,7 +229,7 @@ class P2SReward:
             reward=self.goal_bonus if goal_reached else raw,
             goal_reached=goal_reached,
             normalized_errors=errors,
-            met_fraction=met / len(self.spec_space),
+            met_fraction=met / len(self._table),
         )
 
 

@@ -20,11 +20,21 @@ boundary can never split into different keys.  Parameters that the design
 space snaps onto a discrete grid are exactly representable well above the
 default 12-digit resolution, so distinct design points never collide.
 
-:meth:`SimulationCache.simulate_batch` is the one lookup path (``simulate``
-is a batch of one): the rows are looked up in order, the misses are
-simulated together in one inner ``simulate_batch`` call, and a batch that
-completes leaves results, counters and LRU order exactly as a loop of
-``simulate`` calls would.
+One lookup serves every entry (``simulate`` is a batch of one): the rows are
+looked up in order, the misses are simulated together in one inner
+``simulate_batch`` call, and a batch that completes leaves results, counters
+and LRU order exactly as a loop of ``simulate`` calls would.
+:meth:`SimulationCache.simulate_batch` keys each netlist on the parameter row
+it reads out of the netlist; :meth:`SimulationCache.simulate_rows` keys on
+rows the caller already holds.  The episode engine
+(:class:`~repro.env.circuit_env.BatchedCircuitEnv`) passes its own: the
+fixed-parameter base row it read once at build, with the knob columns of the
+step's sizings written.  That relies on the engine's existing contract that a
+lane's fixed netlist parameters do not change after the engine is built
+(write sizings through the environment, not into its netlist).  Both entries
+reach the one quantizer, :meth:`SimulationCache._quantize`, so their keys —
+and the :class:`~repro.parallel.DiskSimulationCache` entry files named by
+``sha256(key)`` — are byte-equal.
 """
 
 from __future__ import annotations
@@ -169,10 +179,29 @@ class SimulationCache:
         evicted stand.  (A loop would have stored the rows before the
         failing one, and evicted only for those.)
         """
+        return self._lookup(self._keys(netlists), netlists)
+
+    def simulate_rows(
+        self, netlists: Sequence[Netlist], rows: np.ndarray
+    ) -> List[SimulationResult]:
+        """:meth:`simulate_batch` for netlists whose parameter rows the caller holds.
+
+        ``rows`` is the ``(n, P)`` float64 array whose row ``i`` equals
+        ``netlists[i].parameter_array()``, and every netlist shares
+        ``netlists[0]``'s name (the episode engine's lanes).  The keys are
+        quantized from ``rows`` instead of read back out of each netlist, and
+        they are byte-equal to the ones :meth:`simulate_batch` derives.
+        """
+        if not netlists:
+            return []
+        return self._lookup(self._quantize(netlists[0].name, rows), netlists)
+
+    def _lookup(self, keys: List[bytes], netlists: Sequence[Netlist]) -> List[SimulationResult]:
+        """The lookup shared by :meth:`simulate_batch` and :meth:`simulate_rows`."""
         entries = self._entries
         rows: List[Union[SimulationResult, _Reserved]] = []
         reserved: List[_Reserved] = []
-        for key, netlist in zip(self._keys(netlists), netlists):
+        for key, netlist in zip(keys, netlists):
             entry = entries.get(key)
             if entry is None:
                 entry = _Reserved(len(reserved), key, netlist)
@@ -233,21 +262,13 @@ class SimulationCache:
         self._entries.clear()
 
     def _keys(self, netlists: Sequence[Netlist]) -> List[bytes]:
-        """The key of every netlist.
+        """The key of every netlist: its parameter row, through :meth:`_quantize`.
 
         A netlist's :meth:`~repro.circuits.netlist.Netlist.parameter_array`
         (device parameters in netlist insertion order) fully determines a
         deterministic simulator's output, and the order is fixed per
         topology, so the quantized array (plus the circuit name) is the key.
         Netlists that share a name and a layout are quantized as one array.
-
-        The key quantizes the *binary* mantissa to the bit count matching
-        ``key_digits`` decimal digits.  Binary quantization collapses the
-        same float noise as decimal rounding, but every operation (frexp,
-        mantissa shift, round, carry) is exact in float64 — there is no
-        decade-boundary failure mode and no inexact power-of-ten scale —
-        and it costs a tenth of a decimal rounding pass, which matters on a
-        path that must stay well below one simulator call.
         """
         if not netlists:
             return []
@@ -263,18 +284,35 @@ class SimulationCache:
         rows = np.fromiter(
             chain.from_iterable(map(dict.values, dicts)), dtype=np.float64, count=sum(sizes)
         ).reshape(len(netlists), sum(layout))
-        mantissas, exponents = np.frexp(rows)
-        scaled = np.round(mantissas * self._mantissa_scale)
+        return self._quantize(name, rows)
+
+    def _quantize(self, name: str, rows: np.ndarray) -> List[bytes]:
+        """The keys of ``(n, P)`` parameter rows of circuit ``name``: the one quantizer.
+
+        A key is the name, then the row's quantized mantissas (float64),
+        then its exponents (int32).  The key quantizes the *binary* mantissa
+        to the bit count matching ``key_digits`` decimal digits.  Binary
+        quantization collapses the same float noise as decimal rounding, but
+        every operation (frexp, mantissa shift, round, carry) is exact in
+        float64 — there is no decade-boundary failure mode and no inexact
+        power-of-ten scale — and it costs a tenth of a decimal rounding
+        pass, which matters on a path that must stay well below one
+        simulator call.  Each row's bytes sit side by side in one array, so
+        all keys are slices of one ``tobytes`` call.
+        """
+        count, width = rows.shape
+        scaled, exponents = np.frexp(rows)
+        np.multiply(scaled, self._mantissa_scale, out=scaled)
+        np.rint(scaled, out=scaled)
         # A mantissa that rounded up to 1.0 (e.g. 0.999...9 at full precision)
         # is renormalized so it shares the key of the next binade's values.
         carry = np.abs(scaled) >= self._mantissa_scale
-        scaled = np.where(carry, scaled * 0.5, scaled)
-        exponents = exponents + carry
+        np.multiply(scaled, 0.5, out=scaled, where=carry)
+        np.add(exponents, carry, out=exponents)
         prefix = name.encode()
-        return [
-            prefix + scaled[row].tobytes() + exponents[row].tobytes()
-            for row in range(len(netlists))
-        ]
+        size = width * (scaled.itemsize + exponents.itemsize)
+        blob = np.concatenate((scaled.view(np.uint8), exponents.view(np.uint8)), axis=1).tobytes()
+        return [prefix + blob[start : start + size] for start in range(0, count * size, size)]
 
     @staticmethod
     def _copy(result: SimulationResult) -> SimulationResult:

@@ -119,6 +119,10 @@ def main_deploy(argv: Optional[Sequence[str]] = None) -> int:
 
     if not args.quiet:
         for response in responses:
+            if response.error is not None:
+                error = response.error
+                print(f"[{response.index:>3d}] error {error.code}: {error.message}")
+                continue
             status = "MET " if response.success else "miss"
             specs = ", ".join(
                 f"{name}={value:.4g}" for name, value in response.target_specs.items()
@@ -127,13 +131,15 @@ def main_deploy(argv: Optional[Sequence[str]] = None) -> int:
 
     stats = service.stats.snapshot()
     cache = service.cache_stats()
+    # Every request may have been refused (a non-finite target).
+    mean_steps = stats.design_steps / stats.episodes if stats.episodes else 0.0
     print()
     print(
         f"served {stats.episodes} episodes in {elapsed:.2f}s "
         f"({stats.episodes / elapsed:.1f} episodes/s, "
         f"{stats.design_steps} design steps) | "
         f"accuracy {stats.accuracy:.2%}, mean steps "
-        f"{stats.design_steps / stats.episodes:.1f} | "
+        f"{mean_steps:.1f} | "
         f"simulation cache hit rate {cache.hit_rate:.2%}"
     )
     if stats.surrogate_hits or stats.trust_rejections:
@@ -148,7 +154,7 @@ def main_deploy(argv: Optional[Sequence[str]] = None) -> int:
             "checkpoint": args.checkpoint,
             "batch_size": args.batch_size,
             "accuracy": stats.accuracy,
-            "mean_steps": stats.design_steps / stats.episodes,
+            "mean_steps": mean_steps,
             "wall_time_s": elapsed,
             "service": service.stats_dict(),
             "results": [response.to_dict() for response in responses],

@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.agents.checkpoint import CheckpointError
-from repro.serve.protocol import ServeRequest, ServeResponse
+from repro.serve.protocol import ServeRequest, ServeResponse, target_error
 from repro.serve.service import DeploymentService, ServeStats
 
 #: Default time a request may wait in the queue for coalescing partners.
@@ -340,8 +340,9 @@ class Gateway:
     def submit(self, request: Union[ServeRequest, Mapping[str, Any]]) -> Future:
         """Enqueue one request; the Future resolves to its ServeResponse.
 
-        Routing failures (unknown environment, broken lazy checkpoint)
-        resolve the future immediately with a structured error response —
+        Routing failures (unknown environment, broken lazy checkpoint) and
+        targets that cannot be served (a NaN or infinite value) resolve the
+        future immediately with a structured error response —
         ``submit`` only raises for caller bugs (bad request type, closed
         gateway).
         """
@@ -349,6 +350,9 @@ class Gateway:
         request = self._coerce(request)
         if self._closed:
             raise RuntimeError("the gateway is closed; no new requests accepted")
+        message = target_error(request.target_specs)
+        if message is not None:
+            return self._failed_future(request, "bad_request", message)
         try:
             env_id = self._route(request)
         except CheckpointError as exc:

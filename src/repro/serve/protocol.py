@@ -23,6 +23,7 @@ message naming the version this build speaks.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -96,6 +97,20 @@ def _spec_mapping(value: Any, label: str) -> Dict[str, float]:
         return {str(name): float(entry) for name, entry in value.items()}
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{label} has a non-numeric specification value: {exc}") from exc
+
+
+def target_error(target_specs: Mapping[str, float]) -> Optional[str]:
+    """Why a request's targets cannot be served (None when they can).
+
+    A NaN or infinite target gives NaN spec features to every step's
+    observation, so its episode would run its whole step budget on a
+    meaningless policy input; the serve front doors answer it with a
+    ``bad_request`` error instead of deploying it.
+    """
+    bad = sorted(name for name, value in target_specs.items() if not math.isfinite(value))
+    if bad:
+        return f"target_specs has non-finite values for {bad}"
+    return None
 
 
 @dataclass
@@ -178,7 +193,8 @@ class ServeRequest:
 class ServeError:
     """A structured failure attached to a :class:`ServeResponse`.
 
-    ``code`` is machine-readable: ``bad_request`` (unparseable input),
+    ``code`` is machine-readable: ``bad_request`` (unparseable input, or
+    targets that cannot be served: :func:`target_error`),
     ``unroutable`` (no policy registered for the requested environment),
     ``checkpoint_error`` (a lazily loaded checkpoint failed or mismatched),
     ``timeout`` (the request's hard budget expired before execution),

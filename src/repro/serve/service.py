@@ -36,7 +36,7 @@ from repro.api.catalog import make_env
 from repro.env.circuit_env import CircuitDesignEnv
 from repro.parallel.cache import DEFAULT_CACHE_SIZE
 from repro.parallel.vector_env import VectorCircuitEnv
-from repro.serve.protocol import ServeRequest, ServeResponse
+from repro.serve.protocol import ServeRequest, ServeResponse, target_error
 
 #: How many recent per-request latencies the stats keep for percentiles.
 LATENCY_WINDOW = 4096
@@ -553,14 +553,22 @@ class DeploymentService:
         Requests are grouped by ``(env_id, max_steps)`` so each group runs as
         lock-step micro-batches of at most ``batch_size`` episodes on that
         topology's persistent vector environment and shared simulation cache.
+        A request with a NaN or infinite target is answered with a
+        ``bad_request`` error response and not deployed.
         """
         normalized = self._normalize(requests)
+        responses: List[Optional[ServeResponse]] = [None] * len(normalized)
         groups: Dict[Tuple[str, Optional[int]], List[int]] = {}
         for index, request in enumerate(normalized):
+            message = target_error(request.target_specs)
+            if message is not None:
+                self.stats.record_error("bad_request")
+                responses[index] = ServeResponse.failure(request, "bad_request", message)
+                responses[index].index = index
+                continue
             key = (self.resolve_env_id(request.env_id), request.max_steps)
             groups.setdefault(key, []).append(index)
 
-        responses: List[Optional[ServeResponse]] = [None] * len(normalized)
         for (env_id, max_steps), indices in groups.items():
             group = self.serve_group(env_id, max_steps, [normalized[i] for i in indices])
             for index, response in zip(indices, group):

@@ -15,6 +15,8 @@ import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Protocol, Sequence
 
+import numpy as np
+
 from repro.circuits.netlist import Netlist
 
 
@@ -54,7 +56,9 @@ class CircuitSimulator(Protocol):
     result per netlist, each exactly what ``simulate`` would return for it.
     Callers that hold several netlists go through :func:`simulate_batch`,
     which uses that entry when it exists (and ``simulate`` is not
-    overridden below it).
+    overridden below it).  A simulator that reads the netlists' parameter
+    rows may define ``simulate_rows(netlists, rows)`` as well, reached
+    through :func:`simulate_rows` by callers that hold the rows.
     """
 
     #: Human-readable simulator name (shown in experiment reports).
@@ -77,19 +81,45 @@ def simulate_batch(
     netlist, in order.
     """
     batch = getattr(simulator, "simulate_batch", None)
-    if batch is None or _simulate_overrides_batch(type(simulator)):
+    if batch is None or _bypassed(type(simulator), "simulate_batch"):
         return [simulator.simulate(netlist) for netlist in netlists]
     return batch(netlists)
 
 
+def simulate_rows(
+    simulator: CircuitSimulator, netlists: Sequence[Netlist], rows: np.ndarray
+) -> List[SimulationResult]:
+    """:func:`simulate_batch` for a caller that holds the netlists' parameter rows.
+
+    ``rows`` is the ``(n, P)`` float64 array whose row ``i`` equals
+    ``netlists[i].parameter_array()``, and the netlists share one name.  A
+    simulator that reads those rows (a
+    :class:`~repro.parallel.SimulationCache` keys its lookup on them) gets
+    them through its own ``simulate_rows``, unless its class overrides
+    ``simulate`` or ``simulate_batch`` below the class that defines
+    ``simulate_rows``; any other simulator gets :func:`simulate_batch`.
+    """
+    keyed = getattr(simulator, "simulate_rows", None)
+    if keyed is None or _bypassed(type(simulator), "simulate_rows"):
+        return simulate_batch(simulator, netlists)
+    return keyed(netlists, rows)
+
+
+#: The simulation entries, narrowest first: each one answers as the entries
+#: before it would, so a subclass that overrides an earlier one must not be
+#: bypassed through a later one.
+_ENTRIES = ("simulate", "simulate_batch", "simulate_rows")
+
+
 @functools.lru_cache(maxsize=None)  # keyed on classes, of which a process has few
-def _simulate_overrides_batch(kind: type) -> bool:
-    """Whether ``kind`` defines ``simulate`` in a subclass of where it gets ``simulate_batch``."""
+def _bypassed(kind: type, entry: str) -> bool:
+    """Whether ``kind`` defines a narrower entry in a subclass of where it gets ``entry``."""
 
     def definer(name: str) -> int:
         return next((depth for depth, cls in enumerate(kind.__mro__) if name in vars(cls)), -1)
 
-    return definer("simulate") < definer("simulate_batch")
+    depth = definer(entry)
+    return any(definer(name) < depth for name in _ENTRIES[: _ENTRIES.index(entry)])
 
 
 #: Canonical short name of the simulator protocol.  Every evaluation tier —

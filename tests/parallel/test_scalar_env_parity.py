@@ -21,6 +21,7 @@ import pytest
 
 import repro
 from repro.parallel import VectorCircuitEnv
+from repro.simulation.base import SimulationResult
 from step_reference import ReferenceCircuitEnv, ReferenceVectorEnv, spec_feature_vector
 from test_step_parity import assert_observations_equal, assert_outputs_equal, assert_states_equal
 
@@ -85,12 +86,27 @@ def test_step_and_reset_match_reference(case):
     ids=["finite", "nan-and-zeros", "inf-and-missing"],
 )
 def test_spec_features_match_the_reference(measured):
-    """The engine's plain-float spec rows against the per-spec reference."""
+    """The engine's plain-float spec rows, at a reset and a step, against the
+    per-spec reference."""
     env, _ = _pair("opamp-p2s-v0", {})
+    env.simulator = FixedSimulator(measured)
     targets = {"gain": 350.0, "bandwidth": 2e7, "phase_margin": 58.0, "power": 5e-3}
-    engine = env.engine._spec_features([measured, targets], [targets, targets])
-    for row, values in enumerate([measured, targets]):
-        assert engine[row].tobytes() == spec_feature_vector(env, values, targets).tobytes()
+    expected = spec_feature_vector(env, measured, targets).tobytes()
+    assert env.reset(target_specs=targets).spec_features.tobytes() == expected
+    observation = env.step(env.action_space.no_op())[0]
+    assert observation.spec_features.tobytes() == expected
+
+
+class FixedSimulator:
+    """Reports the same specs for every netlist."""
+
+    name = "fixed"
+
+    def __init__(self, specs):
+        self.specs = specs
+
+    def simulate(self, netlist):
+        return SimulationResult(specs=dict(self.specs))
 
 
 def test_scalar_errors_match_reference():
