@@ -20,8 +20,8 @@ import pytest
 import repro
 from repro.circuits.specs import Objective
 from repro.env.reward import P2SReward, RewardOutcome, error_pass, spec_table
-from repro.simulation.base import SimulationResult
 from step_reference import spec_feature_vector
+from test_scalar_env_parity import FixedSimulator
 
 NAN, INF = math.nan, math.inf
 
@@ -102,9 +102,14 @@ def _assert_outcome_equal(got, want):
     assert _bits(got.met_fraction) == _bits(want.met_fraction)
 
 
-@pytest.fixture(scope="module")
-def env():
-    return repro.make_env("opamp-p2s-v0", seed=0, max_steps=3)
+#: The circuit whose specs the cases name (in the test ids, so the CI
+#: parity job's ``-k opamp`` leg selects them).
+ENV_IDS = ["opamp-p2s-v0"]
+
+
+@pytest.fixture(scope="module", params=ENV_IDS)
+def env(request):
+    return repro.make_env(request.param, seed=0, max_steps=3)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -157,18 +162,6 @@ def test_edge_cases_read_as_documented(env):
     assert _bits(raw) == _bits(-0.0)
 
 
-class FixedSimulator:
-    """Reports the same specs for every netlist."""
-
-    name = "fixed"
-
-    def __init__(self, specs, valid=True):
-        self.specs, self.valid = specs, valid
-
-    def simulate(self, netlist):
-        return SimulationResult(specs=dict(self.specs), valid=self.valid)
-
-
 class CallingReward(P2SReward):
     """Overrides ``__call__`` (the lane keeps the called path)."""
 
@@ -188,9 +181,10 @@ class HarshReward(P2SReward):
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("reward_cls", [P2SReward, CallingReward, HarshReward])
 @pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
-def test_step_scores_like_the_reference(case, reward_cls, valid):
+@pytest.mark.parametrize("env_id", ENV_IDS)
+def test_step_scores_like_the_reference(env_id, case, reward_cls, valid):
     measured, targets = CASES[case]
-    env = repro.make_env("opamp-p2s-v0", seed=0, max_steps=3)
+    env = repro.make_env(env_id, seed=0, max_steps=3)
     env.simulator = FixedSimulator(measured, valid)
     env.reward_fn = reward_cls(env.benchmark.spec_space)
     features = spec_feature_vector(env, measured, targets).tobytes()

@@ -102,11 +102,11 @@ class FixedSimulator:
 
     name = "fixed"
 
-    def __init__(self, specs):
-        self.specs = specs
+    def __init__(self, specs, valid=True):
+        self.specs, self.valid = specs, valid
 
     def simulate(self, netlist):
-        return SimulationResult(specs=dict(self.specs))
+        return SimulationResult(specs=dict(self.specs), valid=self.valid)
 
 
 def test_scalar_errors_match_reference():
