@@ -2,9 +2,10 @@
 
 Four claims of the serving subsystem, measured directly:
 
-1. grad-free inference-mode deployment is ≥2× faster than a grad-recording
-   episode loop (``policy.act(..., inference=False)`` + ``env.step``), with
-   identical episodes;
+1. grad-free deployment is ≥2× faster than a grad-recording episode loop
+   (a graded acting step — ``policy.action_distribution_batch``, argmax of
+   its ``probs``, the chosen log-prob and ``policy.value_batch`` — +
+   ``env.step``), with identical episodes;
 2. micro-batched serving throughput scales with the batch size, with
    episode-level results identical at every batch size;
 3. a checkpoint round-trip (save → load) reproduces the deployment metrics
@@ -29,6 +30,7 @@ import numpy as np
 
 import repro
 from repro.agents import deploy_policy, deploy_policy_batch, evaluate_deployment
+from repro.env.spaces import BatchedObservation
 from repro.parallel import VectorCircuitEnv
 from repro.serve import DeploymentService
 
@@ -72,14 +74,21 @@ def _policy_and_targets(seed: int = 0):
 
 
 def _grad_recording_episode(env, policy, target):
-    """One greedy episode through the grad-recording ``policy.act`` path:
-    ``(steps, success, final_specs)``."""
-    rng = np.random.default_rng(0)
+    """One greedy episode of graded acting steps: ``(steps, success, final_specs)``.
+
+    Each step records the autograd graph of what a rollout step computes —
+    the actor's action distribution, the chosen action's log-probability and
+    the critic's value — and acts on the argmax of the distribution.
+    """
     observation = env.reset(target_specs=target)
     done = False
     while not done:
-        action, _, _ = policy.act(observation, rng, deterministic=True, inference=False)
-        observation, _, done, _ = env.step(action)
+        batch = BatchedObservation.stack([observation])
+        distribution = policy.action_distribution_batch(batch)
+        actions = np.argmax(distribution.probs, axis=-1)
+        distribution.log_prob(actions)
+        policy.value_batch(batch)
+        observation, _, done, _ = env.step(actions[0])
     return env.trajectory.length, env.trajectory.success, env.measured_specs
 
 
@@ -130,7 +139,7 @@ def test_inference_mode_deployment_speedup(benchmark):
     # autograd graph plus a critic forward per step; the inference path is a
     # pure-numpy actor forward).  The gate sits at the 2x acceptance target.
     assert speedup >= 2.0, (
-        f"grad-free inference-mode deployment regressed: measured {speedup:.2f}x "
+        f"grad-free deployment regressed: measured {speedup:.2f}x "
         "vs the grad-recording path (expect >= 2x)"
     )
 

@@ -69,7 +69,6 @@ from repro.circuits import (
     build_rf_pa,
     build_two_stage_opamp,
 )
-from repro.nn import inference_mode
 from repro.orchestrate import ArtifactStore, SweepConfig, SweepResult, run_sweep
 from repro.parallel import DiskSimulationCache, SimulationCache, VectorCircuitEnv
 from repro.serve import DeploymentService, Gateway, ServeRequest, ServeResponse
@@ -121,7 +120,6 @@ __all__ = [
     "describe_components",
     "evaluate_deployment",
     "harvest_corpus",
-    "inference_mode",
     "list_envs",
     "load_checkpoint",
     "load_surrogate",

@@ -281,7 +281,7 @@ def greedy_fom_rollouts(
         observation = env.reset()
         done = False
         while not done:
-            action, _, _ = policy.act(observation, rng, deterministic=True)
+            action = policy.select_action(observation, rng, deterministic=True)
             observation, _, done, info = env.step(action)
             fom = float(info["figure_of_merit"])
             rollouts.foms.append(fom)

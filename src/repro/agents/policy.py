@@ -28,10 +28,12 @@ The baselines reproduce the prior RL methods as the paper describes them
 
 Every forward is batch-first: the trunks, heads and action distribution run
 over a :class:`~repro.env.spaces.BatchedObservation`, with one autograd path
-(acting, and PPO's minibatch :meth:`ActorCriticPolicy.evaluate_actions`) and
-one bitwise-equal pure-numpy path (grad-free deployment).  The
-single-observation :meth:`ActorCriticPolicy.act` and
-:meth:`ActorCriticPolicy.select_action` are row 0 of a batch of one.
+(PPO's minibatch :meth:`ActorCriticPolicy.evaluate_actions`) and one
+bitwise-equal pure-numpy path for everything that needs no gradient (PPO
+rollouts through :meth:`ActorCriticPolicy.act_batch`, deployment through
+:meth:`ActorCriticPolicy.select_action_batch`).  The single-observation
+:meth:`ActorCriticPolicy.act` and :meth:`ActorCriticPolicy.select_action` are
+row 0 of a batch of one.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from repro.nn.distributions import BatchedMultiCategorical, sample_from_probs
 from repro.nn.graph_layers import GraphEncoder
 from repro.nn.layers import MLP, log_softmax_array
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, concatenate, inference_mode
+from repro.nn.tensor import Tensor, concatenate
 
 
 @dataclass
@@ -164,7 +166,7 @@ class _FeatureTrunk(Module):
         return concatenate(pieces, axis=-1)
 
     def forward_array(self, batch: BatchedObservation) -> np.ndarray:
-        """Pure-numpy twin of :meth:`forward` (grad-free inference fast path).
+        """Pure-numpy twin of :meth:`forward` (the grad-free forward).
 
         Mirrors :meth:`forward` operation-for-operation, so the returned
         ``(B, output_dim)`` features are bitwise identical to
@@ -248,28 +250,22 @@ class ActorCriticPolicy(Module):
         batch: BatchedObservation,
         rng: np.random.Generator,
         deterministic: bool = False,
-        inference: bool = True,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Select actions: ``(actions (B, M), log_probs (B,), values (B,))`` (detached).
+        """Select actions: ``(actions (B, M), log_probs (B,), values (B,))``.
 
-        Stochastic sampling draws one ``(B, M, 1)`` block from ``rng`` in
-        batch order.  All outputs are plain arrays, so by default the forward
-        passes run under :func:`repro.nn.inference_mode` (no graph recording;
-        identical numbers).  Pass ``inference=False`` to force the
-        grad-recording path — PPO re-evaluates actions during its update via
-        :meth:`evaluate_actions`, so this is only useful for benchmarking the
-        two paths against each other.
+        The rollout step of PPO, on the pure-numpy forward: the actions are
+        :meth:`select_action_batch`'s (same draws from ``rng``), and the
+        log-probabilities and values are bitwise equal to the graded
+        ``action_distribution_batch(batch).log_prob(actions)`` and
+        ``value_batch(batch)`` that :meth:`evaluate_actions` recomputes.
         """
-        if inference:
-            with inference_mode():
-                return self.act_batch(batch, rng, deterministic=deterministic, inference=False)
-        distribution = self.action_distribution_batch(batch)
-        if deterministic:
-            actions = distribution.mode()
-        else:
-            actions = distribution.sample(rng)
-        log_probs = distribution.log_prob(actions).numpy().copy()
-        values = self.value_batch(batch).numpy().copy()
+        log_softmax = log_softmax_array(self.actor_logits_array_batch(batch))
+        actions = _choose_actions(np.exp(log_softmax), rng, deterministic)
+        batch_index = np.arange(len(batch))[:, None]
+        param_index = np.arange(self.config.num_parameters)[None, :]
+        log_probs = log_softmax[batch_index, param_index, actions].sum(axis=-1)
+        features = self.critic_trunk.forward_array(batch)
+        values = self.critic_head.forward_array(features).reshape(len(batch))
         return actions, log_probs, values
 
     def act(
@@ -277,11 +273,10 @@ class ActorCriticPolicy(Module):
         observation: Observation,
         rng: np.random.Generator,
         deterministic: bool = False,
-        inference: bool = True,
     ) -> Tuple[np.ndarray, float, float]:
         """:meth:`act_batch` on a batch of one: ``(action, log_prob, value)``."""
         actions, log_probs, values = self.act_batch(
-            BatchedObservation.stack([observation]), rng, deterministic, inference
+            BatchedObservation.stack([observation]), rng, deterministic
         )
         return actions[0], float(log_probs[0]), float(values[0])
 
@@ -296,7 +291,7 @@ class ActorCriticPolicy(Module):
         return log_probs, values, entropies
 
     # ------------------------------------------------------------------
-    # Grad-free action selection (the deployment fast path)
+    # Action selection without log-probs or values (deployment)
     # ------------------------------------------------------------------
     def select_action_batch(
         self,
@@ -307,19 +302,14 @@ class ActorCriticPolicy(Module):
         """Action selection without log-prob/value bookkeeping or any graph.
 
         This is what deployment actually needs: the greedy (or sampled)
-        ``(B, M)`` actions, nothing else.  They are identical to
-        ``act_batch(..., deterministic=...)[0]`` — the probabilities are
-        derived exactly as :class:`BatchedMultiCategorical` does (exp of the
-        log-softmax twin), so greedy tie-breaking matches, and sampling shares
-        its :func:`~repro.nn.distributions.sample_from_probs` implementation,
-        consuming the same draws from ``rng``.
+        ``(B, M)`` actions, nothing else — no critic forward.  They are
+        identical to ``act_batch(..., deterministic=...)[0]`` and consume the
+        same draws from ``rng``; the probabilities are exactly
+        :attr:`BatchedMultiCategorical.probs` (exp of the log-softmax), so
+        greedy tie-breaking matches the graded distribution too.
         """
         probs = np.exp(log_softmax_array(self.actor_logits_array_batch(batch)))
-        if deterministic:
-            return np.argmax(probs, axis=-1).astype(np.int64)
-        if rng is None:
-            raise ValueError("stochastic action selection requires an rng")
-        return sample_from_probs(probs, rng)
+        return _choose_actions(probs, rng, deterministic)
 
     def select_action(
         self,
@@ -331,6 +321,20 @@ class ActorCriticPolicy(Module):
         return self.select_action_batch(
             BatchedObservation.stack([observation]), rng, deterministic
         )[0]
+
+
+def _choose_actions(
+    probs: np.ndarray, rng: Optional[np.random.Generator], deterministic: bool
+) -> np.ndarray:
+    """Greedy (argmax) or sampled ``(B, M)`` actions from ``(B, M, 3)`` probabilities.
+
+    Sampling draws one ``(B, M, 1)`` block from ``rng`` in batch order.
+    """
+    if deterministic:
+        return np.argmax(probs, axis=-1).astype(np.int64)
+    if rng is None:
+        raise ValueError("stochastic action selection requires an rng")
+    return sample_from_probs(probs, rng)
 
 
 # ----------------------------------------------------------------------

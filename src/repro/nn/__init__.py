@@ -22,11 +22,8 @@ from repro.nn.optim import SGD, Adam, Optimizer, clip_grad_norm
 from repro.nn.tensor import (
     Tensor,
     concatenate,
-    inference_mode,
-    is_grad_enabled,
     maximum,
     minimum,
-    set_grad_enabled,
     stack,
     where,
 )
@@ -52,14 +49,11 @@ __all__ = [
     "get_initializer",
     "he_normal",
     "huber_loss",
-    "inference_mode",
-    "is_grad_enabled",
     "maximum",
     "minimum",
     "mse_loss",
     "normalized_adjacency",
     "orthogonal",
-    "set_grad_enabled",
     "stack",
     "where",
     "xavier_uniform",

@@ -5,10 +5,12 @@ parameter is either increased by one step, kept, or decreased by one step at
 each time step.  The policy head therefore outputs an ``M x 3`` matrix of
 logits per observation (``M`` = number of tunable parameters), interpreted
 row-wise as independent categorical distributions.  The policy is
-batch-first, so :class:`BatchedMultiCategorical` wraps the ``(B, M, 3)``
-logits of a batch of observations and provides sampling, log-probabilities
-and entropy — all the quantities PPO needs (Eq. 3).  A single observation
-is a batch of one.
+batch-first, so :class:`BatchedMultiCategorical` wraps the graded
+``(B, M, 3)`` logits of a batch of observations and provides the
+differentiable log-probabilities and entropies PPO's update needs (Eq. 3).
+A single observation is a batch of one.  Choosing actions needs no
+gradient: the policy samples from numpy probabilities with
+:func:`sample_from_probs`.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ def sample_from_probs(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray
     """Inverse-CDF categorical sampling over the last axis of ``probs``.
 
     One draw block of shape ``probs.shape[:-1] + (1,)`` is consumed from
-    ``rng``.  This is the single sampling implementation behind
-    :class:`BatchedMultiCategorical` and the policy's grad-free
-    ``select_action_batch`` fast path — sharing it is what keeps their "same
-    draws from the same rng" parity contract safe against drift.
+    ``rng``.  This is the single sampling implementation behind the policy's
+    ``act_batch`` (PPO rollouts) and ``select_action_batch`` (deployment), so
+    both consume the same draws from the same rng.
     """
     cumulative = probs.cumsum(axis=-1)
     draws = rng.random(size=probs.shape[:-1] + (1,))
@@ -39,8 +40,8 @@ class BatchedMultiCategorical:
 
     Wraps ``(B, M, K)`` logits — the output of the policy's forward pass over
     a :class:`~repro.env.spaces.BatchedObservation`; in this project ``K = 3``
-    (decrease / keep / increase) — and performs sampling, log-probabilities
-    and entropies for the whole batch with single array operations.
+    (decrease / keep / increase) — and computes log-probabilities and
+    entropies for the whole batch with single array operations.
     """
 
     def __init__(self, logits: Tensor) -> None:
@@ -67,14 +68,6 @@ class BatchedMultiCategorical:
     def probs(self) -> np.ndarray:
         """Row-stochastic ``(B, M, K)`` probability tensor (detached)."""
         return np.exp(self._log_probs.data)
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """One ``(B, M)`` action matrix via inverse-CDF sampling."""
-        return sample_from_probs(self.probs, rng)
-
-    def mode(self) -> np.ndarray:
-        """Greedy ``(B, M)`` action matrix."""
-        return np.argmax(self.probs, axis=-1).astype(np.int64)
 
     def log_prob(self, actions: np.ndarray) -> Tensor:
         """Per-row joint log-probabilities, shape ``(B,)``."""

@@ -9,6 +9,9 @@ applied to it and can back-propagate gradients through them.
 Only the operations needed by the GCN/GAT/FCNN policy networks and the PPO
 losses are implemented, but each one supports full broadcasting and is
 verified against finite differences in ``tests/nn/test_tensor_autograd.py``.
+Every operation records the graph; there is no grad-free mode.  Forwards
+that need no gradient (acting, deployment) skip tensors altogether and run
+the layers' bitwise-equal pure-numpy ``forward_array`` twins.
 
 Example
 -------
@@ -25,59 +28,11 @@ array([[1., 1.],
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 ArrayLike = Union[np.ndarray, float, int, Sequence[float], "Tensor"]
-
-
-class _GradState(threading.local):
-    """Per-thread autograd switch (single attribute for cheap hot-path reads).
-
-    Thread-local so ``inference_mode()`` in e.g. a serving thread cannot
-    silently disable gradient recording for a concurrently training thread;
-    the class attribute is the per-thread default until first written.
-    """
-
-    enabled: bool = True
-
-
-_GRAD = _GradState()
-
-
-def is_grad_enabled() -> bool:
-    """Whether tensor operations currently record the autograd graph."""
-    return _GRAD.enabled
-
-
-def set_grad_enabled(enabled: bool) -> bool:
-    """Set the global autograd switch; returns the previous value."""
-    previous = _GRAD.enabled
-    _GRAD.enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def inference_mode() -> Iterator[None]:
-    """Disable autograd graph recording inside the ``with`` block.
-
-    Under inference mode every tensor operation returns a plain
-    :class:`Tensor` — no parent tracking, no backward closure, no
-    ``requires_grad`` propagation — so a forward pass is ordinary numpy math
-    plus a thin wrapper.  This is the deployment / rollout action-selection
-    fast path: results are bitwise identical to the grad-recording path
-    (the forward arithmetic is unchanged), only the graph bookkeeping is
-    skipped.  Nesting is safe; the previous state is restored on exit.
-    """
-    previous = _GRAD.enabled
-    _GRAD.enabled = False
-    try:
-        yield
-    finally:
-        _GRAD.enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -182,14 +137,12 @@ class Tensor:
     def _ensure(value: ArrayLike) -> "Tensor":
         return value if isinstance(value, Tensor) else Tensor(value)
 
+    @staticmethod
     def _make_result(
-        self,
         data: np.ndarray,
         parents: tuple["Tensor", ...],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        if not _GRAD.enabled:
-            return Tensor(data)
         requires = any(p.requires_grad for p in parents)
         result = Tensor(data, requires_grad=requires, _parents=parents)
         if requires:
@@ -211,8 +164,6 @@ class Tensor:
     def __add__(self, other: ArrayLike) -> "Tensor":
         other = self._ensure(other)
         out_data = self.data + other.data
-        if not _GRAD.enabled:
-            return Tensor(out_data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad)
@@ -224,8 +175,6 @@ class Tensor:
 
     def __neg__(self) -> "Tensor":
         out_data = -self.data
-        if not _GRAD.enabled:
-            return Tensor(out_data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(-grad)
@@ -235,8 +184,6 @@ class Tensor:
     def __sub__(self, other: ArrayLike) -> "Tensor":
         other = self._ensure(other)
         out_data = self.data - other.data
-        if not _GRAD.enabled:
-            return Tensor(out_data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad)
@@ -250,8 +197,6 @@ class Tensor:
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = self._ensure(other)
         out_data = self.data * other.data
-        if not _GRAD.enabled:
-            return Tensor(out_data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * other.data)
@@ -264,8 +209,6 @@ class Tensor:
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         other = self._ensure(other)
         out_data = self.data / other.data
-        if not _GRAD.enabled:
-            return Tensor(out_data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad / other.data)
@@ -280,8 +223,6 @@ class Tensor:
         if not isinstance(exponent, (int, float)):
             raise TypeError("Tensor.__pow__ only supports scalar exponents")
         out_data = self.data**exponent
-        if not _GRAD.enabled:
-            return Tensor(out_data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * exponent * self.data ** (exponent - 1))
@@ -291,8 +232,6 @@ class Tensor:
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other = self._ensure(other)
         out_data = self.data @ other.data
-        if not _GRAD.enabled:
-            return Tensor(out_data)
 
         def backward(grad: np.ndarray) -> None:
             # Transpose only the matrix axes so batched (stacked) matmuls
@@ -320,8 +259,6 @@ class Tensor:
         self, axis: Optional[Union[int, tuple[int, ...]]] = None, keepdims: bool = False
     ) -> "Tensor":
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
-        if not _GRAD.enabled:
-            return Tensor(out_data)
 
         def backward(grad: np.ndarray) -> None:
             grad = np.asarray(grad, dtype=np.float64)
@@ -350,8 +287,6 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         out_data = self.data.reshape(shape)
-        if not _GRAD.enabled:
-            return Tensor(out_data)
         original_shape = self.data.shape
 
         def backward(grad: np.ndarray) -> None:
@@ -361,8 +296,6 @@ class Tensor:
 
     def transpose(self) -> "Tensor":
         out_data = self.data.T
-        if not _GRAD.enabled:
-            return Tensor(out_data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.T)
@@ -376,8 +309,6 @@ class Tensor:
     def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
         """Exchange two axes (the batch-safe generalization of ``.T``)."""
         out_data = np.swapaxes(self.data, axis1, axis2)
-        if not _GRAD.enabled:
-            return Tensor(out_data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(np.swapaxes(grad, axis1, axis2))
@@ -386,8 +317,6 @@ class Tensor:
 
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
-        if not _GRAD.enabled:
-            return Tensor(out_data)
 
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
@@ -401,8 +330,6 @@ class Tensor:
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
-        if not _GRAD.enabled:
-            return Tensor(out_data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * out_data)
@@ -411,8 +338,6 @@ class Tensor:
 
     def log(self) -> "Tensor":
         out_data = np.log(self.data)
-        if not _GRAD.enabled:
-            return Tensor(out_data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad / self.data)
@@ -421,8 +346,6 @@ class Tensor:
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
-        if not _GRAD.enabled:
-            return Tensor(out_data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * (1.0 - out_data**2))
@@ -432,8 +355,6 @@ class Tensor:
     def relu(self) -> "Tensor":
         mask = self.data > 0
         out_data = self.data * mask
-        if not _GRAD.enabled:
-            return Tensor(out_data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * mask)
@@ -444,8 +365,6 @@ class Tensor:
         mask = self.data > 0
         scale = np.where(mask, 1.0, negative_slope)
         out_data = self.data * scale
-        if not _GRAD.enabled:
-            return Tensor(out_data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * scale)
@@ -454,8 +373,6 @@ class Tensor:
 
     def sigmoid(self) -> "Tensor":
         out_data = 1.0 / (1.0 + np.exp(-self.data))
-        if not _GRAD.enabled:
-            return Tensor(out_data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * out_data * (1.0 - out_data))
@@ -464,8 +381,6 @@ class Tensor:
 
     def clip(self, low: float, high: float) -> "Tensor":
         out_data = np.clip(self.data, low, high)
-        if not _GRAD.enabled:
-            return Tensor(out_data)
         pass_through = (self.data >= low) & (self.data <= high)
 
         def backward(grad: np.ndarray) -> None:
@@ -476,8 +391,6 @@ class Tensor:
     def abs(self) -> "Tensor":
         sign = np.sign(self.data)
         out_data = np.abs(self.data)
-        if not _GRAD.enabled:
-            return Tensor(out_data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * sign)
@@ -494,8 +407,6 @@ class Tensor:
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
         exp = np.exp(shifted)
         out_data = exp / exp.sum(axis=axis, keepdims=True)
-        if not _GRAD.enabled:
-            return Tensor(out_data)
 
         def backward(grad: np.ndarray) -> None:
             # d softmax_i / d x_j = s_i (delta_ij - s_j)
@@ -508,8 +419,6 @@ class Tensor:
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
         log_sum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
         out_data = shifted - log_sum
-        if not _GRAD.enabled:
-            return Tensor(out_data)
         softmax = np.exp(out_data)
 
         def backward(grad: np.ndarray) -> None:
@@ -519,8 +428,6 @@ class Tensor:
 
     def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.max(axis=axis, keepdims=keepdims)
-        if not _GRAD.enabled:
-            return Tensor(out_data)
 
         def backward(grad: np.ndarray) -> None:
             grad = np.asarray(grad, dtype=np.float64)
@@ -588,8 +495,6 @@ def concatenate(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient support."""
     tensors = [Tensor._ensure(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    if not _GRAD.enabled:
-        return Tensor(out_data)
     sizes = [t.data.shape[axis] for t in tensors]
     boundaries = np.cumsum(sizes)[:-1]
 
@@ -598,30 +503,20 @@ def concatenate(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         for tensor, piece in zip(tensors, pieces):
             tensor._accumulate(piece)
 
-    requires = any(t.requires_grad for t in tensors)
-    result = Tensor(out_data, requires_grad=requires, _parents=tuple(tensors))
-    if requires:
-        result._backward = backward
-    return result
+    return Tensor._make_result(out_data, tuple(tensors), backward)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new ``axis`` with gradient support."""
     tensors = [Tensor._ensure(t) for t in tensors]
     out_data = np.stack([t.data for t in tensors], axis=axis)
-    if not _GRAD.enabled:
-        return Tensor(out_data)
 
     def backward(grad: np.ndarray) -> None:
         pieces = np.split(grad, len(tensors), axis=axis)
         for tensor, piece in zip(tensors, pieces):
             tensor._accumulate(np.squeeze(piece, axis=axis))
 
-    requires = any(t.requires_grad for t in tensors)
-    result = Tensor(out_data, requires_grad=requires, _parents=tuple(tensors))
-    if requires:
-        result._backward = backward
-    return result
+    return Tensor._make_result(out_data, tuple(tensors), backward)
 
 
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
@@ -630,18 +525,12 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     b = Tensor._ensure(b)
     condition = np.asarray(condition, dtype=bool)
     out_data = np.where(condition, a.data, b.data)
-    if not _GRAD.enabled:
-        return Tensor(out_data)
 
     def backward(grad: np.ndarray) -> None:
         a._accumulate(grad * condition)
         b._accumulate(grad * ~condition)
 
-    requires = a.requires_grad or b.requires_grad
-    result = Tensor(out_data, requires_grad=requires, _parents=(a, b))
-    if requires:
-        result._backward = backward
-    return result
+    return Tensor._make_result(out_data, (a, b), backward)
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:

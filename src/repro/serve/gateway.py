@@ -10,7 +10,8 @@ sharded worker pool, and fans the results back out to the per-request
 futures.
 
 Two execution backends plug in behind the same duck type
-(``serve_group`` / ``resolve_env_id`` / ``stats`` / ``batch_size``):
+(``serve_group`` / ``resolve_env_id`` / ``spec_names`` / ``stats`` /
+``batch_size``):
 
 * :class:`~repro.serve.service.DeploymentService` — worker *threads* drive
   the service's persistent per-topology vector environments directly.
@@ -49,6 +50,7 @@ from pathlib import Path
 from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.agents.checkpoint import CheckpointError
+from repro.api.catalog import make_env
 from repro.serve.protocol import ServeRequest, ServeResponse, target_error
 from repro.serve.service import DeploymentService, ServeStats
 
@@ -269,17 +271,6 @@ class Gateway:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    @staticmethod
-    def _coerce(request: Union[ServeRequest, Mapping[str, Any]]) -> ServeRequest:
-        if isinstance(request, ServeRequest):
-            return request
-        if isinstance(request, Mapping):
-            return ServeRequest(target_specs=dict(request))
-        raise TypeError(
-            f"requests must be ServeRequest objects or spec mappings, "
-            f"got {type(request).__name__}"
-        )
-
     def _failed_future(self, request: ServeRequest, code: str, message: str) -> Future:
         self.stats.record_error(code)
         future: Future = Future()
@@ -341,24 +332,24 @@ class Gateway:
         """Enqueue one request; the Future resolves to its ServeResponse.
 
         Routing failures (unknown environment, broken lazy checkpoint) and
-        targets that cannot be served (a NaN or infinite value) resolve the
-        future immediately with a structured error response —
-        ``submit`` only raises for caller bugs (bad request type, closed
-        gateway).
+        targets that cannot be served (a NaN or infinite value, a missing
+        spec) resolve the future immediately with a structured error
+        response — ``submit`` only raises for caller bugs (bad request type,
+        closed gateway).
         """
         received = time.monotonic()
-        request = self._coerce(request)
+        request = ServeRequest.coerce(request)
         if self._closed:
             raise RuntimeError("the gateway is closed; no new requests accepted")
-        message = target_error(request.target_specs)
-        if message is not None:
-            return self._failed_future(request, "bad_request", message)
         try:
             env_id = self._route(request)
         except CheckpointError as exc:
             return self._failed_future(request, "checkpoint_error", str(exc))
         except ValueError as exc:
             return self._failed_future(request, "unroutable", str(exc))
+        message = target_error(request.target_specs, self.backend.spec_names(env_id))
+        if message is not None:
+            return self._failed_future(request, "bad_request", message)
         if self.cache_responses:
             cache_key = self._cache_key(env_id, request.max_steps, request.target_specs)
             with self._cache_lock:
@@ -583,6 +574,9 @@ class ProcessShardPool:
             raise ValueError("shards must be >= 1")
         self._checkpoints = {str(env): str(path) for env, path in checkpoints.items()}
         self._default_env_id = next(iter(self._checkpoints))
+        self._spec_names = {
+            env_id: make_env(env_id).benchmark.spec_space.names for env_id in self._checkpoints
+        }
         self.batch_size = int(batch_size)
         self.stats = ServeStats()
         spec = {
@@ -614,6 +608,9 @@ class ProcessShardPool:
                 f"(registered: {registered})"
             )
         return env_id
+
+    def spec_names(self, env_id: str) -> List[str]:
+        return self._spec_names[env_id]
 
     def add_checkpoint(self, path: Union[str, Path], env_id: Optional[str] = None) -> str:
         raise CheckpointError(

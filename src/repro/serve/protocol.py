@@ -99,14 +99,21 @@ def _spec_mapping(value: Any, label: str) -> Dict[str, float]:
         raise ValueError(f"{label} has a non-numeric specification value: {exc}") from exc
 
 
-def target_error(target_specs: Mapping[str, float]) -> Optional[str]:
+def target_error(
+    target_specs: Mapping[str, float], spec_names: Sequence[str] = ()
+) -> Optional[str]:
     """Why a request's targets cannot be served (None when they can).
 
     A NaN or infinite target gives NaN spec features to every step's
     observation, so its episode would run its whole step budget on a
-    meaningless policy input; the serve front doors answer it with a
-    ``bad_request`` error instead of deploying it.
+    meaningless policy input; a target group missing one of the routed
+    environment's ``spec_names`` cannot start an episode at all.  The serve
+    front doors answer either with a ``bad_request`` error instead of
+    deploying it.
     """
+    missing = [name for name in spec_names if name not in target_specs]
+    if missing:
+        return f"target_specs is missing {missing}"
     bad = sorted(name for name, value in target_specs.items() if not math.isfinite(value))
     if bad:
         return f"target_specs has non-finite values for {bad}"
@@ -163,6 +170,18 @@ class ServeRequest:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
+
+    @classmethod
+    def coerce(cls, request: Union["ServeRequest", Mapping[str, Any]]) -> "ServeRequest":
+        """``request`` itself, or a request for a bare spec mapping."""
+        if isinstance(request, ServeRequest):
+            return request
+        if isinstance(request, Mapping):
+            return cls(target_specs=dict(request))
+        raise TypeError(
+            "requests must be ServeRequest objects or spec mappings, "
+            f"got {type(request).__name__}"
+        )
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ServeRequest":

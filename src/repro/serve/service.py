@@ -1,9 +1,9 @@
 """The micro-batched policy deployment service.
 
-:class:`DeploymentService` is the serving front end over the checkpoint,
-inference-mode and batched-deployment layers: on-disk checkpoints rebuild
-the policy, the grad-free inference mode makes each forward pure numpy, and
-the batched deployment engine runs up to ``batch_size`` specification-group
+:class:`DeploymentService` is the serving front end over the checkpoint
+and batched-deployment layers: on-disk checkpoints rebuild the policy, whose
+grad-free action selection is a pure-numpy forward, and the batched
+deployment engine runs up to ``batch_size`` specification-group
 episodes lock-step on one :class:`~repro.parallel.VectorCircuitEnv` whose
 sub-environments share a :class:`~repro.parallel.SimulationCache`.  The
 vector environments (and their caches) persist across
@@ -23,7 +23,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -393,6 +393,10 @@ class DeploymentService:
         """Environment IDs this service can currently route to."""
         return sorted(self._policies)
 
+    def spec_names(self, env_id: str) -> List[str]:
+        """The specifications every request routed to ``env_id`` must target."""
+        return self._vector_envs[env_id].benchmark.spec_space.names
+
     def cache_stats(self, env_id: Optional[str] = None):
         """Simulation-cache statistics for one topology (default: the default)."""
         vector_env = self._vector_envs[self.resolve_env_id(env_id)]
@@ -454,23 +458,6 @@ class DeploymentService:
                 f"(registered: {registered})"
             )
         return env_id
-
-    @staticmethod
-    def _normalize(
-        requests: Sequence[Union[ServeRequest, Mapping[str, Any]]],
-    ) -> List[ServeRequest]:
-        normalized: List[ServeRequest] = []
-        for request in requests:
-            if isinstance(request, ServeRequest):
-                normalized.append(request)
-            elif isinstance(request, Mapping):
-                normalized.append(ServeRequest(target_specs=dict(request)))
-            else:
-                raise TypeError(
-                    "requests must be ServeRequest objects or spec mappings, "
-                    f"got {type(request).__name__}"
-                )
-        return normalized
 
     def serve_group(
         self,
@@ -553,21 +540,22 @@ class DeploymentService:
         Requests are grouped by ``(env_id, max_steps)`` so each group runs as
         lock-step micro-batches of at most ``batch_size`` episodes on that
         topology's persistent vector environment and shared simulation cache.
-        A request with a NaN or infinite target is answered with a
-        ``bad_request`` error response and not deployed.
+        A request with a NaN or infinite target, or missing a spec of its
+        environment, is answered with a ``bad_request`` error response and
+        not deployed.
         """
-        normalized = self._normalize(requests)
+        normalized = [ServeRequest.coerce(request) for request in requests]
         responses: List[Optional[ServeResponse]] = [None] * len(normalized)
         groups: Dict[Tuple[str, Optional[int]], List[int]] = {}
         for index, request in enumerate(normalized):
-            message = target_error(request.target_specs)
+            env_id = self.resolve_env_id(request.env_id)
+            message = target_error(request.target_specs, self.spec_names(env_id))
             if message is not None:
                 self.stats.record_error("bad_request")
                 responses[index] = ServeResponse.failure(request, "bad_request", message)
                 responses[index].index = index
                 continue
-            key = (self.resolve_env_id(request.env_id), request.max_steps)
-            groups.setdefault(key, []).append(index)
+            groups.setdefault((env_id, request.max_steps), []).append(index)
 
         for (env_id, max_steps), indices in groups.items():
             group = self.serve_group(env_id, max_steps, [normalized[i] for i in indices])

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.agents.deployment import deploy_policy, deploy_policy_batch, evaluate_deployment
+from repro.env.spaces import BatchedObservation
+from repro.nn.distributions import sample_from_probs
 from repro.parallel import VectorCircuitEnv
 from repro import make_env, make_policy
 
@@ -50,13 +52,14 @@ class TestDeployPolicy:
 
 
 def _grad_recording_episode(env, policy, target, deterministic=True, rng=None):
-    """One episode through the grad-recording ``policy.act`` path."""
+    """One episode acting through the graded (autograd) action distribution."""
     rng = rng if rng is not None else np.random.default_rng(0)
     observation = env.reset(target_specs=target)
     done = False
     while not done:
-        action, _, _ = policy.act(observation, rng, deterministic=deterministic, inference=False)
-        observation, _, done, _ = env.step(action)
+        probs = policy.action_distribution_batch(BatchedObservation.stack([observation])).probs
+        actions = np.argmax(probs, axis=-1) if deterministic else sample_from_probs(probs, rng)
+        observation, _, done, _ = env.step(actions[0])
     return env.trajectory
 
 

@@ -1,4 +1,4 @@
-"""Tests for the batched categorical action distribution."""
+"""Tests for the batched categorical action distribution and action sampling."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.env.spaces import BatchedObservation
-from repro.nn.distributions import BatchedMultiCategorical
+from repro.nn.distributions import BatchedMultiCategorical, sample_from_probs
 from repro.nn.tensor import Tensor
 
 
@@ -41,16 +41,27 @@ class TestBatchedMultiCategorical:
         with pytest.raises(ValueError):
             dist.log_prob(np.array([[0, 1, 5]]))
 
-    def test_mode_picks_argmax(self):
-        logits = np.array([[0.0, 5.0, 0.0], [9.0, 0.0, 0.0]])
-        np.testing.assert_array_equal(one_row(logits).mode(), [[1, 0]])
+    def test_sampling_never_draws_a_zero_probability_choice(self):
+        probs = np.array([[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]])
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            np.testing.assert_array_equal(sample_from_probs(probs, rng), [[1, 0, 2]])
 
     def test_sampling_frequencies_follow_probabilities(self):
         rng = np.random.default_rng(0)
         dist = one_row(np.array([[2.0, 0.0, -2.0]]))
-        samples = np.array([dist.sample(rng)[0, 0] for _ in range(4000)])
+        samples = np.array([sample_from_probs(dist.probs, rng)[0, 0] for _ in range(4000)])
         empirical = np.bincount(samples, minlength=3) / samples.size
         np.testing.assert_allclose(empirical, dist.probs[0, 0], atol=0.03)
+
+    def test_sampling_draws_one_block_in_batch_order(self):
+        probs = np.exp(np.random.default_rng(1).normal(size=(4, 6, 3)))
+        probs /= probs.sum(axis=-1, keepdims=True)
+        rng = np.random.default_rng(2)
+        actions = sample_from_probs(probs, rng)
+        draws = np.random.default_rng(2).random(size=(4, 6, 1))
+        np.testing.assert_array_equal(actions, (draws > probs.cumsum(axis=-1)[..., :-1]).sum(-1))
+        np.testing.assert_array_equal(rng.random(2), np.random.default_rng(2).random(26)[24:])
 
     def test_entropy_bounds(self):
         uniform = one_row(np.zeros((6, 3)))
@@ -62,7 +73,7 @@ class TestBatchedMultiCategorical:
         rng = np.random.default_rng(0)
         logits = rng.normal(size=(4, 6, 3))
         batched = BatchedMultiCategorical(Tensor(logits))
-        actions = batched.sample(rng)
+        actions = sample_from_probs(batched.probs, rng)
         joint = batched.log_prob(actions).numpy()
         entropies = batched.entropy().numpy()
         for i in range(4):
@@ -136,7 +147,7 @@ def test_property_sampled_actions_always_valid(rows, seed):
     """Sampled action indices are always within [0, num_choices)."""
     rng = np.random.default_rng(seed)
     dist = one_row(rng.normal(size=(rows, 3)))
-    action = dist.sample(rng)
+    action = sample_from_probs(dist.probs, rng)
     assert action.shape == (1, rows)
     assert np.all((action >= 0) & (action < 3))
     # And log_prob of the sampled action is finite.

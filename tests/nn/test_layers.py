@@ -100,6 +100,13 @@ class TestMLP:
         x = Tensor(np.ones((1, 3)))
         np.testing.assert_allclose(a(x).data, b(x).data)
 
+    def test_forward_array_matches_tensor_forward(self):
+        rng = np.random.default_rng(1)
+        mlp = MLP((4, 12, 2), rng=rng, hidden_activation="relu",
+                  output_activation="sigmoid")
+        x = rng.normal(size=(7, 4))
+        np.testing.assert_array_equal(mlp(Tensor(x)).numpy(), mlp.forward_array(x))
+
 
 class TestSequential:
     def test_composition(self, rng):

@@ -231,6 +231,20 @@ class TestGraphMechanics:
         assert len(Tensor(np.zeros(4))) == 4
 
 
+
+class TestDetachCopies:
+    def test_detach_returns_an_independent_copy(self):
+        x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        detached = x.detach()
+        detached.data[0] = 99.0
+        assert x.data[0] == 1.0
+        assert not detached.requires_grad
+
+    def test_numpy_still_aliases(self):
+        x = Tensor(np.array([1.0, 2.0]))
+        assert x.numpy() is x.data
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     values=st.lists(st.floats(-5, 5), min_size=2, max_size=8),

@@ -12,7 +12,7 @@ import pytest
 
 import repro
 from repro.env.spaces import BatchedObservation
-from repro.nn.distributions import BatchedMultiCategorical
+from repro.nn.distributions import BatchedMultiCategorical, sample_from_probs
 from repro.nn.tensor import Tensor
 from repro.parallel import VectorCircuitEnv
 
@@ -80,7 +80,7 @@ class TestBatchedMultiCategorical:
         rng = np.random.default_rng(0)
         logits = Tensor(rng.normal(size=(4, 6, 3)))
         batched = BatchedMultiCategorical(logits)
-        actions = batched.sample(rng)
+        actions = sample_from_probs(batched.probs, rng)
         joint = batched.log_prob(actions).numpy()
         entropies = batched.entropy().numpy()
         for i in range(4):

@@ -331,5 +331,11 @@ class TestProcessShardPool:
                 pool.resolve_env_id("nope-v0")
             with pytest.raises(CheckpointError, match="fixed at construction"):
                 pool.add_checkpoint(checkpoint, env_id="other-v0")
+            # A missing spec is refused in this process, before any shard.
+            with Gateway(pool, num_workers=1) as gw:
+                refused = gw.submit({"bandwidth": 1e7, "phase_margin": 60.0, "power": 1e-3})
+                assert refused.done()
+                assert refused.result(timeout=0).error.code == "bad_request"
+            assert pool.stats.snapshot().errors == 1
         with pytest.raises(ValueError, match="at least one"):
             ProcessShardPool({})

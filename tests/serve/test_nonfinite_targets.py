@@ -1,9 +1,11 @@
-"""A NaN or infinite target is a structured ``bad_request``, never a deployment.
+"""A NaN, infinite or missing target is a structured ``bad_request``, never a deployment.
 
-Such a target gives every observation NaN spec features, so the episode
-would run its whole step budget on a meaningless policy input.  Both front
-doors — ``DeploymentService.serve`` and the ``Gateway`` — answer it with an
-error response and keep serving the requests around and after it.
+A non-finite target gives every observation NaN spec features, so the
+episode would run its whole step budget on a meaningless policy input; a
+target group missing a spec of the routed environment cannot start an
+episode.  Both front doors — ``DeploymentService.serve`` and the
+``Gateway`` — answer either with an error response and keep serving the
+requests around and after it.
 """
 
 from __future__ import annotations
@@ -109,3 +111,51 @@ def test_gateway_resolves_a_nonfinite_target_at_once(service, policy, targets, v
         _assert_served_like(served.result(timeout=60), policy, targets[0])
     snapshot = service.stats.snapshot()
     assert snapshot.errors == 2 and snapshot.episodes == 1
+
+
+def _missing_gain(target):
+    return {name: value for name, value in target.items() if name != "gain"}
+
+
+def _assert_missing_gain(response, request_id=None):
+    assert not response.ok and not response.success
+    assert response.error.code == "bad_request"
+    assert response.error.message == "target_specs is missing ['gain']"
+    assert response.steps == 0 and response.result is None
+    assert response.request_id == request_id
+
+
+def test_target_error_names_the_missing_specs():
+    names = ["gain", "bandwidth", "phase_margin", "power"]
+    assert target_error({"bandwidth": 1.0, "phase_margin": 1.0}, names) == (
+        "target_specs is missing ['gain', 'power']"
+    )
+    assert target_error(dict.fromkeys(names, 1.0), names) is None
+
+
+def test_service_answers_a_missing_spec_and_serves_the_rest(service, policy, targets):
+    requests = [
+        ServeRequest(target_specs=targets[0], max_steps=MAX_STEPS),
+        ServeRequest(target_specs=_missing_gain(targets[1]), max_steps=MAX_STEPS, request_id="m"),
+        ServeRequest(target_specs=targets[1], max_steps=MAX_STEPS),
+    ]
+    responses = service.serve(requests)
+    assert [response.index for response in responses] == [0, 1, 2]
+    _assert_missing_gain(responses[1], "m")
+    _assert_served_like(responses[0], policy, targets[0])
+    _assert_served_like(responses[2], policy, targets[1])
+    snapshot = service.stats.snapshot()
+    assert snapshot.errors == 1 and snapshot.episodes == 2
+
+
+def test_gateway_resolves_a_missing_spec_at_once(service, policy, targets):
+    with Gateway(service, num_workers=1, max_batch_delay_ms=1.0) as gateway:
+        refused = gateway.submit(
+            ServeRequest(target_specs=_missing_gain(targets[0]), max_steps=MAX_STEPS)
+        )
+        assert refused.done()
+        _assert_missing_gain(refused.result(timeout=0))
+        served = gateway.submit(ServeRequest(target_specs=targets[0], max_steps=MAX_STEPS))
+        _assert_served_like(served.result(timeout=60), policy, targets[0])
+    snapshot = service.stats.snapshot()
+    assert snapshot.errors == 1 and snapshot.episodes == 1
