@@ -70,12 +70,6 @@ class DeploymentEvaluation:
             return 0.0
         return float(np.mean([r.steps for r in self.results]))
 
-    @property
-    def mean_successful_steps(self) -> float:
-        """Mean steps counting only successful deployments (paper's metric)."""
-        steps = [r.steps for r in self.results if r.success]
-        return float(np.mean(steps)) if steps else float("nan")
-
 
 @contextmanager
 def _max_steps_override(

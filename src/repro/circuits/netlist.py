@@ -85,9 +85,6 @@ class Netlist:
                 seen.setdefault(net, None)
         return list(seen)
 
-    def devices_on_net(self, net: str) -> List[Device]:
-        return [d for d in self._devices.values() if d.connects_to(net)]
-
     def connections(self) -> List[Tuple[str, str]]:
         """Device–device adjacency: pairs of device names sharing a net.
 

@@ -267,8 +267,3 @@ class DesignSpace:
     def center(self) -> np.ndarray:
         """Mid-range starting point used as the default initial state."""
         return np.array([p.snap(0.5 * (p.minimum + p.maximum)) for p in self._parameters])
-
-    def as_dict(self, values: np.ndarray) -> Dict[str, float]:
-        """Human-readable mapping of knob name to value."""
-        values = np.asarray(values, dtype=np.float64)
-        return {p.name: float(v) for p, v in zip(self._parameters, values)}

@@ -145,13 +145,6 @@ class SpecificationSpace:
         """Sample ``count`` independent target groups (deployment batches)."""
         return [self.sample(rng) for _ in range(count)]
 
-    def to_vector(self, values: Mapping[str, float]) -> np.ndarray:
-        """Order a spec dictionary into the canonical vector."""
-        missing = [name for name in self.names if name not in values]
-        if missing:
-            raise KeyError(f"missing specification values: {missing}")
-        return np.array([float(values[name]) for name in self.names])
-
     def to_dict(self, vector: np.ndarray) -> Dict[str, float]:
         vector = np.asarray(vector, dtype=np.float64)
         if vector.shape != (len(self),):

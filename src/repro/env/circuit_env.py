@@ -6,10 +6,13 @@
   the netlist to its initial sizing, runs the simulator once and returns the
   first observation;
 * ``step(action)`` applies the ``M``-vector of discrete tuning actions to
-  the netlist (the paper's data processor), re-simulates, computes the
-  Eq. (1) (or FoM) reward and reports whether the episode terminated (all
-  specifications met, or the step budget exhausted — 50 steps for the
-  op-amp, 30 for the RF PA).
+  the netlist, re-simulates, computes the Eq. (1) (or FoM) reward and
+  reports whether the episode terminated (all specifications met, or the
+  step budget exhausted — 50 steps for the op-amp, 30 for the RF PA).
+
+The paper's "data processor" (Fig. 2) — rewriting the netlist from the
+actions and turning measured specs into rewards and state features — is the
+episode engine below.
 
 The same environment class serves the op-amp and the RF PA; only the
 benchmark, the simulator, and the reward function differ (see the
@@ -22,15 +25,20 @@ lanes as one batch, and it is the only implementation of the episode loop:
 ``CircuitDesignEnv.step``/``reset`` are calls into a one-lane engine over the
 environment itself (row 0 of a batch of one), and
 :class:`repro.parallel.VectorCircuitEnv` is the engine plus a shared
-simulation cache.  Each lane's episode state (targets, measured specs, step
-count, trajectory, netlist) lives on its :class:`CircuitDesignEnv`, so any
-engine over a lane sees what another one left.
+simulation cache.
 
-* **Built once** (``__init__``): the topology — design space, the knob
-  columns of the netlist parameter array, the node-feature scatter, the
-  adjacency and the static features.  Lanes that disagree on it raise
-  ``ValueError``.  The netlist's non-tunable parameters are read here, once:
-  they are the base row of every step's ``(B, P)`` parameter rows.
+* **Lane state** has one home, its :class:`CircuitDesignEnv`: the working
+  netlist and the sizing last written into it, the targets, the measured
+  specs, the step count and the trajectory.  Any engine over a lane sees
+  what another one left (``PPOTrainer`` evaluates on ``envs[0]`` through
+  its own one-lane engine).
+* **Built once per engine** (``__init__``), from the first lane's netlist:
+  the topology — design space, the knob columns of the netlist parameter
+  array, the circuit graph with its node-feature scatter, adjacency and
+  static features.  The other lanes are only checked against it: a lane
+  with another benchmark object, another device list or edited non-tunable
+  parameters raises ``ValueError``.  The non-tunable parameters are the base
+  row of every step's ``(B, P)`` parameter rows.
 * **Read live** on every call: each lane's simulator, reward function and
   ``max_steps``, and the engine's ``autoreset``; swapping one takes effect on
   the next call.
@@ -49,10 +57,19 @@ engine over a lane sees what another one left.
   the finished lanes are reset after every lane has stepped (EnvPool's
   step-then-reset order, Weng et al., NeurIPS 2022).
 * **One observation assembly** for every step and reset row.
+* **No object the engine hands out is one it reads again.**  Each
+  lane-step copies the measured specs twice: the lane keeps one
+  (``env._measured``) and hands out the other, shared by the trajectory's
+  :class:`StepRecord`, ``info["specs"]`` and the observation row.  An
+  observation's target dict is its episode's ``trajectory.target_specs``.
+  Node features, spec features and normalized parameters are fresh arrays
+  every call; the adjacency and the static node features are the engine's
+  own and read-only.
 * **Atomic step errors**: invalid step input raises before any lane's
-  state, netlist, trajectory or cache counter changes.  A reset is not
-  atomic: a target group that misses a spec raises while the observation is
-  assembled, after the lanes were reset.
+  state, netlist, trajectory or cache counter changes.  So does a reset's
+  malformed or NaN start sizing (±inf is clipped onto the bound).  A reset
+  is otherwise not atomic: a target group that misses a spec raises while
+  the observation is assembled, after the lanes were reset.
 """
 
 from __future__ import annotations
@@ -64,10 +81,10 @@ import numpy as np
 
 from repro.circuits.library.benchmark import CircuitBenchmark
 from repro.circuits.netlist import Netlist
-from repro.env.data_processor import DataProcessor
 from repro.env.reward import FomReward, P2SReward, error_pass, spec_table
 from repro.env.spaces import NUM_ACTION_CHOICES, ActionSpace, BatchedObservation, Observation
-from repro.graph.features import dynamic_parameter_reads
+from repro.graph.circuit_graph import CircuitGraph
+from repro.graph.features import dynamic_parameter_reads, feature_dimension
 from repro.simulation.base import CircuitSimulator, simulate_rows
 
 RewardFunction = Union[P2SReward, FomReward]
@@ -170,7 +187,8 @@ class CircuitDesignEnv:
         self.action_space = ActionSpace(benchmark.num_parameters)
 
         self._netlist = benchmark.fresh_netlist()
-        self._processor = DataProcessor(benchmark, self._netlist)
+        # The sizing last written into the netlist (snapped onto the grid).
+        self._values = benchmark.design_space.vector_from_netlist(self._netlist)
         self._targets: Dict[str, float] = {}
         # The targets in spec order and range-normalized (the first third of
         # the spec features), set by the reset; None while a spec is missing.
@@ -186,8 +204,9 @@ class CircuitDesignEnv:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def data_processor(self) -> DataProcessor:
-        return self._processor
+    def netlist(self) -> Netlist:
+        """The lane's working netlist, rewritten in place by every step and reset."""
+        return self._netlist
 
     @property
     def num_parameters(self) -> int:
@@ -195,15 +214,17 @@ class CircuitDesignEnv:
 
     @property
     def spec_feature_dimension(self) -> int:
-        return self._processor.spec_feature_dimension
+        """Length of an observation's spec features (3 entries per specification)."""
+        return 3 * len(self.benchmark.spec_space)
 
     @property
     def node_feature_dimension(self) -> int:
-        return self._processor.node_feature_dimension
+        return feature_dimension()
 
     @property
     def num_graph_nodes(self) -> int:
-        return self._processor.num_graph_nodes
+        """Nodes of the full-topology circuit graph: one per device."""
+        return len(self._netlist)
 
     @property
     def target_specs(self) -> Dict[str, float]:
@@ -215,7 +236,7 @@ class CircuitDesignEnv:
 
     @property
     def parameter_values(self) -> np.ndarray:
-        return self._processor.parameter_values
+        return self._values.copy()
 
     @property
     def trajectory(self) -> Optional[EpisodeTrajectory]:
@@ -246,7 +267,7 @@ class CircuitDesignEnv:
         initial_parameters: Optional[np.ndarray] = None,
     ) -> Observation:
         """Start a new episode and return the initial observation."""
-        return self.engine._reset([0], [target_specs], [initial_parameters])[0]
+        return self.engine.reset_selected([0], target_specs, initial_parameters)[0]
 
     def step(self, action: np.ndarray) -> tuple[Observation, float, bool, Dict[str, object]]:
         """Apply one action vector; returns ``(observation, reward, done, info)``."""
@@ -254,6 +275,16 @@ class CircuitDesignEnv:
             np.asarray(action, dtype=np.int64)[None], [0], False
         )
         return batch[0], float(rewards[0]), bool(dones[0]), infos[0]
+
+
+def _device_layout(netlist: Netlist) -> List[tuple]:
+    """A netlist's structure without its values: each device's name, type,
+    terminals and parameter keys, in order (what the graph and the
+    parameter-array layout are built from)."""
+    return [
+        (device.name, device.dtype, device.terminals, list(device.parameters))
+        for device in netlist
+    ]
 
 
 def _param_flat_index(netlist: Netlist, device: str, attribute: str) -> int:
@@ -282,8 +313,8 @@ class BatchedCircuitEnv:
     Parameters
     ----------
     envs:
-        The lanes.  All must share one benchmark object and agree on the
-        netlist's fixed parameters and graph; they may share a simulator —
+        The lanes.  All must share one benchmark object, device list and
+        non-tunable netlist parameters; they may share a simulator —
         typically one :class:`~repro.parallel.SimulationCache` — so repeated
         candidate evaluations across the batch are simulated once.
     autoreset:
@@ -297,7 +328,7 @@ class BatchedCircuitEnv:
 
     def __init__(self, envs: Sequence[CircuitDesignEnv], autoreset: bool = True) -> None:
         if not envs:
-            raise ValueError("VectorCircuitEnv needs at least one sub-environment")
+            raise ValueError(f"{type(self).__name__} needs at least one sub-environment")
         first = envs[0]
         for env in envs[1:]:
             if env.benchmark.name != first.benchmark.name:
@@ -314,14 +345,18 @@ class BatchedCircuitEnv:
         self._build_topology()
 
     def _build_topology(self) -> None:
-        """Everything a step or reset reads from the (fixed) circuit topology."""
+        """Everything a step or reset reads from the (fixed) circuit topology.
+
+        Built once, from the first lane's netlist; every other lane is only
+        checked against it.
+        """
         envs = self.envs
         first = envs[0]
         self._design_space = first.benchmark.design_space
         parameters = list(self._design_space)
         self._center = self._design_space.center()
 
-        base_netlist = first.data_processor.netlist
+        base_netlist = first.netlist
         base_row = base_netlist.parameter_array()
         knob_cols = [_param_flat_index(base_netlist, p.device, p.attribute) for p in parameters]
         # A step's parameter rows are this base with the knob columns
@@ -330,21 +365,21 @@ class BatchedCircuitEnv:
         self._knob_cols = np.array(knob_cols, dtype=np.intp)
         knob_mask = np.zeros(base_row.shape[0], dtype=bool)
         knob_mask[knob_cols] = True
-        fixed = base_row[~knob_mask]
-        for env in envs:
-            netlist = env.data_processor.netlist
+        fixed = base_row[~knob_mask].tobytes()
+        layout = _device_layout(base_netlist)
+        for env in envs[1:]:
+            netlist = env.netlist
             if netlist.name != base_netlist.name:
                 raise ValueError("sub-environments disagree on the netlist name")
-            if netlist.parameter_array()[~knob_mask].tobytes() != fixed.tobytes():
+            if _device_layout(netlist) != layout:
+                raise ValueError("sub-environments disagree on the circuit graph")
+            if netlist.parameter_array()[~knob_mask].tobytes() != fixed:
                 raise ValueError("sub-environments disagree on non-tunable netlist parameters")
         # Per-env (device-parameter dict, key) pairs for the knob writes —
         # Device.set_parameter is a key check plus ``dict[key] = float(v)``,
         # and the keys were checked above, so a direct dict store is identical.
         self._knob_writes = [
-            [
-                (env.data_processor.netlist.device(p.device).parameters, p.attribute)
-                for p in parameters
-            ]
+            [(env.netlist.device(p.device).parameters, p.attribute) for p in parameters]
             for env in envs
         ]
 
@@ -352,7 +387,7 @@ class BatchedCircuitEnv:
         self._spec_names = list(self._spec_space.names)
         self._spec_table = spec_table(self._spec_space)
 
-        graph = first.data_processor.graph
+        graph = CircuitGraph(base_netlist)
         # Each dynamic node feature reads one netlist parameter, a knob or a
         # fixed one.  The fixed reads are constants of the topology and are
         # scaled into the base once; a step writes only the knob reads.
@@ -377,18 +412,13 @@ class BatchedCircuitEnv:
         self._knob_feature_knobs = np.array(
             [knob_of_col[col] for col in read_cols[from_knob].tolist()], dtype=np.intp
         )
-        for env in envs[1:]:
-            other = env.data_processor.graph
-            if (
-                other.node_names != graph.node_names
-                or other._base_features.tobytes() != graph._base_features.tobytes()
-                or not np.array_equal(other._feature_rows, rows)
-                or not np.array_equal(other._feature_cols, cols)
-                or other._feature_scales.tobytes() != scales.tobytes()
-            ):
-                raise ValueError("sub-environments disagree on the circuit graph")
-        self._adjacency = first.data_processor.adjacency
-        self._static_stack = np.stack([env.data_processor._static_features for env in envs])
+        # Handed out with every observation, so read-only: one adjacency
+        # object per engine keeps identity-keyed operator caches (e.g.
+        # ``GraphEncoder``) warm.
+        self._adjacency = graph.adjacency_matrix
+        self._static_stack = graph.static_feature_matrix()[None].repeat(len(envs), 0)
+        self._adjacency.flags.writeable = False
+        self._static_stack.flags.writeable = False
         self._all_lanes = list(range(len(envs)))
 
     # ------------------------------------------------------------------
@@ -471,7 +501,9 @@ class BatchedCircuitEnv:
         ``target_specs`` is None (each lane draws its own), one group for
         every selected lane, or one group per selected lane;
         ``initial_parameters`` is None, one ``(M,)`` sizing or one row per
-        selected lane.  Rows of the result follow ``indices``.
+        selected lane; a malformed or NaN start raises ``ValueError`` before
+        any lane changes (±inf is clipped onto the bound).  Rows of the
+        result follow ``indices``.
         """
         lanes = self._selected_lanes(indices)
         count = len(lanes)
@@ -485,15 +517,19 @@ class BatchedCircuitEnv:
             starts = [None] * count
         else:
             initial = np.asarray(initial_parameters, dtype=np.float64)
-            if initial.ndim == 1:
-                starts = [initial] * count
-            elif initial.ndim == 2 and initial.shape[0] == count:
-                starts = list(initial)
-            else:
+            if not (initial.ndim == 1 or (initial.ndim == 2 and initial.shape[0] == count)):
                 raise ValueError(
                     f"initial_parameters must be (M,) or ({count}, M), "
                     f"got shape {initial.shape}"
                 )
+            if initial.shape[-1] != self.num_parameters:
+                raise ValueError(
+                    "expected initial_parameters with last axis of length "
+                    f"{self.num_parameters}, got shape {initial.shape}"
+                )
+            if np.isnan(initial).any():
+                raise ValueError("initial_parameters contains NaN")
+            starts = [initial] * count if initial.ndim == 1 else list(initial)
         return self._reset(lanes, targets, starts)
 
     def _reset(
@@ -515,7 +551,8 @@ class BatchedCircuitEnv:
                     start = self._center
                 else:
                     start = self._design_space.sample(env.rng)
-            sizings.append(env.data_processor.set_parameters(start))
+            env._values = self._design_space.apply_to_netlist(env._netlist, start)
+            sizings.append(env._values)
         sizings = np.array(sizings)
         results = self._simulate(envs, sizings)
         for env, result in zip(envs, results):
@@ -535,7 +572,7 @@ class BatchedCircuitEnv:
             lanes,
             sizings,
             [dict(env._measured) for env in envs],
-            [dict(env._targets) for env in envs],
+            [env._trajectory.target_specs for env in envs],
             spec_rows,
         )
 
@@ -628,18 +665,17 @@ class BatchedCircuitEnv:
 
         # Apply (and snap) every selected lane's actions at once, then write
         # each lane's sizing into its netlist before simulating any lane.
-        sizings = self._design_space.apply_actions(
-            np.array([env.data_processor._values for env in envs]), actions
-        )
+        sizings = self._design_space.apply_actions(np.array([env._values for env in envs]), actions)
         for row, (lane, values) in enumerate(zip(lanes, sizings.tolist())):
             for (device_parameters, attribute), value in zip(self._knob_writes[lane], values):
                 device_parameters[attribute] = value
-            envs[row].data_processor._values = sizings[row]
+            envs[row]._values = sizings[row]
         results = self._simulate(envs, sizings)
 
         # Sequential bookkeeping, in lane order.  One error pass per lane
         # gives its spec features and, for a P2S reward that does not
-        # override ``__call__``, its reward.
+        # override ``__call__``, its reward.  The lane keeps its measured
+        # specs; one copy is handed out, to the record, info and observation.
         table, spec_space = self._spec_table, self._spec_space
         measured_dicts: List[Dict[str, float]] = []
         target_dicts: List[Dict[str, float]] = []
@@ -649,8 +685,8 @@ class BatchedCircuitEnv:
         dones = np.zeros(count, dtype=bool)
         for row, (env, result) in enumerate(zip(envs, results)):
             env._step_count += 1
-            env._measured = dict(result.specs)
-            measured = env._measured
+            env._measured = measured = dict(result.specs)
+            handed = dict(measured)
             fom_mode = env.is_fom_mode
             errors, features, raw, goal_reached, met, complete = error_pass(
                 table, measured, env._target_values
@@ -664,19 +700,20 @@ class BatchedCircuitEnv:
             goal_reached = outcome.goal_reached and not fom_mode
             env._done = bool(goal_reached or env._step_count >= env.max_steps)
 
-            assert env._trajectory is not None
-            env._trajectory.records.append(
+            trajectory = env._trajectory
+            assert trajectory is not None
+            trajectory.records.append(
                 StepRecord(
                     step=env._step_count,
                     parameters=sizings[row].copy(),
-                    specs=dict(measured),
+                    specs=handed,
                     reward=outcome.reward,
                     goal_reached=goal_reached,
                 )
             )
             info: Dict[str, object] = {
                 "step": env._step_count,
-                "specs": dict(measured),
+                "specs": handed,
                 "goal_reached": goal_reached,
                 "met_fraction": outcome.met_fraction,
                 "normalized_errors": outcome.normalized_errors,
@@ -685,8 +722,8 @@ class BatchedCircuitEnv:
             if fom_mode:
                 info["figure_of_merit"] = env.reward_fn.figure_of_merit(measured)
             infos.append(info)
-            measured_dicts.append(dict(measured))
-            target_dicts.append(dict(env._targets))
+            measured_dicts.append(handed)
+            target_dicts.append(trajectory.target_specs)
             rewards[row] = float(outcome.reward)
             dones[row] = env._done
         batch = self._observations(lanes, sizings, measured_dicts, target_dicts, spec_rows)
@@ -725,7 +762,7 @@ class BatchedCircuitEnv:
         row with the knob columns set to ``sizings``, so a simulator that
         keys on them (a simulation cache) does not read each netlist again.
         """
-        netlists = [env.data_processor.netlist for env in envs]
+        netlists = [env._netlist for env in envs]
         rows = self._base_row[None].repeat(len(envs), 0)
         rows[:, self._knob_cols] = sizings
         simulator = envs[0].simulator

@@ -3,7 +3,6 @@
 from repro.graph.builder import (
     PARTIAL_TOPOLOGY_EXCLUDES,
     build_full_graph,
-    build_graph,
     build_partial_graph,
 )
 from repro.graph.circuit_graph import CircuitGraph
@@ -23,7 +22,6 @@ __all__ = [
     "PARAMETER_SLOTS",
     "PARTIAL_TOPOLOGY_EXCLUDES",
     "build_full_graph",
-    "build_graph",
     "build_partial_graph",
     "device_feature_vector",
     "device_parameter_vector",

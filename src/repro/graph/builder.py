@@ -24,10 +24,3 @@ def build_full_graph(netlist: Netlist) -> CircuitGraph:
 def build_partial_graph(netlist: Netlist) -> CircuitGraph:
     """Partial topology excluding power-supply and bias nodes (Baseline B)."""
     return CircuitGraph(netlist, exclude_types=PARTIAL_TOPOLOGY_EXCLUDES)
-
-
-def build_graph(netlist: Netlist, full_topology: bool = True) -> CircuitGraph:
-    """Build either graph variant from a flag (used by policy configs)."""
-    if full_topology:
-        return build_full_graph(netlist)
-    return build_partial_graph(netlist)

@@ -10,7 +10,7 @@ adjacency matrix and the plan that reads the dynamic features.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import networkx as nx
 import numpy as np
@@ -151,16 +151,10 @@ class CircuitGraph:
     # ------------------------------------------------------------------
     # Feature matrices
     # ------------------------------------------------------------------
-    def static_feature_matrix(
-        self, technology_constants: Optional[Dict[str, float]] = None
-    ) -> np.ndarray:
+    def static_feature_matrix(self) -> np.ndarray:
         """Baseline B style static features (no device parameters)."""
-        constants = technology_constants or {}
         return np.stack(
-            [
-                static_feature_vector(self._netlist.device(name), constants)
-                for name in self._node_names
-            ]
+            [static_feature_vector(self._netlist.device(name)) for name in self._node_names]
         )
 
     @property

@@ -87,21 +87,23 @@ def feature_dimension() -> int:
     return len(DEVICE_TYPE_ORDER) + PARAMETER_SLOTS
 
 
-def static_feature_vector(device: Device, technology_constants: Dict[str, float]) -> np.ndarray:
+def static_feature_vector(device: Device) -> np.ndarray:
     """Baseline B style features: node type plus *static* technology constants.
 
     The prior GCN-RL method [11] encodes only static technology information
     (threshold voltage, mobility, …) in the node features.  We reproduce that
     choice for the Baseline B policy so the ablation "dynamic vs static node
-    features" can be measured.  The returned vector has the same length as
+    features" can be measured: a transistor carries a 0.4 V threshold and a
+    unit mobility scale, a passive a unit quality factor, and a source its
+    scaled voltage.  The returned vector has the same length as
     :func:`device_feature_vector` so policies are size-compatible.
     """
     vector = np.zeros(PARAMETER_SLOTS)
     if device.dtype.is_transistor:
-        vector[0] = technology_constants.get("threshold_voltage", 0.4)
-        vector[1] = technology_constants.get("mobility_scale", 1.0)
+        vector[0] = 0.4
+        vector[1] = 1.0
     elif device.dtype.is_passive:
-        vector[0] = technology_constants.get("passive_quality", 1.0)
+        vector[0] = 1.0
     else:
         vector[0] = device.get_parameter("voltage") * PARAMETER_SCALES["voltage"]
     return np.concatenate([node_type_one_hot(device.dtype), vector])

@@ -7,7 +7,7 @@ multi-head attention, Adam, categorical action distributions).
 """
 
 from repro.nn.distributions import BatchedMultiCategorical
-from repro.nn.functional import explained_variance, huber_loss, mse_loss
+from repro.nn.functional import explained_variance, mse_loss
 from repro.nn.graph_layers import (
     GATLayer,
     GCNLayer,
@@ -48,7 +48,6 @@ __all__ = [
     "get_activation",
     "get_initializer",
     "he_normal",
-    "huber_loss",
     "maximum",
     "minimum",
     "mse_loss",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, minimum
+from repro.nn.tensor import Tensor
 
 
 def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
@@ -12,18 +12,6 @@ def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
     step 7) and the supervised-learning baseline."""
     diff = prediction - target
     return (diff * diff).mean()
-
-
-def huber_loss(prediction: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
-    """Huber loss — quadratic near zero, linear in the tails.
-
-    Useful for value regression when early-training returns are noisy.
-    """
-    diff = prediction - target
-    abs_diff = diff.abs()
-    quadratic = minimum(abs_diff, Tensor(np.full(abs_diff.shape, delta)))
-    linear = abs_diff - quadratic
-    return (0.5 * quadratic * quadratic + delta * linear).mean()
 
 
 def explained_variance(predictions: np.ndarray, returns: np.ndarray) -> float:

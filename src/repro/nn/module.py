@@ -89,10 +89,6 @@ class Module:
                 )
             param.data = value.copy()
 
-    def copy_parameters_from(self, other: "Module") -> None:
-        """Copy parameter values from a module with an identical structure."""
-        self.load_state_dict(other.state_dict())
-
     # ------------------------------------------------------------------
     # Forward dispatch
     # ------------------------------------------------------------------

@@ -185,12 +185,6 @@ class MosfetModel:
             return float("inf")
         return 1.0 / (self.channel_lambda * drain_current)
 
-    def overdrive_at_current(self, drain_current: float) -> float:
-        """Overdrive voltage required to conduct ``drain_current`` in saturation."""
-        if drain_current <= 0.0:
-            return 0.0
-        return float(np.sqrt(2.0 * drain_current / (self.kp * self.strength)))
-
     def gate_capacitance(self) -> float:
         """Approximate total gate capacitance ``Cox W_total L_ref`` (F)."""
         area = self.width * self.fingers * self.technology.l_ref

@@ -44,10 +44,6 @@ class TestConnectivity:
     def test_nets(self, small_netlist):
         assert set(small_netlist.nets) == {"out", "in", "vgnd", "vdd"}
 
-    def test_devices_on_net(self, small_netlist):
-        names = {d.name for d in small_netlist.devices_on_net("out")}
-        assert names == {"M1", "RL", "CL"}
-
     def test_connections_are_shared_net_pairs(self, small_netlist):
         edges = set(small_netlist.connections())
         assert ("M1", "RL") in edges

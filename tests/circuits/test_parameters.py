@@ -117,10 +117,6 @@ class TestDesignSpace:
         assert space.lower_bounds[0] < center[0] < space.upper_bounds[0]
         assert center[1] == 17
 
-    def test_as_dict(self, space):
-        mapping = space.as_dict(np.array([3e-6, 5]))
-        assert mapping == {"M1.width": pytest.approx(3e-6), "M1.fingers": 5.0}
-
 
 class TestActionDeltas:
     def test_ordering_matches_env_convention(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,13 +78,8 @@ class TestSpecificationSpace:
 
     def test_sample_and_vector_roundtrip(self, space, rng):
         group = space.sample(rng)
-        vector = space.to_vector(group)
-        assert vector.shape == (2,)
+        vector = np.array([group[name] for name in space.names])
         assert space.to_dict(vector) == pytest.approx(group)
-
-    def test_to_vector_missing_key(self, space):
-        with pytest.raises(KeyError):
-            space.to_vector({"gain": 400.0})
 
     def test_sample_batch(self, space, rng):
         batch = space.sample_batch(rng, 10)

@@ -75,7 +75,7 @@ class TestEpisodeContract:
         """The center sizing must be a healthy design point to start from."""
         env = repro.make_env(env_id, seed=0)
         env.reset()
-        result = env.simulator.simulate(env.data_processor.netlist)
+        result = env.simulator.simulate(env.netlist)
         assert result.valid
 
     def test_goal_bonus_and_termination(self, env_id):

@@ -86,7 +86,7 @@ class TestEpisodeContract:
         """The center sizing must survive the whole five-corner sweep."""
         env = repro.make_env(env_id, seed=0)
         env.reset()
-        result = env.simulator.simulate(env.data_processor.netlist)
+        result = env.simulator.simulate(env.netlist)
         assert result.valid
         for corner in default_corner_set():
             assert result.details[f"corner_valid@{corner.name}"]

@@ -8,6 +8,7 @@ import pytest
 from repro import make_env
 from repro.env import GOAL_BONUS
 from repro.env.circuit_env import CircuitDesignEnv
+from repro.graph import CircuitGraph
 
 
 class TestReset:
@@ -23,6 +24,14 @@ class TestReset:
         target = {"gain": 400.0, "bandwidth": 1e7, "phase_margin": 57.0, "power": 2e-3}
         opamp_env.reset(target_specs=target)
         assert opamp_env.target_specs == target
+
+    def test_reset_writes_and_reads_back_the_start_sizing(self, opamp_env, opamp_benchmark):
+        center = opamp_benchmark.design_space.center()
+        opamp_env.reset(initial_parameters=center)
+        np.testing.assert_allclose(opamp_env.parameter_values, center)
+        np.testing.assert_allclose(
+            opamp_benchmark.design_space.vector_from_netlist(opamp_env.netlist), center
+        )
 
     def test_reset_returns_observation_with_initial_specs(self, opamp_env):
         observation = opamp_env.reset()
@@ -113,7 +122,7 @@ class TestActionRewrite:
 
     def test_actions_rewrite_netlist(self, opamp_env):
         opamp_env.reset()
-        netlist = opamp_env.data_processor.netlist
+        netlist = opamp_env.netlist
         before_width = netlist.get_parameter("M1", "width")
         action = np.full(15, 1, dtype=np.int64)
         action[0] = 2  # increase M1.width only
@@ -164,14 +173,14 @@ class TestObservationAssembly:
         wider = center.copy()
         wider[space.names.index("M1.width")] = 99e-6
         after = opamp_env.reset(initial_parameters=wider).node_features
-        row = opamp_env.data_processor.graph.node_index("M1")
+        row = CircuitGraph(opamp_env.netlist).node_index("M1")
         assert not np.allclose(before[row], after[row])
         other_rows = [i for i in range(opamp_env.num_graph_nodes) if i != row]
         np.testing.assert_allclose(before[other_rows], after[other_rows])
 
     def test_node_feature_shape(self, rf_pa_env):
         features = rf_pa_env.reset().node_features
-        graph = rf_pa_env.data_processor.graph
+        graph = CircuitGraph(rf_pa_env.netlist)
         assert features.shape == (graph.num_nodes, graph.feature_dimension)
 
 

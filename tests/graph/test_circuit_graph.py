@@ -9,7 +9,6 @@ from repro.circuits.devices import DeviceType
 from repro.graph import (
     CircuitGraph,
     build_full_graph,
-    build_graph,
     build_partial_graph,
 )
 
@@ -70,11 +69,6 @@ class TestPartialGraph:
         assert partial.num_nodes == full.num_nodes - 3
         for name in ("VP", "VGND", "VBIAS"):
             assert name not in partial.node_names
-
-    def test_build_graph_flag(self, opamp_benchmark):
-        assert build_graph(opamp_benchmark.netlist, full_topology=True).num_nodes > build_graph(
-            opamp_benchmark.netlist, full_topology=False
-        ).num_nodes
 
 
 class TestFeatureMatrices:

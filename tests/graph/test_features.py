@@ -77,13 +77,10 @@ class TestFullFeatureVector:
 
 class TestStaticFeatures:
     def test_static_features_ignore_device_parameters(self):
-        constants = {"threshold_voltage": 0.4, "mobility_scale": 1.0}
         small = nmos("M1", "d", "g", "s", width=1e-6, fingers=2)
         large = nmos("M1", "d", "g", "s", width=100e-6, fingers=32)
-        np.testing.assert_allclose(
-            static_feature_vector(small, constants), static_feature_vector(large, constants)
-        )
+        np.testing.assert_allclose(static_feature_vector(small), static_feature_vector(large))
 
     def test_static_features_same_length_as_dynamic(self):
         device = nmos("M1", "d", "g", "s")
-        assert static_feature_vector(device, {}).shape == device_feature_vector(device).shape
+        assert static_feature_vector(device).shape == device_feature_vector(device).shape

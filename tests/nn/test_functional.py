@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.functional import explained_variance, huber_loss, mse_loss
+from repro.nn.functional import explained_variance, mse_loss
 from repro.nn.tensor import Tensor
 
 
@@ -19,32 +19,6 @@ class TestLosses:
         prediction = Tensor(np.array([2.0]), requires_grad=True)
         mse_loss(prediction, Tensor(np.array([0.0]))).backward()
         np.testing.assert_allclose(prediction.grad, [4.0])
-
-    def test_huber_quadratic_region(self):
-        prediction = Tensor(np.array([0.5]))
-        target = Tensor(np.array([0.0]))
-        assert float(huber_loss(prediction, target).item()) == pytest.approx(0.125)
-
-    def test_huber_linear_region(self):
-        prediction = Tensor(np.array([3.0]))
-        target = Tensor(np.array([0.0]))
-        # 0.5 * delta^2 + delta * (|diff| - delta) = 0.5 + 2.0
-        assert float(huber_loss(prediction, target).item()) == pytest.approx(2.5)
-
-    def test_huber_delta_moves_the_knee(self):
-        prediction = Tensor(np.array([3.0]))
-        target = Tensor(np.array([0.0]))
-        # |diff| = 3 < delta = 4: still quadratic, 0.5 * 3^2
-        assert float(huber_loss(prediction, target, delta=4.0).item()) == pytest.approx(4.5)
-        # |diff| = 3 > delta = 2: 0.5 * 2^2 + 2 * (3 - 2)
-        assert float(huber_loss(prediction, target, delta=2.0).item()) == pytest.approx(4.0)
-
-    def test_huber_below_mse_for_outliers(self):
-        prediction = Tensor(np.array([10.0]))
-        target = Tensor(np.array([0.0]))
-        assert float(huber_loss(prediction, target).item()) < float(
-            mse_loss(prediction, target).item()
-        )
 
 
 class TestExplainedVariance:

@@ -71,10 +71,3 @@ class TestStateDict:
         state["first.weight"] = np.zeros((2, 2))
         with pytest.raises(ValueError):
             net.load_state_dict(state)
-
-    def test_copy_parameters_from(self, rng):
-        source = MLP((3, 5, 2), np.random.default_rng(3))
-        destination = MLP((3, 5, 2), np.random.default_rng(4))
-        destination.copy_parameters_from(source)
-        x = Tensor(np.random.default_rng(5).normal(size=(2, 3)))
-        np.testing.assert_allclose(source(x).data, destination(x).data)

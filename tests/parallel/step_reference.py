@@ -2,10 +2,11 @@
 
 :class:`ReferenceCircuitEnv` is a ``CircuitDesignEnv`` whose ``reset`` and
 ``step`` are the per-environment code the engine replaced: the action
-applied through ``DesignSpace.apply_actions`` and ``set_parameters``, one
+applied through ``DesignSpace.apply_actions`` and ``apply_to_netlist``, one
 ``simulate`` call, the reward, and an observation assembled from the live
 netlist (``observation`` below, with the node features read parameter by
-parameter and the spec features computed spec by spec in plain floats).
+parameter from the environment's own circuit graph and the spec features
+computed spec by spec in plain floats).
 
 :class:`ReferenceVectorEnv` steps every lane through that scalar step, then
 resets the lanes whose episodes ended (under autoreset, in lane order), and
@@ -30,16 +31,17 @@ import numpy as np
 from repro.env.circuit_env import CircuitDesignEnv, EpisodeTrajectory, StepRecord
 from repro.env.reward import RewardOutcome
 from repro.env.spaces import BatchedObservation, Observation
+from repro.graph import CircuitGraph
 from repro.graph.features import dynamic_parameter_reads
 from repro.parallel import VectorCircuitEnv
 
 StepOutput = Tuple[BatchedObservation, np.ndarray, np.ndarray, List[Dict[str, object]]]
 
 
-def node_feature_matrix(env: CircuitDesignEnv) -> np.ndarray:
+def node_feature_matrix(env: "ReferenceCircuitEnv") -> np.ndarray:
     """Dynamic ``(n, d)`` node features read from the live netlist."""
-    graph = env.data_processor.graph
-    netlist = env.data_processor.netlist
+    graph = env.graph
+    netlist = env.netlist
     values = np.array(
         [
             device.parameters[key]
@@ -76,23 +78,29 @@ def spec_feature_vector(
 
 
 def observation(
-    env: CircuitDesignEnv, measured: Mapping[str, float], targets: Mapping[str, float]
+    env: "ReferenceCircuitEnv", measured: Mapping[str, float], targets: Mapping[str, float]
 ) -> Observation:
     """The full observation of the environment's current netlist state."""
-    processor = env.data_processor
     return Observation(
         node_features=node_feature_matrix(env),
-        static_node_features=processor._static_features,
-        adjacency=processor.adjacency,
+        static_node_features=env.static_features,
+        adjacency=env.adjacency,
         spec_features=spec_feature_vector(env, measured, targets),
-        normalized_parameters=env.benchmark.design_space.normalize(processor.parameter_values),
+        normalized_parameters=env.benchmark.design_space.normalize(env.parameter_values),
         measured_specs=dict(measured),
         target_specs=dict(targets),
     )
 
 
 class ReferenceCircuitEnv(CircuitDesignEnv):
-    """``CircuitDesignEnv`` with the per-environment ``reset`` and ``step``."""
+    """``CircuitDesignEnv`` with the per-environment ``reset`` and ``step``,
+    holding its own circuit graph, static node features and adjacency."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.graph = CircuitGraph(self.netlist)
+        self.static_features = self.graph.static_feature_matrix()
+        self.adjacency = self.graph.adjacency_matrix
 
     @classmethod
     def like(cls, env: CircuitDesignEnv) -> "ReferenceCircuitEnv":
@@ -124,9 +132,9 @@ class ReferenceCircuitEnv(CircuitDesignEnv):
             start = self.benchmark.design_space.center()
         else:
             start = self.benchmark.design_space.sample(self.rng)
-        self.data_processor.set_parameters(start)
+        self._values = self.benchmark.design_space.apply_to_netlist(self.netlist, start)
 
-        result = self.simulator.simulate(self.data_processor.netlist)
+        result = self.simulator.simulate(self.netlist)
         self._measured = dict(result.specs)
         self._step_count = 0
         self._done = False
@@ -143,11 +151,12 @@ class ReferenceCircuitEnv(CircuitDesignEnv):
                 f"({self.num_parameters},) with entries in [0, 2]"
             )
         self._step_count += 1
-        processor = self.data_processor
-        parameters = processor.set_parameters(
-            self.benchmark.design_space.apply_actions(processor.parameter_values, action)
+        space = self.benchmark.design_space
+        parameters = space.apply_to_netlist(
+            self.netlist, space.apply_actions(self.parameter_values, action)
         )
-        result = self.simulator.simulate(processor.netlist)
+        self._values = parameters
+        result = self.simulator.simulate(self.netlist)
         self._measured = dict(result.specs)
         outcome: RewardOutcome = self.reward_fn(
             self._measured, self._targets, valid=result.valid

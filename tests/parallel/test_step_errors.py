@@ -36,7 +36,7 @@ def _snapshot(vector_env):
     """Everything a step could change, copied."""
     return [
         (
-            env.data_processor.netlist.parameter_array().tobytes(),
+            env.netlist.parameter_array().tobytes(),
             env.parameter_values.tobytes(),
             env.measured_specs,
             env.target_specs,

@@ -96,8 +96,8 @@ def assert_outputs_equal(single, reference):
 def assert_states_equal(single, reference):
     """Netlists, episode state, trajectories and cache of every lane."""
     for env_s, env_r in zip(single.envs, reference.envs, strict=True):
-        netlist_s = env_s.data_processor.netlist.parameter_array()
-        netlist_r = env_r.data_processor.netlist.parameter_array()
+        netlist_s = env_s.netlist.parameter_array()
+        netlist_r = env_r.netlist.parameter_array()
         assert netlist_s.tobytes() == netlist_r.tobytes()
         assert env_s.parameter_values.tobytes() == env_r.parameter_values.tobytes()
         assert (env_s.measured_specs, env_s.target_specs) == (

@@ -442,7 +442,7 @@ def _probe_netlists(env_id):
     points += [space.sample(rng) for _ in range(_PROBE_RANDOM_POINTS)]
     netlists = []
     for row in points:
-        netlist = env.data_processor.netlist.copy()
+        netlist = env.netlist.copy()
         for parameter, value in zip(space, row):
             netlist.set_parameter(parameter.device, parameter.attribute, value)
         netlists.append(netlist)

@@ -82,11 +82,6 @@ class TestSmallSignal:
         expected = CMOS_45NM.kp_n * nmos_model.strength * vov
         assert gm_from_current == pytest.approx(expected, rel=1e-9)
 
-    def test_overdrive_at_current_roundtrip(self, nmos_model):
-        vov = 0.22
-        current = nmos_model.saturation_current(vov)
-        assert nmos_model.overdrive_at_current(current) == pytest.approx(vov)
-
     def test_ro_at_current(self, nmos_model):
         assert nmos_model.ro_at_current(1e-4) == pytest.approx(1.0 / (CMOS_45NM.lambda_n * 1e-4))
         assert nmos_model.ro_at_current(0.0) == float("inf")

@@ -42,7 +42,7 @@ def _lane_netlists(env_id, num_lanes, invalid_lanes):
     rng = np.random.default_rng(num_lanes)
     netlists = []
     for lane in range(num_lanes):
-        netlist = env.data_processor.netlist.copy()
+        netlist = env.netlist.copy()
         space.apply_to_netlist(netlist, space.sample(rng))
         load = netlist.get_parameter("CL", "value")
         netlist.set_parameter("CL", "value", load * (1.0 + lane / num_lanes))
