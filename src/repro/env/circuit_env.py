@@ -336,8 +336,6 @@ class BatchedCircuitEnv:
                     "all sub-environments must share one circuit topology, got "
                     f"'{first.benchmark.name}' and '{env.benchmark.name}'"
                 )
-            if env.num_graph_nodes != first.num_graph_nodes:
-                raise ValueError("all sub-environments must share one graph shape")
             if env.benchmark is not first.benchmark:
                 raise ValueError("sub-environments must share one benchmark object")
         self.envs: List[CircuitDesignEnv] = list(envs)
