@@ -415,6 +415,47 @@ _GOLDEN_SIMULATE_ANALYTIC = {
     ],
 }
 
+# The same digests for the rest of the zoo: the folded cascode, the LNA, both
+# RF PA fidelities and every corner sweep (the merged worst-corner result).
+_GOLDEN_SIMULATE_ZOO = {
+    "common_source_lna-corners-v0": [
+        "f662a1463e41dd8a", "e8744a5b65c8c580", "1cd2235a1099a6fb", "1cf292670d6578fe",
+        "54b379253bca81d5", "c9fb9008174dea8e", "d6ee0f6dcd172bc1", "76a845667fdb5a23",
+    ],
+    "common_source_lna-p2s-v0": [
+        "4f3af12650497f21", "910f60bb1baab9f1", "11fff0f6a6f296ee", "133c66815aa017a3",
+        "ea9ebf2544b996a1", "a9dcfc7b237d9a7c", "abcb5e5b5d860c5b", "4bedf5e95630f6e0",
+    ],
+    "current_mirror_ota-corners-v0": [
+        "8770e5abfcd8376d", "2d67ad1cb8553283", "4987100d2d7fd3c1", "bf5edcfb0d653980",
+        "0a4246359bfbc2cb", "123919801b74c210", "3f607c84da07fdd0", "0770f1361534ffd3",
+    ],
+    "folded_cascode-corners-v0": [
+        "602c9db386f74ff4", "a0d821246638fcc6", "c3349db8aac53d39", "c9bcc87c46fec170",
+        "0a6c77fae6145e47", "b484f38d33ce1731", "a0c0d5ab51c90ed5", "fcad253a14e4444c",
+    ],
+    "folded_cascode-p2s-v0": [
+        "1a8480c27d6b58a4", "d29014e3c15d825d", "38120ad313dc75c9", "ba5d7b94240f4473",
+        "1fe1c2891e4f8a80", "e76450122d921be5", "9436e33c94b5ef08", "e7f7ef020fe37949",
+    ],
+    "opamp-corners-v0": [
+        "2b22f4d87e20a441", "df0932dbf9587017", "f377ed1873b8935c", "c7b0847964db9533",
+        "d91e836f6211cc00", "c0a26f0118896fb3", "878b71e9613efbc8", "9cd9eeb1789fcf45",
+    ],
+    "rf_pa-coarse-v0": [
+        "a1f69855b693ad35", "7dd5027f77907979", "00ea50b55bc7995d", "62a20d5e456d420a",
+        "622a23d543f4a9c6", "2d103d10fca0cce3", "c80827587b309eeb", "8cf924cd885ceee4",
+    ],
+    "rf_pa-corners-v0": [
+        "12052b4f88a4b210", "df16b6f9b0ab98b4", "da4fab64318b9d07", "2b6e52b4560f1f68",
+        "b363ea69cacaa6ed", "58cc0ba55da02fe5", "3f40f6203dbb354b", "5c7322aed0ef56c3",
+    ],
+    "rf_pa-fine-v0": [
+        "0a1560b041b72e5b", "b25208fa38fcf7e7", "964693f959dbc359", "de7b40928db5622b",
+        "f0682739da89f311", "0942cf793431b45e", "ec3892494ab0e5f4", "75476f7e4315b0d8",
+    ],
+}
+
 #: Seeded random on-grid sizings probed beyond the center and both bounds.
 _PROBE_RANDOM_POINTS = 5
 
@@ -466,6 +507,12 @@ def test_analytic_simulate_matches_recorded_results(env_id):
     simulator, netlists = _probe_netlists(env_id)
     assert simulator.method == "analytic"
     assert _digests(simulator, netlists) == _GOLDEN_SIMULATE_ANALYTIC[env_id]
+
+
+@pytest.mark.parametrize("env_id", sorted(_GOLDEN_SIMULATE_ZOO))
+def test_zoo_simulate_matches_recorded_results(env_id):
+    simulator, netlists = _probe_netlists(env_id)
+    assert _digests(simulator, netlists) == _GOLDEN_SIMULATE_ZOO[env_id]
 
 
 @pytest.mark.parametrize("env_id", sorted(_GOLDEN_SIMULATE))
