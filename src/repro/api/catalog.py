@@ -354,8 +354,8 @@ _register_zoo_circuit(
 
 # ----------------------------------------------------------------------
 # PVT corner variants: every zoo topology as a ``*-corners-v0`` environment
-# whose simulator sweeps the default five-corner set per step (as batch
-# lanes where the base simulator has a ``simulate_batch`` entry) and whose
+# whose simulator sweeps the default five-corner set per step (every corner
+# of every row one lane of the base simulator) and whose
 # reward is the yield-aware worst-corner P2S reward.  Same machinery as the
 # rest of the catalog, so the num_envs / cache_size / surrogate knobs apply.
 # ----------------------------------------------------------------------

@@ -136,11 +136,11 @@ class _SearchOptimizer:
 
     All three score candidate populations through
     :meth:`SizingProblem.objective_from_unit_batch`, which simulates a
-    population in one ``simulate_batch`` call.  ``vectorize > 1`` (or an
+    population in one ``simulate_rows`` call.  ``vectorize > 1`` (or an
     explicit ``cache_size``) wraps the environment's simulator in a shared
     :class:`repro.parallel.SimulationCache` so duplicate candidates across a
     population cost one simulation; the cache simulates a population's
-    misses in one inner ``simulate_batch`` call.
+    misses in one inner ``simulate_rows`` call.
 
     ``prescreen`` enables surrogate pre-screening of those populations: a
     trained :mod:`repro.surrogate` model ranks every candidate and only the

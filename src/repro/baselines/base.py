@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.circuits.library.benchmark import CircuitBenchmark
 from repro.env.reward import FomReward, P2SReward
-from repro.simulation.base import CircuitSimulator, simulate_batch
+from repro.simulation.base import CircuitSimulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from repro.surrogate.prescreen import SurrogatePrescreener
@@ -107,12 +107,14 @@ class SizingProblem:
         self.reward_fn = P2SReward(benchmark.spec_space)
         self.trace = OptimizationTrace()
         self._evaluations = 0
-        # Reusable working netlists, one per population row: every
-        # evaluation overwrites the full design-parameter vector, so re-using
-        # a copy is equivalent to a fresh one and removes a deep netlist copy
-        # from the hot loop.  ``_netlist`` is the first, the scalar path's.
-        self._netlist = benchmark.fresh_netlist()
-        self._netlists = [self._netlist]
+        # A candidate's parameter row is the template's with the knob
+        # columns written, as the episode engine builds its rows.
+        netlist = benchmark.fresh_netlist()
+        self._layout = netlist.layout
+        self._base_row = netlist.parameter_array()
+        self._knob_cols = self._layout.columns(
+            tuple((p.device, p.attribute) for p in benchmark.design_space)
+        )
         # Optional surrogate pre-screening of population batches.  While a
         # prescreener is attached, every exact evaluation also updates the
         # best-exact record that _build_result reports from, so the final
@@ -131,10 +133,16 @@ class SizingProblem:
 
     def simulate(self, parameters: np.ndarray) -> Dict[str, float]:
         """Evaluate a parameter vector into specs (one simulator call)."""
-        self.benchmark.design_space.apply_to_netlist(self._netlist, parameters)
-        result = self.simulator.simulate(self._netlist)
+        rows = self._rows(self.benchmark.design_space.clip_vector(parameters)[None])
+        result = self.simulator.simulate_rows(self._layout, rows)[0]
         self._evaluations += 1
         return dict(result.specs)
+
+    def _rows(self, parameters: np.ndarray) -> np.ndarray:
+        """The full parameter rows of ``(n, M)`` sizings, snapped onto the grid."""
+        rows = self._base_row[None].repeat(len(parameters), 0)
+        rows[:, self._knob_cols] = self.benchmark.design_space.snap_vector(parameters)
+        return rows
 
     def _score(self, specs: Mapping[str, float]) -> float:
         if self.targets is not None:
@@ -190,7 +198,7 @@ class SizingProblem:
 
         Values, trace and evaluation count equal ``P`` successive
         :meth:`objective_from_unit` calls; the population is simulated in
-        one ``simulate_batch`` call.
+        one ``simulate_rows`` call.
         """
         unit_parameters = np.asarray(unit_parameters, dtype=np.float64)
         if unit_parameters.ndim != 2 or unit_parameters.shape[1] != self.num_parameters:
@@ -207,15 +215,10 @@ class SizingProblem:
     def _exact_objectives(self, parameters: np.ndarray) -> np.ndarray:
         """``[objective(row) for row in parameters]``, bit for bit.
 
-        Row ``k`` is written into working netlist ``k`` and the rows are
-        simulated in one :func:`~repro.simulation.base.simulate_batch` call.
+        The candidates' parameter rows are simulated in one
+        ``simulate_rows`` call.
         """
-        while len(self._netlists) < len(parameters):
-            self._netlists.append(self.benchmark.fresh_netlist())
-        netlists = self._netlists[: len(parameters)]
-        for netlist, row in zip(netlists, parameters):
-            self.benchmark.design_space.apply_to_netlist(netlist, row)
-        results = simulate_batch(self.simulator, netlists)
+        results = self.simulator.simulate_rows(self._layout, self._rows(parameters))
         values = []
         for row, result in zip(parameters, results):
             self._evaluations += 1
@@ -238,16 +241,10 @@ class SizingProblem:
         if not prescreener.active or prescreener.num_exact(count) >= count:
             prescreener.stats.bypassed += count
             return None
-        # The surrogate consumes full device-parameter vectors (the corpus
-        # layout); writing each candidate into the working netlist is the
-        # same design-space -> netlist mapping simulate() applies.
-        full = np.stack(
-            [
-                self._full_parameters_for(row)
-                for row in parameters
-            ]
-        )
-        if not prescreener.matches(self._netlist.name, full.shape[1]):
+        # The surrogate consumes full device-parameter rows (the corpus
+        # layout), the rows simulate() hands the simulator.
+        full = self._rows(parameters)
+        if not prescreener.matches(self._layout.name, full.shape[1]):
             prescreener.stats.bypassed += count
             return None
         values = prescreener.predicted_objectives(full, self._score)
@@ -258,10 +255,6 @@ class SizingProblem:
         prescreener.stats.exact_verified += len(top)
         prescreener.stats.surrogate_ranked += count - len(top)
         return values
-
-    def _full_parameters_for(self, parameters: np.ndarray) -> np.ndarray:
-        self.benchmark.design_space.apply_to_netlist(self._netlist, parameters)
-        return self._netlist.parameter_array()
 
 
 class SizingOptimizer:

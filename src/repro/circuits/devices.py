@@ -119,9 +119,6 @@ class Device:
             seen.setdefault(net, None)
         return tuple(seen)
 
-    def connects_to(self, net: str) -> bool:
-        return net in self.terminals.values()
-
     def copy(self) -> "Device":
         return Device(
             name=self.name,

@@ -12,11 +12,51 @@ simulator.  :class:`Netlist` is that mutable circuit description.  It offers
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.circuits.devices import Device, DeviceType
+
+#: A parameter's address in a netlist: ``(device name, parameter key)``.
+ParameterRead = Tuple[str, str]
+
+
+class ParameterLayout:
+    """The column of every device parameter in a netlist's parameter rows.
+
+    A parameter row (:meth:`Netlist.parameter_array`, and each row of the
+    ``(n, P)`` arrays every simulator is handed) holds the devices'
+    parameters in netlist insertion order, each device's in its own order.
+    The layout names the circuit and maps ``(device, key)`` to its column.
+    It is read-only; a netlist caches its own (:attr:`Netlist.layout`).
+    """
+
+    __slots__ = ("name", "_columns", "_resolved")
+
+    def __init__(self, name: str, columns: Dict[ParameterRead, int]) -> None:
+        self.name = name
+        self._columns = columns
+        self._resolved: Dict[Tuple[ParameterRead, ...], np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self._columns)
+
+    def columns(self, reads: Tuple[ParameterRead, ...]) -> np.ndarray:
+        """The columns of ``reads``, resolved once per layout."""
+        columns = self._resolved.get(reads)
+        if columns is None:
+            try:
+                columns = np.array([self._columns[read] for read in reads], dtype=np.intp)
+            except KeyError as exc:
+                raise KeyError(f"netlist '{self.name}' has no parameter {exc.args[0]}") from None
+            columns.flags.writeable = False
+            self._resolved[reads] = columns
+        return columns
+
+    def lanes(self, rows: np.ndarray, reads: Tuple[ParameterRead, ...]) -> List[List[float]]:
+        """Each row's values of ``reads``, as Python floats (one slice for all rows)."""
+        return rows[:, self.columns(reads)].tolist()
 
 
 class Netlist:
@@ -33,6 +73,7 @@ class Netlist:
     def __init__(self, name: str, devices: Iterable[Device] = ()) -> None:
         self.name = name
         self._devices: Dict[str, Device] = {}
+        self._layout: Optional[ParameterLayout] = None
         for device in devices:
             self.add_device(device)
 
@@ -43,6 +84,7 @@ class Netlist:
         if device.name in self._devices:
             raise ValueError(f"duplicate device name '{device.name}' in netlist '{self.name}'")
         self._devices[device.name] = device
+        self._layout = None
 
     # ------------------------------------------------------------------
     # Lookup
@@ -115,10 +157,22 @@ class Netlist:
     def copy(self) -> "Netlist":
         return Netlist(self.name, (device.copy() for device in self._devices.values()))
 
-    def parameter_array(self) -> np.ndarray:
-        """Every device parameter as one flat array (netlist insertion order).
+    @property
+    def layout(self) -> ParameterLayout:
+        """The columns of :meth:`parameter_array`, rebuilt after :meth:`add_device`."""
+        layout = self._layout
+        if layout is None or layout.name != self.name:
+            columns: Dict[ParameterRead, int] = {}
+            for device in self._devices.values():
+                for key in device.parameters:
+                    columns[device.name, key] = len(columns)
+            layout = self._layout = ParameterLayout(self.name, columns)
+        return layout
 
-        For a fixed topology the ordering is deterministic, so this array is
+    def parameter_array(self) -> np.ndarray:
+        """Every device parameter as one flat row, in the columns of :attr:`layout`.
+
+        For a fixed topology the ordering is deterministic, so this row is
         a complete, cheap fingerprint of the simulator-relevant state — it is
         what :class:`repro.parallel.SimulationCache` hashes.
         """

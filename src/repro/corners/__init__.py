@@ -8,9 +8,9 @@ The subsystem has three layers (see ``docs/corners.md`` for the guide):
   :func:`default_corner_set` as the standard five-corner sweep;
 * :mod:`repro.corners.simulator` — :class:`CornerSimulator`, a drop-in
   :class:`~repro.simulation.base.CircuitSimulator` that evaluates all K
-  corners of every netlist of a call as the lanes of one base
-  ``simulate_batch`` call (one stacked MNA sweep) where the base simulator
-  has one — bitwise identical to the per-corner loop;
+  corners of every parameter row of a call as the lanes of one base
+  ``results`` call (one stacked MNA sweep on the op-amp and CM-OTA MNA
+  methods) — bitwise identical to the per-corner loop;
 * :mod:`repro.corners.reward` — :class:`YieldP2SReward`, worst-corner
   Eq. (1) satisfaction with configurable corner weighting.
 

@@ -3,7 +3,7 @@
 :class:`CornerSimulator` implements the standard
 :class:`~repro.simulation.base.CircuitSimulator` protocol, so it nests
 anywhere a plain simulator does (environments, the simulation cache, the
-surrogate tier).  ``simulate`` evaluates the netlist at every corner of its
+surrogate tier).  It evaluates each parameter row at every corner of its
 :class:`~repro.corners.model.CornerSet` and merges the per-corner results
 into one :class:`~repro.simulation.base.SimulationResult`:
 
@@ -17,27 +17,26 @@ into one :class:`~repro.simulation.base.SimulationResult`:
 * ``valid`` — true only when *every* corner simulates to a valid operating
   point.
 
-``simulate_batch`` evaluates several netlists at once.  Where the base
-simulator has a ``simulate_batch`` entry (:class:`OpAmpSimulator`,
-:class:`CmOtaSimulator`), every (netlist, corner) pair is a lane of one
-base ``simulate_batch`` call: lane ``k`` takes its operating point from
-corner ``k``'s clone of the base simulator, which carries
-:meth:`Corner.apply`-derived technology constants, and the MNA methods
-sweep all lanes in one stacked plan.  The other zoo simulators (folded
-cascode, LNA, RF PA) run each corner's clone on each netlist.  A lane's
-result does not depend on its batch, so both are bitwise the per-corner
-loop over the clones (``tests/corners`` keeps that loop as the parity
-reference), and every value is read from the netlist of the call.
+Every (row, corner) pair is one lane: lane ``k`` of a row takes its
+operating point from corner ``k``'s clone of the base simulator (which
+carries :meth:`Corner.apply`-derived technology constants), read from the
+row's values of the base simulator's ``reads``, and the base simulator's
+``results`` turns all lanes into results in one call, so the op-amp and
+CM-OTA MNA methods sweep every lane in one stacked plan.  A lane's result
+does not depend on its batch, so this is bitwise the per-corner loop over
+the clones (``tests/corners`` keeps that loop as the parity reference).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.circuits.netlist import Netlist
+import numpy as np
+
+from repro.circuits.netlist import Netlist, ParameterLayout
 from repro.circuits.specs import Objective, SpecificationSpace
 from repro.corners.model import CornerSet, default_corner_set
-from repro.simulation.base import SimulationResult
+from repro.simulation.base import CircuitSimulator, SimulationResult
 from repro.simulation.folded_cascode_sim import FoldedCascodeSimulator
 from repro.simulation.lna_sim import LnaSimulator
 from repro.simulation.opamp_sim import OpAmpSimulator
@@ -90,8 +89,8 @@ def clone_simulator_with_technology(base, technology):
     )
 
 
-class CornerSimulator:
-    """Evaluate every corner of a :class:`CornerSet` per ``simulate`` call.
+class CornerSimulator(CircuitSimulator):
+    """Evaluate every corner of a :class:`CornerSet` per parameter row.
 
     Parameters
     ----------
@@ -130,35 +129,32 @@ class CornerSimulator:
     # ------------------------------------------------------------------
     # CircuitSimulator protocol
     # ------------------------------------------------------------------
-    def simulate(self, netlist: Netlist) -> SimulationResult:
-        """Merged worst-corner result plus flattened per-corner spec keys."""
-        return self.simulate_batch([netlist])[0]
-
-    def simulate_batch(self, netlists: Sequence[Netlist]) -> List[SimulationResult]:
-        """``[simulate(n) for n in netlists]``, every corner of every netlist one lane."""
-        return [self.merge(results) for results in self._corner_rows(netlists)]
+    def simulate_rows(self, layout: ParameterLayout, rows: np.ndarray) -> List[SimulationResult]:
+        """Per row, the merged worst-corner result plus flattened per-corner spec keys."""
+        return [self.merge(results) for results in self._corner_rows(layout, rows)]
 
     # ------------------------------------------------------------------
     # Per-corner evaluation
     # ------------------------------------------------------------------
     def corner_results(self, netlist: Netlist) -> List[SimulationResult]:
         """One :class:`SimulationResult` per corner, in corner-set order."""
-        return self._corner_rows([netlist])[0]
+        return self._corner_rows(netlist.layout, netlist.parameter_array()[None])[0]
 
-    def _corner_rows(self, netlists: Sequence[Netlist]) -> List[List[SimulationResult]]:
-        """Per netlist, the per-corner results (one base batch where there is one)."""
+    def _corner_rows(
+        self, layout: ParameterLayout, rows: np.ndarray
+    ) -> List[List[SimulationResult]]:
+        """Per row, the per-corner results: every (row, corner) pair one lane."""
+        base = self.base_simulator
         clones = self._corner_simulators
-        batch = getattr(self.base_simulator, "simulate_batch", None)
-        if batch is None:
-            return [[clone.simulate(netlist) for clone in clones] for netlist in netlists]
-        lanes = batch(
-            [netlist for netlist in netlists for _ in clones],
-            operating_points=[
-                clone.operating_point(netlist) for netlist in netlists for clone in clones
-            ],
+        lanes = base.results(
+            [
+                clone.operating_point(values)
+                for values in layout.lanes(rows, base.reads)
+                for clone in clones
+            ]
         )
         width = len(clones)
-        return [lanes[row * width:(row + 1) * width] for row in range(len(netlists))]
+        return [lanes[row * width:(row + 1) * width] for row in range(len(rows))]
 
     # ------------------------------------------------------------------
     # Merging

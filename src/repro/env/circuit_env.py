@@ -43,12 +43,12 @@ simulation cache.
   ``max_steps``, and the engine's ``autoreset``; swapping one takes effect on
   the next call.
 * **One simulation call**: a step or a reset hands the selected lanes'
-  netlists, with their parameter rows, to the shared simulator in one
-  :func:`~repro.simulation.base.simulate_rows` call (one call per lane, in
-  lane order, only when the lanes do not share a simulator); a simulation
-  cache keys on those rows instead of reading each netlist again.  Every
-  simulator and wrapper answers a batch exactly as a loop of ``simulate``
-  would, so how lanes are grouped changes no bits.
+  ``(B, P)`` parameter rows, with the topology's
+  :class:`~repro.circuits.netlist.ParameterLayout`, to the shared simulator
+  in one ``simulate_rows`` call (one call per lane, in lane order, only
+  when the lanes do not share a simulator); no simulator reads a netlist
+  back.  Every simulator and wrapper answers a batch exactly as a loop of
+  one-row calls would, so how lanes are grouped changes no bits.
 * **Sequential bookkeeping** in lane order: target and start draws from
   each lane's own ``rng``, one :func:`~repro.env.reward.error_pass` per
   lane (its spec features and, for a P2S reward that does not override
@@ -85,7 +85,7 @@ from repro.env.reward import FomReward, P2SReward, error_pass, spec_table
 from repro.env.spaces import NUM_ACTION_CHOICES, ActionSpace, BatchedObservation, Observation
 from repro.graph.circuit_graph import CircuitGraph
 from repro.graph.features import dynamic_parameter_reads, feature_dimension
-from repro.simulation.base import CircuitSimulator, simulate_rows
+from repro.simulation.base import CircuitSimulator
 
 RewardFunction = Union[P2SReward, FomReward]
 
@@ -287,24 +287,6 @@ def _device_layout(netlist: Netlist) -> List[tuple]:
     ]
 
 
-def _param_flat_index(netlist: Netlist, device: str, attribute: str) -> int:
-    """Index of ``(device, attribute)`` in ``netlist.parameter_array()``.
-
-    ``parameter_array`` walks devices in insertion order and extends each
-    device's parameter dict values in *its* insertion order; this mirrors
-    that walk.
-    """
-    offset = 0
-    for dev in netlist:
-        keys = list(dev.parameters)
-        if dev.name == device:
-            if attribute not in dev.parameters:
-                raise ValueError(f"device '{device}' has no parameter '{attribute}'")
-            return offset + keys.index(attribute)
-        offset += len(keys)
-    raise ValueError(f"netlist has no device '{device}'")
-
-
 class BatchedCircuitEnv:
     """``N`` :class:`CircuitDesignEnv` lanes stepped and reset as one batch.
 
@@ -356,20 +338,21 @@ class BatchedCircuitEnv:
 
         base_netlist = first.netlist
         base_row = base_netlist.parameter_array()
-        knob_cols = [_param_flat_index(base_netlist, p.device, p.attribute) for p in parameters]
+        self._layout = layout = base_netlist.layout
+        knob_cols = layout.columns(tuple((p.device, p.attribute) for p in parameters))
         # A step's parameter rows are this base with the knob columns
         # written: what each lane's ``parameter_array()`` reads back.
         self._base_row = base_row
-        self._knob_cols = np.array(knob_cols, dtype=np.intp)
+        self._knob_cols = knob_cols
         knob_mask = np.zeros(base_row.shape[0], dtype=bool)
         knob_mask[knob_cols] = True
         fixed = base_row[~knob_mask].tobytes()
-        layout = _device_layout(base_netlist)
+        structure = _device_layout(base_netlist)
         for env in envs[1:]:
             netlist = env.netlist
             if netlist.name != base_netlist.name:
                 raise ValueError("sub-environments disagree on the netlist name")
-            if _device_layout(netlist) != layout:
+            if _device_layout(netlist) != structure:
                 raise ValueError("sub-environments disagree on the circuit graph")
             if netlist.parameter_array()[~knob_mask].tobytes() != fixed:
                 raise ValueError("sub-environments disagree on non-tunable netlist parameters")
@@ -389,15 +372,14 @@ class BatchedCircuitEnv:
         # Each dynamic node feature reads one netlist parameter, a knob or a
         # fixed one.  The fixed reads are constants of the topology and are
         # scaled into the base once; a step writes only the knob reads.
-        read_cols = np.array(
-            [
-                _param_flat_index(base_netlist, name, key)
+        read_cols = layout.columns(
+            tuple(
+                (name, key)
                 for name in graph.node_names
                 for key, _scale, _slot in dynamic_parameter_reads(base_netlist.device(name))
-            ],
-            dtype=np.intp,
+            )
         )
-        knob_of_col = {col: index for index, col in enumerate(knob_cols)}
+        knob_of_col = {col: index for index, col in enumerate(knob_cols.tolist())}
         from_knob = np.array([col in knob_of_col for col in read_cols.tolist()], dtype=bool)
         rows, cols, scales = graph._feature_rows, graph._feature_cols, graph._feature_scales
         self._node_base = graph._base_features.copy()
@@ -757,18 +739,18 @@ class BatchedCircuitEnv:
         """One simulation call for lanes sharing a simulator.
 
         The lanes' ``(count, P)`` parameter rows are the fixed-parameter base
-        row with the knob columns set to ``sizings``, so a simulator that
-        keys on them (a simulation cache) does not read each netlist again.
+        row with the knob columns set to ``sizings``: no simulator reads a
+        netlist back.
         """
-        netlists = [env._netlist for env in envs]
         rows = self._base_row[None].repeat(len(envs), 0)
         rows[:, self._knob_cols] = sizings
+        layout = self._layout
         simulator = envs[0].simulator
         if all(env.simulator is simulator for env in envs):
-            return simulate_rows(simulator, netlists, rows)
+            return simulator.simulate_rows(layout, rows)
         return [
-            simulate_rows(env.simulator, [netlist], rows[row : row + 1])[0]
-            for row, (env, netlist) in enumerate(zip(envs, netlists))
+            env.simulator.simulate_rows(layout, rows[row : row + 1])[0]
+            for row, env in enumerate(envs)
         ]
 
     def _observations(

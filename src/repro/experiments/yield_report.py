@@ -12,7 +12,7 @@ specification.
 Each Monte-Carlo point is a :class:`~repro.corners.model.Corner`, so a
 whole shard is just a :class:`~repro.corners.simulator.CornerSimulator`
 over a ``samples``-corner :class:`CornerSet` — on the op-amp and CM-OTA
-the corner lanes evaluate an entire shard in one ``simulate_batch`` call
+the corner lanes evaluate an entire shard in one ``simulate_rows`` call
 (one stacked MNA sweep on the MNA methods).
 
 Orchestration mirrors :mod:`repro.experiments.transfer_matrix`: the report

@@ -94,8 +94,8 @@ def static_feature_vector(device: Device) -> np.ndarray:
     (threshold voltage, mobility, …) in the node features.  We reproduce that
     choice for the Baseline B policy so the ablation "dynamic vs static node
     features" can be measured: a transistor carries a 0.4 V threshold and a
-    unit mobility scale, a passive a unit quality factor, and a source its
-    scaled voltage.  The returned vector has the same length as
+    unit mobility scale, a passive a unit quality factor, a voltage source
+    its scaled voltage and a current source its scaled current.  The returned vector has the same length as
     :func:`device_feature_vector` so policies are size-compatible.
     """
     vector = np.zeros(PARAMETER_SLOTS)
@@ -105,5 +105,6 @@ def static_feature_vector(device: Device) -> np.ndarray:
     elif device.dtype.is_passive:
         vector[0] = 1.0
     else:
-        vector[0] = device.get_parameter("voltage") * PARAMETER_SCALES["voltage"]
+        ((key, scale, slot),) = dynamic_parameter_reads(device)
+        vector[slot] = device.get_parameter(key) * scale
     return np.concatenate([node_type_one_hot(device.dtype), vector])

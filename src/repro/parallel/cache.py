@@ -9,9 +9,9 @@ and search methods revisit grid points.  All simulators in this project are
 deterministic functions of the netlist's device parameters, so those repeats
 are pure waste.
 
-:class:`SimulationCache` wraps any simulator behind the same ``simulate``
-protocol and memoizes results in an LRU table keyed on the netlist's
-parameter snapshot, quantized so that float noise below simulator resolution
+:class:`SimulationCache` wraps any simulator behind the same
+``simulate_rows`` protocol and memoizes results in an LRU table keyed on
+each parameter row (plus the circuit name), quantized so that float noise below simulator resolution
 (e.g. ``1e-6`` vs ``1.0000000000001e-6`` from two different arithmetic paths)
 maps to the same entry.  The key quantizes the *binary* mantissa of each
 parameter to the bit equivalent of ``key_digits`` decimal digits — every
@@ -20,35 +20,33 @@ boundary can never split into different keys.  Parameters that the design
 space snaps onto a discrete grid are exactly representable well above the
 default 12-digit resolution, so distinct design points never collide.
 
-One lookup serves every entry (``simulate`` is a batch of one): the rows are
-looked up in order, the misses are simulated together in one inner
-``simulate_batch`` call, and a batch that completes leaves results, counters
-and LRU order exactly as a loop of ``simulate`` calls would.
-:meth:`SimulationCache.simulate_batch` keys each netlist on the parameter row
-it reads out of the netlist; :meth:`SimulationCache.simulate_rows` keys on
-rows the caller already holds.  The episode engine
-(:class:`~repro.env.circuit_env.BatchedCircuitEnv`) passes its own: the
-fixed-parameter base row it read once at build, with the knob columns of the
-step's sizings written.  That relies on the engine's existing contract that a
-lane's fixed netlist parameters do not change after the engine is built
-(write sizings through the environment, not into its netlist).  Both entries
-reach the one quantizer, :meth:`SimulationCache._quantize`, so their keys —
-and the :class:`~repro.parallel.DiskSimulationCache` entry files named by
-``sha256(key)`` — are byte-equal.
+The cache is keyed on the ``(n, P)`` parameter rows it is handed, the
+rows of the one ``simulate_rows`` entry (``simulate`` is a batch of one).
+The rows are looked up in order, the misses are simulated together in one
+inner ``simulate_rows`` call, and a batch that completes leaves results,
+counters and LRU order exactly as a loop of one-row calls would.  The
+episode engine (:class:`~repro.env.circuit_env.BatchedCircuitEnv`) passes
+its own rows: the fixed-parameter base row it read once at build, with the
+knob columns of the step's sizings written.  That relies on the engine's
+existing contract that a lane's fixed netlist parameters do not change
+after the engine is built (write sizings through the environment, not into
+its netlist).  Every key comes from the one quantizer,
+:meth:`SimulationCache._quantize`, so the keys — and the
+:class:`~repro.parallel.DiskSimulationCache` entry files named by
+``sha256(key)`` — are byte-equal whichever caller built the rows.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from itertools import chain
 from dataclasses import dataclass
-from typing import List, Sequence, Union
+from typing import List, Union
 
 import numpy as np
 
-from repro.circuits.netlist import Netlist
-from repro.simulation.base import CircuitSimulator, SimulationResult, simulate_batch
+from repro.circuits.netlist import ParameterLayout
+from repro.simulation.base import CircuitSimulator, SimulationResult
 
 #: Default maximum number of memoized simulation results.
 DEFAULT_CACHE_SIZE = 4096
@@ -108,7 +106,7 @@ class CacheStats:
         }
 
 
-class SimulationCache:
+class SimulationCache(CircuitSimulator):
     """LRU-memoizing :class:`CircuitSimulator` wrapper.
 
     Parameters
@@ -124,7 +122,7 @@ class SimulationCache:
         Key resolution, expressed in decimal significant digits; the key
         quantizes each parameter's *binary* mantissa to the equivalent bit
         count (``2^ceil(digits / log10 2)``), which collapses the same float
-        noise with exact-in-float64 arithmetic (see :meth:`_keys`).
+        noise with exact-in-float64 arithmetic (see :meth:`_quantize`).
 
     The wrapper satisfies the :class:`CircuitSimulator` protocol, so it can
     stand in anywhere a simulator is expected — a whole
@@ -159,19 +157,15 @@ class SimulationCache:
     def name(self) -> str:
         return f"cached({self.simulator.name})"
 
-    def simulate(self, netlist: Netlist) -> SimulationResult:
-        """Evaluate the netlist, serving repeats from the LRU table."""
-        return self.simulate_batch([netlist])[0]
-
-    def simulate_batch(self, netlists: Sequence[Netlist]) -> List[SimulationResult]:
-        """``[self.simulate(n) for n in netlists]``, with the misses in one batch.
+    def simulate_rows(self, layout: ParameterLayout, rows: np.ndarray) -> List[SimulationResult]:
+        """Evaluate the rows, serving repeats from the LRU table, the misses in one batch.
 
         When the batch completes, results, :attr:`stats` and the LRU order
-        of the table are exactly what that loop leaves.  The rows are looked
-        up in order, and a miss reserves its entry at once, so a later row
-        with the same key is a hit and evictions fall where the loop's
-        would.  Then :meth:`_simulate_misses` resolves every miss, and the
-        reserved entries still in the table are filled.
+        of the table are exactly what a loop of one-row calls leaves.  The
+        rows are looked up in order, and a miss reserves its entry at once,
+        so a later row with the same key is a hit and evictions fall where
+        the loop's would.  Then :meth:`_simulate_misses` resolves every
+        miss, and the reserved entries still in the table are filled.
 
         A batch that raises stores none of its misses and leaves no
         reservation behind, but rolls nothing else back: its hits, the
@@ -179,32 +173,13 @@ class SimulationCache:
         evicted stand.  (A loop would have stored the rows before the
         failing one, and evicted only for those.)
         """
-        return self._lookup(self._keys(netlists), netlists)
-
-    def simulate_rows(
-        self, netlists: Sequence[Netlist], rows: np.ndarray
-    ) -> List[SimulationResult]:
-        """:meth:`simulate_batch` for netlists whose parameter rows the caller holds.
-
-        ``rows`` is the ``(n, P)`` float64 array whose row ``i`` equals
-        ``netlists[i].parameter_array()``, and every netlist shares
-        ``netlists[0]``'s name (the episode engine's lanes).  The keys are
-        quantized from ``rows`` instead of read back out of each netlist, and
-        they are byte-equal to the ones :meth:`simulate_batch` derives.
-        """
-        if not netlists:
-            return []
-        return self._lookup(self._quantize(netlists[0].name, rows), netlists)
-
-    def _lookup(self, keys: List[bytes], netlists: Sequence[Netlist]) -> List[SimulationResult]:
-        """The lookup shared by :meth:`simulate_batch` and :meth:`simulate_rows`."""
         entries = self._entries
-        rows: List[Union[SimulationResult, _Reserved]] = []
+        lanes: List[Union[SimulationResult, _Reserved]] = []
         reserved: List[_Reserved] = []
-        for key, netlist in zip(keys, netlists):
+        for row, key in enumerate(self._quantize(layout.name, rows)):
             entry = entries.get(key)
             if entry is None:
-                entry = _Reserved(len(reserved), key, netlist)
+                entry = _Reserved(len(reserved), key, row)
                 reserved.append(entry)
                 entries[key] = entry
                 if len(entries) > self.max_entries:
@@ -213,19 +188,21 @@ class SimulationCache:
             else:
                 self.stats.hits += 1
                 entries.move_to_end(key)
-            rows.append(entry)
-        results = self._fill(reserved) if reserved else []
+            lanes.append(entry)
+        results = self._fill(layout, rows, reserved) if reserved else []
         return [
             self._copy(results[entry.miss] if isinstance(entry, _Reserved) else entry)
-            for entry in rows
+            for entry in lanes
         ]
 
-    def _fill(self, reserved: List["_Reserved"]) -> List[SimulationResult]:
+    def _fill(
+        self, layout: ParameterLayout, rows: np.ndarray, reserved: List["_Reserved"]
+    ) -> List[SimulationResult]:
         """Resolve the reserved misses and store them where still reserved."""
         entries = self._entries
         try:
             results = self._simulate_misses(
-                [entry.key for entry in reserved], [entry.netlist for entry in reserved]
+                layout, [entry.key for entry in reserved], rows[[entry.row for entry in reserved]]
             )
         except BaseException:
             # No reservation may outlive the batch.
@@ -239,17 +216,17 @@ class SimulationCache:
         return results
 
     def _simulate_misses(
-        self, keys: List[bytes], netlists: List[Netlist]
+        self, layout: ParameterLayout, keys: List[bytes], rows: np.ndarray
     ) -> List[SimulationResult]:
         """The results of rows absent from the in-memory table, in row order.
 
-        The base implementation is one inner ``simulate_batch`` call, every
+        The base implementation is one inner ``simulate_rows`` call, every
         row counted in ``stats.misses``.  Subclasses (the persistent
         :class:`DiskSimulationCache`, the surrogate tier) interpose further
         tiers here.
         """
-        self.stats.misses += len(netlists)
-        return simulate_batch(self.simulator, netlists)
+        self.stats.misses += len(rows)
+        return self.simulator.simulate_rows(layout, rows)
 
     # ------------------------------------------------------------------
     # Cache management
@@ -260,31 +237,6 @@ class SimulationCache:
     def clear(self) -> None:
         """Drop all memoized entries (the stats counters are kept)."""
         self._entries.clear()
-
-    def _keys(self, netlists: Sequence[Netlist]) -> List[bytes]:
-        """The key of every netlist: its parameter row, through :meth:`_quantize`.
-
-        A netlist's :meth:`~repro.circuits.netlist.Netlist.parameter_array`
-        (device parameters in netlist insertion order) fully determines a
-        deterministic simulator's output, and the order is fixed per
-        topology, so the quantized array (plus the circuit name) is the key.
-        Netlists that share a name and a layout are quantized as one array.
-        """
-        if not netlists:
-            return []
-        name = netlists[0].name
-        # One pass over every device's parameter dict, in netlist order: the
-        # rows of ``parameter_array()``, when every netlist shares the first
-        # one's name and per-device layout (else each is keyed on its own).
-        dicts = [device.parameters for netlist in netlists for device in netlist]
-        sizes = list(map(len, dicts))
-        layout = sizes[: len(netlists[0])]
-        if sizes != layout * len(netlists) or any(netlist.name != name for netlist in netlists):
-            return [self._keys([netlist])[0] for netlist in netlists]
-        rows = np.fromiter(
-            chain.from_iterable(map(dict.values, dicts)), dtype=np.float64, count=sum(sizes)
-        ).reshape(len(netlists), sum(layout))
-        return self._quantize(name, rows)
 
     def _quantize(self, name: str, rows: np.ndarray) -> List[bytes]:
         """The keys of ``(n, P)`` parameter rows of circuit ``name``: the one quantizer.
@@ -326,9 +278,9 @@ class SimulationCache:
 class _Reserved:
     """The table entry a miss holds until :meth:`SimulationCache._fill` resolves it."""
 
-    __slots__ = ("miss", "key", "netlist")
+    __slots__ = ("miss", "key", "row")
 
-    def __init__(self, miss: int, key: bytes, netlist: Netlist) -> None:
+    def __init__(self, miss: int, key: bytes, row: int) -> None:
         self.miss = miss
         self.key = key
-        self.netlist = netlist
+        self.row = row

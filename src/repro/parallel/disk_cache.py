@@ -8,7 +8,7 @@ design point the previous run already evaluated.
 
 :class:`DiskSimulationCache` adds a directory-backed tier underneath the LRU
 table, using the *same quantized keys* (the exact binary-mantissa
-quantization of ``SimulationCache._key``), so an entry written by any process
+quantization of ``SimulationCache._quantize``), so an entry written by any process
 at any time is a hit for every later process pointed at the same directory:
 
 * lookup order is memory -> disk -> simulator; disk hits are promoted into
@@ -38,7 +38,7 @@ from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.circuits.netlist import Netlist
+from repro.circuits.netlist import ParameterLayout
 from repro.parallel.cache import DEFAULT_CACHE_SIZE, DEFAULT_KEY_DIGITS, SimulationCache
 from repro.simulation.base import CircuitSimulator, SimulationResult
 from repro.utils import atomic_write_json
@@ -182,13 +182,13 @@ class DiskSimulationCache(SimulationCache):
         return f"disk_cached({self.simulator.name})"
 
     def _simulate_misses(
-        self, keys: List[bytes], netlists: List[Netlist]
+        self, layout: ParameterLayout, keys: List[bytes], rows: np.ndarray
     ) -> List[SimulationResult]:
         # One row at a time, in row order: a row's file write is what a
-        # later row's disk read sees, exactly as in a loop of ``simulate``.
-        return [self._simulate_miss(key, netlist) for key, netlist in zip(keys, netlists)]
+        # later row's disk read sees, exactly as in a loop of one-row calls.
+        return [self._simulate_miss(layout, key, row) for key, row in zip(keys, rows)]
 
-    def _simulate_miss(self, key: bytes, netlist: Netlist) -> SimulationResult:
+    def _simulate_miss(self, layout: ParameterLayout, key: bytes, row: np.ndarray) -> SimulationResult:
         path = self._entry_path(key)
         cached = self._read_entry(path)
         if cached is not None:
@@ -196,8 +196,8 @@ class DiskSimulationCache(SimulationCache):
             self.stats.disk_hits += 1
             return cached
         self.stats.misses += 1
-        result = self.simulator.simulate(netlist)
-        self._write_entry(path, result, netlist)
+        result = self.simulator.simulate_rows(layout, row[None])[0]
+        self._write_entry(path, result, layout.name, row)
         return result
 
     def _entry_path(self, key: bytes) -> Path:
@@ -211,13 +211,15 @@ class DiskSimulationCache(SimulationCache):
         entry = read_disk_entry(path)
         return None if entry is None else entry.result
 
-    def _write_entry(self, path: Path, result: SimulationResult, netlist: Netlist) -> None:
+    def _write_entry(
+        self, path: Path, result: SimulationResult, circuit: str, row: np.ndarray
+    ) -> None:
         # Atomic replace keeps every published entry complete even with
         # concurrent writers on the same key (last writer wins; all writers
         # hold the identical deterministic result anyway).  The design point
         # (circuit + parameter vector) rides along so the directory doubles
         # as the surrogate training corpus.
-        write_disk_entry(path, result, circuit=netlist.name, parameters=netlist.parameter_array())
+        write_disk_entry(path, result, circuit=circuit, parameters=row)
         self._writes_since_prune += 1
         if (
             self.max_disk_entries is not None

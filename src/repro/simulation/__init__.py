@@ -11,7 +11,7 @@ with from-scratch equivalents:
   RF PA evaluators used by the transfer-learning workflow.
 """
 
-from repro.simulation.base import CircuitSimulator, SimulationResult, Simulator, simulate_batch
+from repro.simulation.base import CircuitSimulator, SimulationResult, Simulator
 from repro.simulation.folded_cascode_sim import (
     FoldedCascodeOperatingPoint,
     FoldedCascodeSimulator,
@@ -66,5 +66,4 @@ __all__ = [
     "RfPaFineSimulator",
     "SimulationResult",
     "Simulator",
-    "simulate_batch",
 ]

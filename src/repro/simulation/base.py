@@ -1,23 +1,24 @@
 """Common simulator interface shared by every circuit evaluator.
 
 The RL environment (Fig. 2 of the paper) only ever asks the simulator one
-question: "given the current netlist, what are the intermediate
-specifications?".  :class:`CircuitSimulator` fixes that contract so the
-environment, the optimization baselines and the experiment harness can use
-the analytical op-amp evaluator, the harmonic-balance-like PA evaluator and
+question: "given this sizing, what are the intermediate specifications?".
+Every caller already holds its sizings as ``(n, P)`` parameter rows, so
+that is the one thing a simulator is handed: :class:`CircuitSimulator` has
+one entry, ``simulate_rows(layout, rows)``, and ``simulate(netlist)`` is a
+batch of one row.  The contract lets the environment, the optimization
+baselines and the experiment harness use the analytical op-amp evaluator, the harmonic-balance-like PA evaluator and
 the coarse PA evaluator interchangeably — including the coarse→fine swap at
 the heart of the transfer-learning contribution.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Protocol, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuits.netlist import Netlist
+from repro.circuits.netlist import Netlist, ParameterLayout, ParameterRead
 
 
 @dataclass
@@ -49,77 +50,59 @@ class SimulationResult:
             raise KeyError(f"simulation result has no spec '{name}'") from exc
 
 
-class CircuitSimulator(Protocol):
-    """Anything that can evaluate a netlist into intermediate specifications.
+class CircuitSimulator:
+    """Anything that evaluates parameter rows into intermediate specifications.
 
-    A simulator may also define ``simulate_batch(netlists)``, returning one
-    result per netlist, each exactly what ``simulate`` would return for it.
-    Callers that hold several netlists go through :func:`simulate_batch`,
-    which uses that entry when it exists (and ``simulate`` is not
-    overridden below it).  A simulator that reads the netlists' parameter
-    rows may define ``simulate_rows(netlists, rows)`` as well, reached
-    through :func:`simulate_rows` by callers that hold the rows.
+    The one entry is :meth:`simulate_rows`: ``rows`` is an ``(n, P)`` float64
+    array of parameter rows laid out by ``layout`` (a netlist's
+    :attr:`~repro.circuits.netlist.Netlist.layout`), and the answer is one
+    result per row.  Each row's result depends on that row alone, so how
+    rows are batched changes no bits.  :meth:`simulate` is a batch of one.
     """
 
     #: Human-readable simulator name (shown in experiment reports).
     name: str
 
+    def simulate_rows(self, layout: ParameterLayout, rows: np.ndarray) -> List[SimulationResult]:
+        """Evaluate every row and return the measured specifications, in row order."""
+        raise NotImplementedError
+
     def simulate(self, netlist: Netlist) -> SimulationResult:
-        """Evaluate the netlist and return the measured specifications."""
-        ...
+        """Evaluate the netlist: its parameter row as a batch of one."""
+        return self.simulate_rows(netlist.layout, netlist.parameter_array()[None])[0]
 
 
-def simulate_batch(
-    simulator: CircuitSimulator, netlists: Sequence[Netlist]
-) -> List[SimulationResult]:
-    """``[simulator.simulate(n) for n in netlists]`` in one call.
+class OperatingPointSimulator(CircuitSimulator):
+    """A circuit evaluator whose lanes are operating points of a few parameters.
 
-    The simulator's own ``simulate_batch`` runs when it has one, unless its
-    class overrides ``simulate`` below the class that defines
-    ``simulate_batch`` (a subclass that changes only ``simulate`` would
-    otherwise be bypassed); any other simulator is called once per
-    netlist, in order.
+    ``reads`` names the ``(device, key)`` pairs :meth:`operating_point`
+    reads, in order; it is handed each row's values of them as Python
+    floats.  :meth:`results` turns operating points into results: a corner
+    sweep hands it operating points its per-corner clones computed, and the
+    op-amp and CM-OTA sweep all their MNA lanes there in one call.
     """
-    batch = getattr(simulator, "simulate_batch", None)
-    if batch is None or _bypassed(type(simulator), "simulate_batch"):
-        return [simulator.simulate(netlist) for netlist in netlists]
-    return batch(netlists)
+
+    reads: Tuple[ParameterRead, ...] = ()
+
+    def simulate_rows(self, layout: ParameterLayout, rows: np.ndarray) -> List[SimulationResult]:
+        return self.results(
+            [self.operating_point(values) for values in layout.lanes(rows, self.reads)]
+        )
+
+    def operating_point(self, values: Sequence[float]):
+        raise NotImplementedError
+
+    def results(self, operating_points: Sequence) -> List[SimulationResult]:
+        """One result per operating point, in order."""
+        return [self._result(op) for op in operating_points]
+
+    def _result(self, op) -> SimulationResult:
+        raise NotImplementedError
 
 
-def simulate_rows(
-    simulator: CircuitSimulator, netlists: Sequence[Netlist], rows: np.ndarray
-) -> List[SimulationResult]:
-    """:func:`simulate_batch` for a caller that holds the netlists' parameter rows.
-
-    ``rows`` is the ``(n, P)`` float64 array whose row ``i`` equals
-    ``netlists[i].parameter_array()``, and the netlists share one name.  A
-    simulator that reads those rows (a
-    :class:`~repro.parallel.SimulationCache` keys its lookup on them) gets
-    them through its own ``simulate_rows``, unless its class overrides
-    ``simulate`` or ``simulate_batch`` below the class that defines
-    ``simulate_rows``; any other simulator gets :func:`simulate_batch`.
-    """
-    keyed = getattr(simulator, "simulate_rows", None)
-    if keyed is None or _bypassed(type(simulator), "simulate_rows"):
-        return simulate_batch(simulator, netlists)
-    return keyed(netlists, rows)
-
-
-#: The simulation entries, narrowest first: each one answers as the entries
-#: before it would, so a subclass that overrides an earlier one must not be
-#: bypassed through a later one.
-_ENTRIES = ("simulate", "simulate_batch", "simulate_rows")
-
-
-@functools.lru_cache(maxsize=None)  # keyed on classes, of which a process has few
-def _bypassed(kind: type, entry: str) -> bool:
-    """Whether ``kind`` defines a narrower entry in a subclass of where it gets ``entry``."""
-
-    def definer(name: str) -> int:
-        return next((depth for depth, cls in enumerate(kind.__mro__) if name in vars(cls)), -1)
-
-    depth = definer(entry)
-    return any(definer(name) < depth for name in _ENTRIES[: _ENTRIES.index(entry)])
+def transistor_reads(names: Sequence[str]) -> Tuple[ParameterRead, ...]:
+    """The width and finger count of each named transistor, in order."""
+    return tuple((name, key) for name in names for key in ("width", "fingers"))
 
 
 #: Canonical short name of the simulator protocol.  Every evaluation tier —

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.circuits.netlist import Netlist
-from repro.simulation.base import SimulationResult
+from repro.simulation.base import OperatingPointSimulator, SimulationResult, transistor_reads
 from repro.simulation.mosfet import MosfetModel
 from repro.simulation.opamp_sim import _parallel
 from repro.simulation.technology import CMOS_45NM, CmosTechnology
 
+_TRANSISTORS = ("M1", "M2", "M3", "M4", "M5", "M6", "M7", "M8", "M9", "M10", "M11")
 #: PMOS devices of the folded-cascode netlist (the rest are NMOS).
 _PMOS_DEVICES = ("M3", "M4", "M5", "M6")
 
@@ -47,10 +48,15 @@ class FoldedCascodeOperatingPoint:
     power_w: float
 
 
-class FoldedCascodeSimulator:
-    """Evaluate the folded-cascode netlist into its four specifications."""
+class FoldedCascodeSimulator(OperatingPointSimulator):
+    """Evaluate the folded-cascode rows into its four specifications."""
 
     name = "folded_cascode_analytic"
+    #: Each transistor's width and fingers, the supply, the tail and source
+    #: bias voltages, then the load capacitor.
+    reads = transistor_reads(_TRANSISTORS) + (
+        ("VP", "voltage"), ("VBIASN", "voltage"), ("VBIASP", "voltage"), ("CL", "value"),
+    )
 
     def __init__(
         self,
@@ -61,9 +67,9 @@ class FoldedCascodeSimulator:
         #: Fixed bias-generation overhead added to the supply current (A).
         self.bias_overhead_current = bias_overhead_current
 
-    def simulate(self, netlist: Netlist) -> SimulationResult:
-        """Return gain, bandwidth (Hz), phase margin (deg) and power (W)."""
-        op = self.operating_point(netlist)
+    @staticmethod
+    def _result(op: FoldedCascodeOperatingPoint) -> SimulationResult:
+        """Gain, bandwidth (Hz), phase margin (deg) and power (W)."""
         valid = (
             op.tail_current > 0.0
             and op.output_branch_current > 0.0
@@ -86,24 +92,19 @@ class FoldedCascodeSimulator:
         }
         return SimulationResult(specs=specs, details=details, valid=valid)
 
-    def operating_point(self, netlist: Netlist) -> FoldedCascodeOperatingPoint:
-        """Compute bias currents, small-signal parameters and poles."""
+    def operating_point(self, values: Sequence[float]) -> FoldedCascodeOperatingPoint:
+        """Compute bias currents, small-signal parameters and poles.
+
+        ``values`` are the lane's values of :attr:`reads`, in order.
+        """
         tech = self.technology
         models = {
             name: MosfetModel(
-                tech,
-                "pmos" if name in _PMOS_DEVICES else "nmos",
-                netlist.get_parameter(name, "width"),
-                netlist.get_parameter(name, "fingers"),
+                tech, "pmos" if name in _PMOS_DEVICES else "nmos", values[2 * i], values[2 * i + 1]
             )
-            for name in (
-                "M1", "M2", "M3", "M4", "M5", "M6", "M7", "M8", "M9", "M10", "M11",
-            )
+            for i, name in enumerate(_TRANSISTORS)
         }
-        supply_voltage = netlist.get_parameter("VP", "voltage")
-        tail_bias = netlist.get_parameter("VBIASN", "voltage")
-        source_bias = netlist.get_parameter("VBIASP", "voltage")
-        load_cap = netlist.get_parameter("CL", "value")
+        supply_voltage, tail_bias, source_bias, load_cap = values[2 * len(_TRANSISTORS):]
 
         # --- DC bias ---------------------------------------------------
         tail_current = models["M11"].saturation_current(tail_bias - tech.vth_n)

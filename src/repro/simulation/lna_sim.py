@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.circuits.library.common_source_lna import LNA_FREQUENCY
-from repro.circuits.netlist import Netlist
-from repro.simulation.base import SimulationResult
+from repro.simulation.base import OperatingPointSimulator, SimulationResult, transistor_reads
 from repro.simulation.mosfet import MosfetModel
 from repro.simulation.opamp_sim import _parallel
 from repro.simulation.technology import CMOS_45NM, CmosTechnology
@@ -60,10 +60,15 @@ class LnaOperatingPoint:
     power_w: float
 
 
-class LnaSimulator:
-    """Evaluate the common-source LNA netlist into its three specifications."""
+class LnaSimulator(OperatingPointSimulator):
+    """Evaluate the common-source LNA's rows into its three specifications."""
 
     name = "lna_analytic"
+    #: Both transistors' width and fingers, the supply and gate bias
+    #: voltages, then the source and load inductors.
+    reads = transistor_reads(("M1", "M2")) + (
+        ("VP", "voltage"), ("VBIAS", "voltage"), ("LS", "value"), ("LD", "value"),
+    )
 
     def __init__(
         self,
@@ -84,9 +89,9 @@ class LnaSimulator:
         #: Fixed bias-generation overhead added to the supply current (A).
         self.bias_overhead_current = bias_overhead_current
 
-    def simulate(self, netlist: Netlist) -> SimulationResult:
-        """Return gain (V/V), noise figure (dB) and power (W)."""
-        op = self.operating_point(netlist)
+    @staticmethod
+    def _result(op: LnaOperatingPoint) -> SimulationResult:
+        """Gain (V/V), noise figure (dB) and power (W)."""
         valid = op.drain_current > 0.0 and op.gain > 1.0
         specs = {
             "gain": float(op.gain),
@@ -105,21 +110,16 @@ class LnaSimulator:
         }
         return SimulationResult(specs=specs, details=details, valid=valid)
 
-    def operating_point(self, netlist: Netlist) -> LnaOperatingPoint:
-        """Compute the bias point and the narrow-band small-signal figures."""
+    def operating_point(self, values: Sequence[float]) -> LnaOperatingPoint:
+        """Compute the bias point and the narrow-band small-signal figures.
+
+        ``values`` are the lane's values of :attr:`reads`, in order.
+        """
         tech = self.technology
-        main = MosfetModel(
-            tech, "nmos",
-            netlist.get_parameter("M1", "width"), netlist.get_parameter("M1", "fingers"),
-        )
-        cascode = MosfetModel(
-            tech, "nmos",
-            netlist.get_parameter("M2", "width"), netlist.get_parameter("M2", "fingers"),
-        )
-        supply_voltage = netlist.get_parameter("VP", "voltage")
-        gate_bias = netlist.get_parameter("VBIAS", "voltage")
-        source_inductance = netlist.get_parameter("LS", "value")
-        load_inductance = netlist.get_parameter("LD", "value")
+        (main_width, main_fingers, cascode_width, cascode_fingers,
+         supply_voltage, gate_bias, source_inductance, load_inductance) = values
+        main = MosfetModel(tech, "nmos", main_width, main_fingers)
+        cascode = MosfetModel(tech, "nmos", cascode_width, cascode_fingers)
         omega = 2.0 * math.pi * self.frequency
 
         # --- DC bias ---------------------------------------------------

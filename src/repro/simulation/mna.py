@@ -17,7 +17,7 @@ built once per :meth:`MnaCircuit.structure_signature` and kept in a bounded
 cache; a plan only stacks the ``(K, V)`` element values.
 :meth:`MnaCircuit.dc_operating_point` and :meth:`MnaCircuit.ac_analysis` are
 that plan at ``K = 1``.  ``ac_analysis`` with ``lane_values`` — behind the
-op-amp and OTA ``simulate_batch``, through :func:`template_sweep_metrics` —
+op-amp and OTA ``results``, through :func:`template_sweep_metrics` —
 drives the same plan with one lane per circuit, restamping element values
 through :meth:`BatchedMNAPlan.restamp`.
 

@@ -29,9 +29,11 @@ Two evaluation paths are provided:
   frequency is a small back-substitution.
 
 :meth:`OpAmpSimulator.operating_point` is the only copy of the circuit
-equations, and :meth:`OpAmpSimulator.simulate_batch` the only evaluation
-path: it loops its lanes through ``operating_point`` and, for
-``method="mna"``, sweeps every lane's small-signal circuit in one
+equations.  It reads a lane's values of :attr:`OpAmpSimulator.reads`,
+sliced out of the ``(n, P)`` rows once per ``simulate_rows`` call (the
+columns are resolved once per layout), never a netlist.
+:meth:`OpAmpSimulator.results` is the only evaluation path: for
+``method="mna"`` it sweeps every lane's small-signal circuit in one
 :class:`~repro.simulation.mna.BatchedMNAPlan`.  ``simulate`` is a batch of
 one; a lane's sweep does not depend on its batch, so each lane is bitwise
 ``simulate`` of its netlist.
@@ -41,15 +43,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuits.netlist import Netlist
-from repro.simulation.base import SimulationResult
+from repro.simulation.base import OperatingPointSimulator, SimulationResult, transistor_reads
 from repro.simulation.mna import MnaCircuit, template_sweep_metrics
 from repro.simulation.mosfet import MosfetModel
 from repro.simulation.technology import CMOS_45NM, CmosTechnology
+
+
+_TRANSISTORS = ("M1", "M2", "M3", "M4", "M5", "M6", "M7")
+_PMOS_DEVICES = ("M3", "M4", "M6")
 
 
 def _parallel(r1: float, r2: float) -> float:
@@ -113,17 +118,22 @@ def _small_signal_circuit(values: Dict[str, float]) -> MnaCircuit:
     return circuit
 
 
-#: The small-signal equivalent's structure; ``simulate_batch`` restamps
+#: The small-signal equivalent's structure; ``results`` restamps
 #: every element ``_small_signal_values`` names, per lane.
 _TEMPLATE = _small_signal_circuit(
     dict.fromkeys(("GM1", "R1", "C1", "GM6", "R2", "CL", "CC"), 1.0)
 )
 
 
-class OpAmpSimulator:
-    """Evaluate the two-stage op-amp netlist into its four specifications."""
+class OpAmpSimulator(OperatingPointSimulator):
+    """Evaluate the two-stage op-amp's rows into its four specifications."""
 
     name = "opamp_analytic"
+    #: Each transistor's width and fingers, the supply and bias voltages,
+    #: then the compensation and load capacitors.
+    reads = transistor_reads(_TRANSISTORS) + (
+        ("VP", "voltage"), ("VBIAS", "voltage"), ("CC", "value"), ("CL", "value"),
+    )
 
     def __init__(
         self,
@@ -140,31 +150,12 @@ class OpAmpSimulator:
         self.bias_overhead_current = bias_overhead_current
         self.name = f"opamp_{method}"
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-    def simulate(self, netlist: Netlist) -> SimulationResult:
-        """Return gain, bandwidth (Hz), phase margin (deg) and power (W)."""
-        return self.simulate_batch([netlist])[0]
+    def results(self, operating_points: Sequence[OpAmpOperatingPoint]) -> List[SimulationResult]:
+        """Gain, bandwidth (Hz), phase margin (deg) and power (W) per operating point.
 
-    def simulate_batch(
-        self,
-        netlists: Sequence[Netlist],
-        operating_points: Optional[Sequence[OpAmpOperatingPoint]] = None,
-    ) -> List[SimulationResult]:
-        """``[simulate(n) for n in netlists]``, bit for bit, in one MNA sweep.
-
-        ``operating_points[k]``, when given, stands in for
-        ``operating_point(netlists[k])``: a corner sweep passes each corner
-        clone's operating point of the same netlist.  The call keeps no
-        state on the simulator.
+        For ``method="mna"`` every lane's small-signal circuit is swept in one
+        stacked plan; a lane's sweep does not depend on its batch.
         """
-        if operating_points is None:
-            operating_points = [self.operating_point(netlist) for netlist in netlists]
-        elif len(operating_points) != len(netlists):
-            raise ValueError(
-                f"{len(operating_points)} operating points for {len(netlists)} netlists"
-            )
         if self.method == "mna" and operating_points:
             lane_values = [_small_signal_values(op) for op in operating_points]
             responses = template_sweep_metrics(_TEMPLATE, lane_values)
@@ -211,22 +202,19 @@ class OpAmpSimulator:
     # ------------------------------------------------------------------
     # DC + small-signal operating point
     # ------------------------------------------------------------------
-    def operating_point(self, netlist: Netlist) -> OpAmpOperatingPoint:
-        """Compute bias currents, small-signal parameters and poles."""
+    def operating_point(self, values: Sequence[float]) -> OpAmpOperatingPoint:
+        """Compute bias currents, small-signal parameters and poles.
+
+        ``values`` are the lane's values of :attr:`reads`, in order.
+        """
         tech = self.technology
         models = {
             name: MosfetModel(
-                tech,
-                "pmos" if name in ("M3", "M4", "M6") else "nmos",
-                netlist.get_parameter(name, "width"),
-                netlist.get_parameter(name, "fingers"),
+                tech, "pmos" if name in _PMOS_DEVICES else "nmos", values[2 * i], values[2 * i + 1]
             )
-            for name in ("M1", "M2", "M3", "M4", "M5", "M6", "M7")
+            for i, name in enumerate(_TRANSISTORS)
         }
-        supply_voltage = netlist.get_parameter("VP", "voltage")
-        bias_voltage = netlist.get_parameter("VBIAS", "voltage")
-        compensation_cap = netlist.get_parameter("CC", "value")
-        load_cap = netlist.get_parameter("CL", "value")
+        supply_voltage, bias_voltage, compensation_cap, load_cap = values[2 * len(_TRANSISTORS):]
 
         # --- DC bias ---------------------------------------------------
         overdrive = bias_voltage - tech.vth_n
@@ -329,8 +317,8 @@ class OpAmpSimulator:
     # ------------------------------------------------------------------
     # Small-signal MNA cross-check
     # ------------------------------------------------------------------
-    def build_small_signal_circuit(self, netlist: Netlist,
-                                   op: Optional[OpAmpOperatingPoint] = None) -> MnaCircuit:
+    @staticmethod
+    def build_small_signal_circuit(op: OpAmpOperatingPoint) -> MnaCircuit:
         """Assemble the two-stage small-signal equivalent as an MNA circuit.
 
         Nodes: ``in`` (differential input), ``mid`` (first-stage output),
@@ -338,4 +326,4 @@ class OpAmpSimulator:
         analytical operating point, so both paths share the same DC
         linearization and only the frequency response is cross-checked.
         """
-        return _small_signal_circuit(_small_signal_values(op or self.operating_point(netlist)))
+        return _small_signal_circuit(_small_signal_values(op))

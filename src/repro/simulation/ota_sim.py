@@ -16,8 +16,9 @@ power grows with *both* ratios — the classic drive-versus-power trade-off the
 RL agent must discover.
 
 As for the op-amp, :meth:`CmOtaSimulator.operating_point` is the only copy
-of the circuit equations; :meth:`CmOtaSimulator.simulate_batch` loops its
-lanes through it and sweeps the ``method="mna"`` lanes in one
+of the circuit equations, and it reads a lane's values of
+:attr:`CmOtaSimulator.reads` out of the rows, never a netlist;
+:meth:`CmOtaSimulator.results` sweeps the ``method="mna"`` lanes in one
 :class:`~repro.simulation.mna.BatchedMNAPlan`, and ``simulate`` is a batch
 of one.
 """
@@ -26,15 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.circuits.netlist import Netlist
-from repro.simulation.base import SimulationResult
+from repro.simulation.base import OperatingPointSimulator, SimulationResult, transistor_reads
 from repro.simulation.mna import MnaCircuit, template_sweep_metrics
 from repro.simulation.mosfet import MosfetModel
 from repro.simulation.opamp_sim import _parallel
 from repro.simulation.technology import CMOS_45NM, CmosTechnology
 
+_TRANSISTORS = ("M1", "M2", "M3", "M4", "M5", "M6", "M7", "M8", "M9")
 #: PMOS devices of the current-mirror OTA netlist (the rest are NMOS).
 _PMOS_DEVICES = ("M4", "M5", "M6", "M7")
 
@@ -77,15 +78,20 @@ def _small_signal_circuit(values: Dict[str, float]) -> MnaCircuit:
     return circuit
 
 
-#: The small-signal equivalent's structure; ``simulate_batch`` restamps
+#: The small-signal equivalent's structure; ``results`` restamps
 #: every element ``_small_signal_values`` names, per lane.
 _TEMPLATE = _small_signal_circuit(dict.fromkeys(("GM", "ROUT", "CL"), 1.0))
 
 
-class CmOtaSimulator:
-    """Evaluate the current-mirror OTA netlist into its four specifications."""
+class CmOtaSimulator(OperatingPointSimulator):
+    """Evaluate the current-mirror OTA's rows into its four specifications."""
 
     name = "cm_ota_analytic"
+    #: Each transistor's width and fingers, the supply and tail bias
+    #: voltages, then the load capacitor.
+    reads = transistor_reads(_TRANSISTORS) + (
+        ("VP", "voltage"), ("VBIAS", "voltage"), ("CL", "value"),
+    )
 
     def __init__(
         self,
@@ -101,26 +107,12 @@ class CmOtaSimulator:
         self.bias_overhead_current = bias_overhead_current
         self.name = f"cm_ota_{method}"
 
-    def simulate(self, netlist: Netlist) -> SimulationResult:
-        """Return gain, bandwidth (Hz), slew rate (V/s) and power (W)."""
-        return self.simulate_batch([netlist])[0]
+    def results(self, operating_points: Sequence[CmOtaOperatingPoint]) -> List[SimulationResult]:
+        """Gain, bandwidth (Hz), slew rate (V/s) and power (W) per operating point.
 
-    def simulate_batch(
-        self,
-        netlists: Sequence[Netlist],
-        operating_points: Optional[Sequence[CmOtaOperatingPoint]] = None,
-    ) -> List[SimulationResult]:
-        """``[simulate(n) for n in netlists]``, bit for bit, in one MNA sweep.
-
-        See :meth:`OpAmpSimulator.simulate_batch
-        <repro.simulation.opamp_sim.OpAmpSimulator.simulate_batch>`.
+        See :meth:`OpAmpSimulator.results
+        <repro.simulation.opamp_sim.OpAmpSimulator.results>`.
         """
-        if operating_points is None:
-            operating_points = [self.operating_point(netlist) for netlist in netlists]
-        elif len(operating_points) != len(netlists):
-            raise ValueError(
-                f"{len(operating_points)} operating points for {len(netlists)} netlists"
-            )
         if self.method == "mna" and operating_points:
             lane_values = [_small_signal_values(op) for op in operating_points]
             responses = [
@@ -155,21 +147,19 @@ class CmOtaSimulator:
         }
         return SimulationResult(specs=specs, details=details, valid=valid)
 
-    def operating_point(self, netlist: Netlist) -> CmOtaOperatingPoint:
-        """Compute bias currents, mirror ratios and small-signal parameters."""
+    def operating_point(self, values: Sequence[float]) -> CmOtaOperatingPoint:
+        """Compute bias currents, mirror ratios and small-signal parameters.
+
+        ``values`` are the lane's values of :attr:`reads`, in order.
+        """
         tech = self.technology
         models = {
             name: MosfetModel(
-                tech,
-                "pmos" if name in _PMOS_DEVICES else "nmos",
-                netlist.get_parameter(name, "width"),
-                netlist.get_parameter(name, "fingers"),
+                tech, "pmos" if name in _PMOS_DEVICES else "nmos", values[2 * i], values[2 * i + 1]
             )
-            for name in ("M1", "M2", "M3", "M4", "M5", "M6", "M7", "M8", "M9")
+            for i, name in enumerate(_TRANSISTORS)
         }
-        supply_voltage = netlist.get_parameter("VP", "voltage")
-        tail_bias = netlist.get_parameter("VBIAS", "voltage")
-        load_cap = netlist.get_parameter("CL", "value")
+        supply_voltage, tail_bias, load_cap = values[2 * len(_TRANSISTORS):]
 
         # --- DC bias: the tail splits evenly, the mirrors scale it --------
         tail_current = models["M3"].saturation_current(tail_bias - tech.vth_n)
@@ -219,9 +209,8 @@ class CmOtaSimulator:
     # ------------------------------------------------------------------
     # Small-signal MNA cross-check
     # ------------------------------------------------------------------
-    def build_small_signal_circuit(
-        self, netlist: Netlist, op: Optional[CmOtaOperatingPoint] = None
-    ) -> MnaCircuit:
+    @staticmethod
+    def build_small_signal_circuit(op: CmOtaOperatingPoint) -> MnaCircuit:
         """Assemble the single-stage small-signal equivalent as an MNA circuit.
 
         One node (``out``) behind the effective mirror-scaled
@@ -229,4 +218,4 @@ class CmOtaSimulator:
         operating point, so both methods share the same DC linearization and
         only the frequency response differs.
         """
-        return _small_signal_circuit(_small_signal_values(op or self.operating_point(netlist)))
+        return _small_signal_circuit(_small_signal_values(op))

@@ -27,15 +27,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.circuits.library.rf_pa import RF_PA_DRIVERS, RF_PA_POWER_DEVICE
-from repro.circuits.netlist import Netlist
-from repro.simulation.base import SimulationResult
+from repro.simulation.base import OperatingPointSimulator, SimulationResult, transistor_reads
 from repro.simulation.gan_hemt import GanHemtModel
 from repro.simulation.technology import GAN_150NM, GanTechnology
+
+#: The GaN devices in chain order: the drivers, then the power device.
+_PA_DEVICES = RF_PA_DRIVERS + (RF_PA_POWER_DEVICE,)
 
 #: Amplitude of the RF input signal applied to the first driver's gate (V).
 RF_INPUT_AMPLITUDE = 0.3
@@ -71,39 +73,34 @@ class PaOperatingPoint:
     dc_power_driver: float
     efficiency: float
     voltage_clipped: bool
+    #: The coarse model's error multiplier (1.0 for the fine simulation).
+    mismatch_factor: float = 1.0
 
 
-class _PaBase:
-    """Shared netlist parsing and driver-chain analysis."""
+class _PaBase(OperatingPointSimulator):
+    """Shared parameter reads and driver-chain analysis."""
+
+    #: Each GaN device's width and fingers (drivers, then the power device),
+    #: the driver and power-device gate biases, then the load resistor.
+    reads = transistor_reads(_PA_DEVICES) + (
+        ("VBIAS1", "voltage"), ("VBIAS2", "voltage"), ("RLOAD", "value"),
+    )
 
     def __init__(self, technology: GanTechnology = GAN_150NM) -> None:
         self.technology = technology
 
-    # ------------------------------------------------------------------
-    # Netlist parsing
-    # ------------------------------------------------------------------
-    def _device_models(self, netlist: Netlist) -> Dict[str, GanHemtModel]:
-        models: Dict[str, GanHemtModel] = {}
-        for name in RF_PA_DRIVERS + (RF_PA_POWER_DEVICE,):
-            models[name] = GanHemtModel(
-                self.technology,
-                netlist.get_parameter(name, "width"),
-                netlist.get_parameter(name, "fingers"),
-            )
-        return models
-
-    def _bias_voltages(self, netlist: Netlist) -> Tuple[float, float]:
-        driver_bias = netlist.get_parameter("VBIAS1", "voltage")
-        power_bias = netlist.get_parameter("VBIAS2", "voltage")
-        return driver_bias, power_bias
-
-    def _load_resistance(self, netlist: Netlist) -> float:
-        return netlist.get_parameter("RLOAD", "value")
+    def _device_models(self, values: Sequence[float]) -> Dict[str, GanHemtModel]:
+        return {
+            name: GanHemtModel(self.technology, values[2 * i], values[2 * i + 1])
+            for i, name in enumerate(_PA_DEVICES)
+        }
 
     # ------------------------------------------------------------------
     # Driver chain
     # ------------------------------------------------------------------
-    def analyze_driver_chain(self, netlist: Netlist) -> DriverChainResult:
+    def analyze_driver_chain(
+        self, models: Dict[str, GanHemtModel], driver_bias: float
+    ) -> DriverChainResult:
         """Propagate the RF drive through D1…D5 and DF to the power gate.
 
         Each stage delivers a fundamental current limited by its
@@ -115,8 +112,6 @@ class _PaBase:
         the driver chain.
         """
         tech = self.technology
-        models = self._device_models(netlist)
-        driver_bias, _ = self._bias_voltages(netlist)
         omega = 2.0 * math.pi * tech.rf_frequency
         swing_limit = DRIVER_SWING_FRACTION * tech.driver_supply
 
@@ -177,8 +172,8 @@ class RfPaFineSimulator(_PaBase):
 
     name = "rf_pa_fine"
 
-    def simulate(self, netlist: Netlist) -> SimulationResult:
-        op = self.operating_point(netlist)
+    @staticmethod
+    def _result(op: PaOperatingPoint) -> SimulationResult:
         specs = {
             "output_power": float(op.output_power),
             "efficiency": float(op.efficiency),
@@ -196,12 +191,14 @@ class RfPaFineSimulator(_PaBase):
         valid = op.output_power > 0.0 and 0.0 < op.efficiency < 1.0
         return SimulationResult(specs=specs, details=details, valid=valid)
 
-    def operating_point(self, netlist: Netlist) -> PaOperatingPoint:
-        """Full waveform-level analysis of the power stage."""
-        models = self._device_models(netlist)
-        _, power_bias = self._bias_voltages(netlist)
-        load_resistance = self._load_resistance(netlist)
-        chain = self.analyze_driver_chain(netlist)
+    def operating_point(self, values: Sequence[float]) -> PaOperatingPoint:
+        """Full waveform-level analysis of the power stage.
+
+        ``values`` are the lane's values of :attr:`reads`, in order.
+        """
+        models = self._device_models(values)
+        driver_bias, power_bias, load_resistance = values[2 * len(_PA_DEVICES):]
+        chain = self.analyze_driver_chain(models, driver_bias)
         power_device = models[RF_PA_POWER_DEVICE]
 
         waveform = power_device.current_waveform(
@@ -253,18 +250,22 @@ class RfPaCoarseSimulator(_PaBase):
             raise ValueError("mismatch must be in [0, 0.5)")
         self.mismatch = mismatch
 
-    def _mismatch_factor(self, netlist: Netlist) -> float:
-        """Deterministic, bounded model-error multiplier in [1-m, 1+m]."""
-        width = netlist.get_parameter(RF_PA_POWER_DEVICE, "width")
-        fingers = netlist.get_parameter(RF_PA_POWER_DEVICE, "fingers")
+    def _mismatch_factor(self, width: float, fingers: float) -> float:
+        """Deterministic, bounded model-error multiplier in [1-m, 1+m].
+
+        ``width`` and ``fingers`` are the power device's.
+        """
         phase = 17.0 * width * 1e6 + 3.0 * fingers
         return 1.0 + self.mismatch * math.sin(phase)
 
-    def simulate(self, netlist: Netlist) -> SimulationResult:
-        models = self._device_models(netlist)
-        _, power_bias = self._bias_voltages(netlist)
-        load_resistance = self._load_resistance(netlist)
-        chain = self.analyze_driver_chain(netlist)
+    def operating_point(self, values: Sequence[float]) -> PaOperatingPoint:
+        """Class-AB closed-form estimate of the power stage.
+
+        ``values`` are the lane's values of :attr:`reads`, in order.
+        """
+        models = self._device_models(values)
+        driver_bias, power_bias, load_resistance = values[2 * len(_PA_DEVICES):]
+        chain = self.analyze_driver_chain(models, driver_bias)
         power_device = models[RF_PA_POWER_DEVICE]
 
         # Ideal conduction-angle estimate from DC quantities only (the
@@ -299,22 +300,40 @@ class RfPaCoarseSimulator(_PaBase):
         output_power, dc_power, load_voltage, clipped = self._output_power(
             fundamental_current, dc_current, chain.dc_power, load_resistance
         )
-        factor = self._mismatch_factor(netlist)
+        factor = self._mismatch_factor(*values[2 * len(RF_PA_DRIVERS):2 * len(_PA_DEVICES)])
         output_power *= factor
         efficiency = output_power / dc_power if dc_power > 0 else 0.0
+        return PaOperatingPoint(
+            drive_amplitude=chain.drive_amplitude,
+            fundamental_current=fundamental_current,
+            dc_current=dc_current,
+            quiescent_current=quiescent,
+            load_voltage=load_voltage,
+            output_power=output_power,
+            dc_power_main=dc_power - chain.dc_power,
+            dc_power_driver=chain.dc_power,
+            efficiency=float(np.clip(efficiency, 0.0, 1.0)),
+            voltage_clipped=clipped,
+            mismatch_factor=factor,
+        )
+
+    @staticmethod
+    def _result(op: PaOperatingPoint) -> SimulationResult:
         specs = {
-            "output_power": float(output_power),
-            "efficiency": float(np.clip(efficiency, 0.0, 1.0)),
+            "output_power": float(op.output_power),
+            "efficiency": op.efficiency,
         }
         details = {
-            "drive_amplitude": chain.drive_amplitude,
-            "fundamental_current": fundamental_current,
-            "dc_current": dc_current,
-            "quiescent_current": quiescent,
-            "load_voltage": load_voltage,
-            "dc_power_driver": chain.dc_power,
-            "mismatch_factor": factor,
-            "voltage_clipped": float(clipped),
+            "drive_amplitude": op.drive_amplitude,
+            "fundamental_current": op.fundamental_current,
+            "dc_current": op.dc_current,
+            "quiescent_current": op.quiescent_current,
+            "load_voltage": op.load_voltage,
+            "dc_power_driver": op.dc_power_driver,
+            "mismatch_factor": op.mismatch_factor,
+            "voltage_clipped": float(op.voltage_clipped),
         }
-        valid = output_power > 0.0 and 0.0 < efficiency < 1.0
+        # The efficiency is clipped onto [0, 1], which keeps ``0 < e < 1``
+        # exactly as true or false as it was for the unclipped value.
+        valid = op.output_power > 0.0 and 0.0 < op.efficiency < 1.0
         return SimulationResult(specs=specs, details=details, valid=valid)

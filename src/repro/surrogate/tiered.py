@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.circuits.netlist import Netlist
+from repro.circuits.netlist import ParameterLayout
 from repro.parallel.cache import DEFAULT_CACHE_SIZE, DEFAULT_KEY_DIGITS, SimulationCache
 from repro.parallel.disk_cache import entry_path, read_disk_entry, write_disk_entry
 from repro.simulation.base import CircuitSimulator, SimulationResult
@@ -104,13 +104,15 @@ class TieredSimulator(SimulationCache):
         return f"tiered({self.simulator.name})"
 
     def _simulate_misses(
-        self, keys: List[bytes], netlists: List[Netlist]
+        self, layout: ParameterLayout, keys: List[bytes], rows: np.ndarray
     ) -> List[SimulationResult]:
         # One row at a time, in row order: an exact result can trigger a
         # refit, which changes the surrogate's answer for the next row.
-        return [self._simulate_miss(key, netlist) for key, netlist in zip(keys, netlists)]
+        return [self._simulate_miss(layout, key, row) for key, row in zip(keys, rows)]
 
-    def _simulate_miss(self, key: bytes, netlist: Netlist) -> SimulationResult:
+    def _simulate_miss(
+        self, layout: ParameterLayout, key: bytes, parameters: np.ndarray
+    ) -> SimulationResult:
         if self.directory is not None:
             entry = read_disk_entry(entry_path(self.directory, key))
             if entry is not None:
@@ -118,8 +120,8 @@ class TieredSimulator(SimulationCache):
                 self.stats.disk_hits += 1
                 return entry.result
 
-        parameters = netlist.parameter_array()
-        consulted = self._consultable(netlist, parameters)
+        circuit = layout.name
+        consulted = self._consultable(circuit, parameters)
         if consulted:
             specs, disagreement = self.surrogate.predict_one(parameters)
             if bool(self.surrogate.trusted(np.array([disagreement]))[0]):
@@ -136,23 +138,20 @@ class TieredSimulator(SimulationCache):
         self.stats.misses += 1
         if consulted:
             self.stats.exact_fallbacks += 1
-        result = self.simulator.simulate(netlist)
+        result = self.simulator.simulate_rows(layout, parameters[None])[0]
         if self.directory is not None:
             write_disk_entry(
-                entry_path(self.directory, key),
-                result,
-                circuit=netlist.name,
-                parameters=parameters,
+                entry_path(self.directory, key), result, circuit=circuit, parameters=parameters
             )
-        self._observe(netlist.name, parameters, result)
+        self._observe(circuit, parameters, result)
         return result
 
-    def _consultable(self, netlist: Netlist, parameters: np.ndarray) -> bool:
+    def _consultable(self, circuit: str, parameters: np.ndarray) -> bool:
         # A surrogate only ever answers for its own topology and parameter
         # layout; anything else is a plain exact call, not a rejection.
         return (
             self.surrogate is not None
-            and self.surrogate.circuit == netlist.name
+            and self.surrogate.circuit == circuit
             and self.surrogate.num_inputs == parameters.size
         )
 

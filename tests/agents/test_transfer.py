@@ -11,6 +11,7 @@ from repro.agents.transfer import (
     reward_fidelity_report,
 )
 from repro import make_env, make_policy
+from repro.simulation.base import CircuitSimulator
 
 
 class TestRewardFidelity:
@@ -90,7 +91,7 @@ class TestWorkflow:
         assert result.fine_tune_history.records
 
 
-class _BrokenSpec:
+class _BrokenSpec(CircuitSimulator):
     """Wraps a simulator; one spec is left out of, or NaN in, every result."""
 
     name = "broken_spec"
@@ -100,10 +101,11 @@ class _BrokenSpec:
         self._spec = spec
         self._broken = broken
 
-    def simulate(self, netlist):
-        result = self._simulator.simulate(netlist)
-        if self._broken == "missing":
-            del result.specs[self._spec]
-        else:
-            result.specs[self._spec] = float("nan")
-        return result
+    def simulate_rows(self, layout, rows):
+        results = self._simulator.simulate_rows(layout, rows)
+        for result in results:
+            if self._broken == "missing":
+                del result.specs[self._spec]
+            else:
+                result.specs[self._spec] = float("nan")
+        return results

@@ -1,10 +1,10 @@
 """The search baselines score a population in one simulator batch.
 
-``SizingProblem.objective_from_unit_batch`` writes the population into its
-working netlists and hands them to one ``simulate_batch`` call: the
-simulator's own batch entry, or a loop of ``simulate`` for a simulator
-without one.  A cache-wrapped simulator batches its misses through the
-inner simulator.  Every path must give the same values, trace and
+``SizingProblem.objective_from_unit_batch`` builds the population's
+parameter rows (the template's row with the knob columns written) and hands
+them to one ``simulate_rows`` call; the scalar ``simulate`` is a call with
+one row.  A cache-wrapped simulator batches its misses through the inner
+simulator, and a simulator that loops its rows one at a time agrees.  Every path must give the same values, trace and
 simulation count (the goldens in ``test_sizing_goldens.py`` pin them
 bitwise).
 """
@@ -23,6 +23,7 @@ from repro.baselines.bayesian import BayesianOptimization, BayesianOptimizationC
 from repro.baselines.genetic import GeneticAlgorithm, GeneticAlgorithmConfig
 from repro.circuits.parameters import DesignSpace
 from repro.parallel import SimulationCache
+from repro.simulation.base import CircuitSimulator
 from repro.simulation.mna import MnaCircuit
 from repro.simulation.opamp_sim import OpAmpSimulator
 
@@ -45,16 +46,16 @@ class _CallCounter:
         monkeypatch.setattr(target, method, spy)
 
 
-class _UnbatchedOpAmp:
-    """Same equations behind ``simulate`` only, so batches loop it."""
+class _UnbatchedOpAmp(CircuitSimulator):
+    """Same equations, one row per inner call."""
 
     name = "unbatched_opamp"
 
     def __init__(self, method):
         self._inner = OpAmpSimulator(method=method)
 
-    def simulate(self, netlist):
-        return self._inner.simulate(netlist)
+    def simulate_rows(self, layout, rows):
+        return [self._inner.simulate_rows(layout, rows[i : i + 1])[0] for i in range(len(rows))]
 
 
 def _problem(simulator=None, env_id="opamp-mna-v0"):
@@ -70,40 +71,36 @@ def _ga(problem, generations=3):
     return GeneticAlgorithm(config, seed=0).optimize(problem)
 
 
-def test_each_ga_generation_is_one_simulate_batch_call(monkeypatch):
+def test_each_ga_generation_is_one_simulate_rows_call(monkeypatch):
     problem = _problem()
-    batches = _CallCounter(monkeypatch, problem.simulator, "simulate_batch")
-    scalars = _CallCounter(monkeypatch, problem.simulator, "simulate")
+    batches = _CallCounter(monkeypatch, problem.simulator, "simulate_rows")
     result = _ga(problem, generations=3)
     # The initial population plus three generations, then the final
-    # re-simulation of the best design: a scalar call, a batch of one.
-    assert [len(args[0]) for args in batches.calls] == [8, 8, 8, 8, 1]
-    assert len(scalars.calls) == 1
+    # re-simulation of the best design: a batch of one row.
+    assert [len(args[1]) for args in batches.calls] == [8, 8, 8, 8, 1]
     assert result.num_simulations == 4 * 8 + 1
 
 
-def test_bo_iterations_call_scalar_simulate_and_reach_ac_analysis(monkeypatch):
+def test_bo_iterations_simulate_one_row_and_reach_ac_analysis(monkeypatch):
     problem = _problem()
-    batches = _CallCounter(monkeypatch, problem.simulator, "simulate_batch")
-    scalars = _CallCounter(monkeypatch, problem.simulator, "simulate")
+    batches = _CallCounter(monkeypatch, problem.simulator, "simulate_rows")
     sweeps = _CallCounter(monkeypatch, MnaCircuit, "ac_analysis")
     config = BayesianOptimizationConfig(num_initial=6, num_iterations=5, stop_when_met=False)
     result = BayesianOptimization(config, seed=0).optimize(problem)
     # The initial design, then five iterations and the final re-simulation,
-    # each a scalar call: a batch of one, one MNA sweep.
-    assert [len(args[0]) for args in batches.calls] == [6] + [1] * (5 + 1)
-    assert len(scalars.calls) == 5 + 1
+    # each a batch of one row, one MNA sweep.
+    assert [len(args[1]) for args in batches.calls] == [6] + [1] * (5 + 1)
     assert [len(kwargs["lane_values"]) for kwargs in sweeps.keywords] == [6] + [1] * (5 + 1)
     assert result.num_simulations == 6 + 5 + 1
 
 
 def test_ga_through_a_cache_is_one_inner_batch_per_generation(monkeypatch):
     inner = OpAmpSimulator(method="mna")
-    batches = _CallCounter(monkeypatch, inner, "simulate_batch")
+    batches = _CallCounter(monkeypatch, inner, "simulate_rows")
     cached = _ga(_problem(SimulationCache(inner)), generations=3)
     # The initial population plus three generations, each one batch of its
     # misses; the final re-simulation of the best design is a cache hit.
-    sizes = [len(args[0]) for args in batches.calls]
+    sizes = [len(args[1]) for args in batches.calls]
     assert len(sizes) == 4 and sizes[0] == 8 and all(0 < size <= 8 for size in sizes)
     assert result_digest(cached) == result_digest(_ga(_problem()))
 
@@ -112,7 +109,7 @@ def test_ga_through_a_cache_is_one_inner_batch_per_generation(monkeypatch):
     "wrap",
     [
         pytest.param(lambda: SimulationCache(OpAmpSimulator(method="mna")), id="cache"),
-        pytest.param(lambda: _UnbatchedOpAmp(method="mna"), id="simulate-only"),
+        pytest.param(lambda: _UnbatchedOpAmp(method="mna"), id="row-by-row"),
     ],
 )
 def test_looped_simulators_give_the_batched_results(wrap):

@@ -21,20 +21,23 @@ from repro.baselines.bayesian import BayesianOptimization, BayesianOptimizationC
 from repro.baselines.genetic import GeneticAlgorithm, GeneticAlgorithmConfig
 from repro.circuits import build_rf_pa
 from repro.env.reward import FomReward
-from repro.simulation.base import SimulationResult
+from repro.simulation.base import CircuitSimulator, SimulationResult
 
 
-class _SpecDroppingSimulator:
+class _SpecDroppingSimulator(CircuitSimulator):
     """Marks results valid but omits 'efficiency' for one parameter value."""
 
     name = "spec_dropping"
 
-    def simulate(self, netlist):
-        width = netlist.get_parameter("M1", "width")
-        specs = {"output_power": 2.5, "efficiency": 0.55}
-        if width > 50e-6:
-            del specs["efficiency"]
-        return SimulationResult(specs=specs, details={}, valid=True)
+    def simulate_rows(self, layout, rows):
+        (width,) = layout.columns((("M1", "width"),))
+        results = []
+        for row in rows.tolist():
+            specs = {"output_power": 2.5, "efficiency": 0.55}
+            if row[width] > 50e-6:
+                del specs["efficiency"]
+            results.append(SimulationResult(specs=specs, details={}, valid=True))
+        return results
 
 
 def test_incomplete_fom_scores_minus_inf_not_nan():
@@ -58,8 +61,8 @@ def test_incomplete_fom_scores_minus_inf_not_nan():
     assert int(np.argmax(fitness)) == 1
 
 
-class _NaNOnThirdCallSimulator:
-    """Wraps a simulator; its third call returns all-NaN specs."""
+class _NaNOnThirdCallSimulator(CircuitSimulator):
+    """Wraps a simulator; its third row returns all-NaN specs."""
 
     name = "nan_on_third_call"
 
@@ -67,9 +70,11 @@ class _NaNOnThirdCallSimulator:
         self._simulator = simulator
         self.calls = 0
 
-    def simulate(self, netlist):
+    def simulate_rows(self, layout, rows):
+        return [self._lane(result) for result in self._simulator.simulate_rows(layout, rows)]
+
+    def _lane(self, result):
         self.calls += 1
-        result = self._simulator.simulate(netlist)
         if self.calls == 3:
             specs = {name: math.nan for name in result.specs}
             return SimulationResult(specs=specs, details={}, valid=True)
@@ -100,7 +105,7 @@ def test_bayesian_optimization_models_minus_inf_observations():
     assert result.num_simulations == 6 + 8 + 1
 
 
-class _GainDroppingSimulator:
+class _GainDroppingSimulator(CircuitSimulator):
     """The op-amp simulator with ``gain`` left out of every result."""
 
     name = "gain_dropping"
@@ -108,10 +113,11 @@ class _GainDroppingSimulator:
     def __init__(self, simulator):
         self._simulator = simulator
 
-    def simulate(self, netlist):
-        result = self._simulator.simulate(netlist)
-        del result.specs["gain"]
-        return result
+    def simulate_rows(self, layout, rows):
+        results = self._simulator.simulate_rows(layout, rows)
+        for result in results:
+            del result.specs["gain"]
+        return results
 
 
 def _gain_dropping_problem():

@@ -4,7 +4,7 @@ The acceptance bar for the corner lanes is *bitwise* equality, not
 ``allclose`` — the batched path must be a pure re-vectorization of the
 sequential clone loop (``corner_reference.SequentialCornerSimulator``) on
 every topology, including both the analytic and MNA methods of the
-simulators with a ``simulate_batch`` entry.
+op-amp and CM-OTA simulators.
 """
 
 from __future__ import annotations
@@ -106,14 +106,16 @@ def test_per_corner_results_are_bitwise_sequential(circuit, factory):
     [pytest.param(circuit, factory, id=case_id)
      for case_id, circuit, factory in PARITY_CASES],
 )
-def test_simulate_batch_is_bitwise_per_netlist_simulate(circuit, factory):
-    """A batch of netlists equals the reference loop netlist by netlist."""
+def test_simulate_rows_is_bitwise_per_netlist_simulate(circuit, factory):
+    """A batch of rows equals the reference loop netlist by netlist."""
     spec_space = BENCHMARK_BUILDERS[circuit]().spec_space
     batched = CornerSimulator(factory(), spec_space=spec_space)
     sequential = SequentialCornerSimulator(factory(), spec_space=spec_space)
     netlists = _sampled_netlists(circuit)
+    rows = np.array([netlist.parameter_array() for netlist in netlists])
     _assert_rows_bitwise(
-        batched.simulate_batch(netlists), [sequential.simulate(n) for n in netlists]
+        batched.simulate_rows(netlists[0].layout, rows),
+        [sequential.simulate(n) for n in netlists],
     )
 
 
@@ -141,15 +143,17 @@ def _assert_rows_bitwise(rows_b, rows_s):
 def test_corners_of_every_netlist_are_lanes_of_one_batch(monkeypatch, circuit, factory):
     """The opamp/cm_ota sweeps run every (netlist, corner) pair in one batch."""
     simulator = CornerSimulator(factory())
-    batch = simulator.base_simulator.simulate_batch
+    batch = simulator.base_simulator.results
     calls = []
 
-    def spy(netlists, operating_points=None):
-        calls.append(len(netlists))
-        return batch(netlists, operating_points=operating_points)
+    def spy(operating_points):
+        calls.append(len(operating_points))
+        return batch(operating_points)
 
-    monkeypatch.setattr(simulator.base_simulator, "simulate_batch", spy)
-    simulator.simulate_batch(_sampled_netlists(circuit))
+    monkeypatch.setattr(simulator.base_simulator, "results", spy)
+    netlists = _sampled_netlists(circuit)
+    rows = np.array([netlist.parameter_array() for netlist in netlists])
+    simulator.simulate_rows(netlists[0].layout, rows)
     assert calls == [NUM_SIZINGS * len(simulator.corner_set)]
 
 

@@ -5,7 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.circuits.devices import DEVICE_TYPE_ORDER, DeviceType, bias, capacitor, nmos, supply
+from repro.circuits.devices import (
+    DEVICE_TYPE_ORDER,
+    DeviceType,
+    bias,
+    capacitor,
+    current_source,
+    nmos,
+    supply,
+)
 from repro.graph.features import (
     PARAMETER_SLOTS,
     device_feature_vector,
@@ -84,3 +92,11 @@ class TestStaticFeatures:
     def test_static_features_same_length_as_dynamic(self):
         device = nmos("M1", "d", "g", "s")
         assert static_feature_vector(device).shape == device_feature_vector(device).shape
+
+    def test_current_source_gives_its_scaled_current(self):
+        device = current_source("I1", "a", "b", 1e-3)
+        # The source's parameter slots are its dynamic ones: the scaled current.
+        np.testing.assert_array_equal(
+            static_feature_vector(device), device_feature_vector(device)
+        )
+        assert static_feature_vector(device)[len(DEVICE_TYPE_ORDER)] != 0.0

@@ -16,29 +16,42 @@ import pytest
 
 import repro
 from repro.parallel import DiskSimulationCache, SimulationCache
-from repro.simulation.base import SimulationResult
+from repro.simulation.base import CircuitSimulator, SimulationResult
 from repro.simulation.opamp_sim import OpAmpSimulator
 from repro.surrogate import SurrogateConfig, TieredSimulator
 
+def simulate_netlists(simulator, netlists):
+    """One ``simulate_rows`` call over the netlists' parameter rows."""
+    if not netlists:
+        return []
+    rows = np.array([netlist.parameter_array() for netlist in netlists])
+    return simulator.simulate_rows(netlists[0].layout, rows)
 
-class ScalarOnly:
-    """A deterministic simulator with no ``simulate_batch`` entry."""
+
+def cache_keys(cache, netlists):
+    """The cache's key of each netlist: its parameter row, quantized."""
+    return [cache._quantize(n.name, n.parameter_array()[None])[0] for n in netlists]
+
+
+
+class ScalarOnly(CircuitSimulator):
+    """A deterministic simulator that simulates its rows one at a time."""
 
     name = "scalar_only"
 
     def __init__(self):
         self._inner = OpAmpSimulator(method="mna")
 
-    def simulate(self, netlist):
-        return self._inner.simulate(netlist)
+    def simulate_rows(self, layout, rows):
+        return [self._inner.simulate_rows(layout, rows[i : i + 1])[0] for i in range(len(rows))]
 
 
-class Failing:
+class Failing(CircuitSimulator):
     """Raises on every call."""
 
     name = "failing"
 
-    def simulate(self, netlist):
+    def simulate_rows(self, layout, rows):
         raise RuntimeError("simulator down")
 
 
@@ -65,7 +78,7 @@ def _bits(result: SimulationResult):
 
 
 def assert_batch_is_the_loop(batch_cache, loop_cache, netlists):
-    batched = batch_cache.simulate_batch(netlists)
+    batched = simulate_netlists(batch_cache, netlists)
     looped = [loop_cache.simulate(netlist) for netlist in netlists]
     assert [_bits(r) for r in batched] == [_bits(r) for r in looped]
     assert batch_cache.stats == loop_cache.stats
@@ -103,7 +116,7 @@ class TestSimulationCache:
     def test_results_are_copies_of_the_memoized_entry(self, make_inner):
         cache = SimulationCache(make_inner())
         netlist = _stream()[0]
-        first, second = cache.simulate_batch([netlist, netlist])
+        first, second = simulate_netlists(cache, [netlist, netlist])
         first.specs["gain"] = -1.0
         second.specs["gain"] = -2.0
         assert cache.simulate(netlist).specs["gain"] > 0.0
@@ -113,11 +126,13 @@ def test_misses_are_one_inner_batch(monkeypatch):
     inner = OpAmpSimulator(method="mna")
     cache = SimulationCache(inner)
     calls = []
-    batch = inner.simulate_batch
-    monkeypatch.setattr(inner, "simulate_batch", lambda ns: calls.append(len(ns)) or batch(ns))
-    cache.simulate_batch(_stream())
+    batch = inner.simulate_rows
+    monkeypatch.setattr(
+        inner, "simulate_rows", lambda layout, rows: calls.append(len(rows)) or batch(layout, rows)
+    )
+    simulate_netlists(cache, _stream())
     assert calls == [5]
-    cache.simulate_batch(_stream())
+    simulate_netlists(cache, _stream())
     assert calls == [5]
 
 
@@ -125,13 +140,13 @@ def test_a_failing_batch_leaves_no_reservation():
     netlists = _netlists("opamp-p2s-v0", 3)
     cache = SimulationCache(Failing())
     with pytest.raises(RuntimeError, match="simulator down"):
-        cache.simulate_batch(netlists)
+        simulate_netlists(cache, netlists)
     assert len(cache) == 0
     good = SimulationCache(OpAmpSimulator())
     good.simulate(netlists[0])
     good.simulator = Failing()
     with pytest.raises(RuntimeError):
-        good.simulate_batch(netlists)
+        simulate_netlists(good, netlists)
     assert len(good) == 1 and all(
         isinstance(entry, SimulationResult) for entry in good._entries.values()
     )
@@ -147,12 +162,12 @@ def test_a_failing_batch_over_a_warm_table():
     """
     a, b, c, d, e = _netlists("opamp-p2s-v0", 5)
     cache = SimulationCache(OpAmpSimulator(), max_entries=3)
-    cache.simulate_batch([a, b, c])
+    simulate_netlists(cache, [a, b, c])
     cache.simulator = Failing()
     with pytest.raises(RuntimeError, match="simulator down"):
-        cache.simulate_batch([a, d, e])
-    assert list(cache._entries) == cache._keys([a])
-    assert isinstance(cache._entries[cache._keys([a])[0]], SimulationResult)
+        simulate_netlists(cache, [a, d, e])
+    assert list(cache._entries) == cache_keys(cache, [a])
+    assert isinstance(cache._entries[cache_keys(cache, [a])[0]], SimulationResult)
     assert (cache.stats.hits, cache.stats.misses, cache.stats.evictions) == (1, 5, 2)
 
 

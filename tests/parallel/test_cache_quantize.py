@@ -15,6 +15,11 @@ from repro.circuits.library.two_stage_opamp import build_two_stage_opamp
 from repro.parallel.cache import SimulationCache
 from repro.simulation.opamp_sim import OpAmpSimulator
 
+def cache_keys(cache, netlists):
+    """The cache's key of each netlist: its parameter row, quantized."""
+    return [cache._quantize(n.name, n.parameter_array()[None])[0] for n in netlists]
+
+
 
 class TestCacheKeyBoundary:
     """The cache must serve boundary-straddling capacitances from one entry."""
@@ -42,7 +47,7 @@ class TestCacheKeyBoundary:
             benchmark.design_space.apply_to_netlist(
                 netlist, benchmark.design_space.sample(rng)
             )
-            keys.add(cache._keys([netlist])[0])
+            keys.add(cache_keys(cache, [netlist])[0])
         assert len(keys) == 300
 
     def test_key_distinguishes_topologies(self):
@@ -51,7 +56,7 @@ class TestCacheKeyBoundary:
         netlist = benchmark.fresh_netlist()
         renamed = benchmark.fresh_netlist()
         renamed.name = "other_circuit"
-        assert cache._keys([netlist])[0] != cache._keys([renamed])[0]
+        assert cache_keys(cache, [netlist])[0] != cache_keys(cache, [renamed])[0]
 
 
 def _row_keys(cache, netlists):
@@ -85,7 +90,7 @@ class TestBatchKeys:
     def test_one_topology(self):
         cache = SimulationCache(OpAmpSimulator(), max_entries=16)
         netlists = self._netlists()
-        assert cache._keys(netlists) == _row_keys(cache, netlists)
+        assert cache_keys(cache, netlists) == _row_keys(cache, netlists)
 
     def test_mixed_names_and_layouts_fall_back_per_netlist(self):
         cache = SimulationCache(OpAmpSimulator(), max_entries=16)
@@ -95,7 +100,7 @@ class TestBatchKeys:
         # Same name, different layout: keyed on its own.
         other.name = netlists[0].name
         batch = netlists + [other]
-        keys = cache._keys(batch)
-        assert keys == [cache._keys([netlist])[0] for netlist in batch]
+        keys = cache_keys(cache, batch)
+        assert keys == [cache_keys(cache, [netlist])[0] for netlist in batch]
         assert keys == [_row_keys(cache, [netlist])[0] for netlist in batch]
         assert len(set(keys)) == len(batch)

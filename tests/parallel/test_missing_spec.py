@@ -19,7 +19,7 @@ import pytest
 import repro
 from repro.agents.deployment import deploy_policy, deploy_policy_batch
 from repro.parallel import VectorCircuitEnv
-from repro.simulation.base import SimulationResult
+from repro.simulation.base import CircuitSimulator, SimulationResult
 from step_reference import ReferenceVectorEnv
 from test_step_parity import (
     assert_observations_equal,
@@ -29,8 +29,8 @@ from test_step_parity import (
 from test_deploy_parity import assert_results_equal
 
 
-class FlakyGainSimulator:
-    """Every third ``simulate`` drops ``gain`` (or makes it NaN), invalid."""
+class FlakyGainSimulator(CircuitSimulator):
+    """Every third row's result drops ``gain`` (or makes it NaN), invalid."""
 
     name = "flaky-gain"
 
@@ -40,8 +40,10 @@ class FlakyGainSimulator:
         self.calls = 0
         self.faults = 0
 
-    def simulate(self, netlist):
-        result = self.inner.simulate(netlist)
+    def simulate_rows(self, layout, rows):
+        return [self._lane(result) for result in self.inner.simulate_rows(layout, rows)]
+
+    def _lane(self, result):
         self.calls += 1
         if self.calls % 3:
             return result

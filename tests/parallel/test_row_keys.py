@@ -2,9 +2,9 @@
 
 The episode engine hands a :class:`SimulationCache` the ``(B, P)`` parameter
 rows it already holds (its fixed-parameter base row with the knob columns
-written) through ``simulate_rows``; ``simulate_batch(netlists)`` derives the
-same rows from the netlists.  Both reach the one quantizer, and the keys —
-hence the LRU table, the counters and the disk-cache entry files, named by
+written) through ``simulate_rows``; ``simulate(netlist)`` hands it the
+netlist's own row.  Both reach the one quantizer, and the keys — hence the
+LRU table, the counters and the disk-cache entry files, named by
 ``sha256(key)`` — must stay byte-equal to the per-row format pinned below.
 """
 
@@ -20,7 +20,7 @@ from repro.circuits.library.common_source_lna import build_common_source_lna
 from repro.circuits.library.two_stage_opamp import build_two_stage_opamp
 from repro.parallel import DiskSimulationCache, SimulationCache
 from repro.parallel.disk_cache import entry_path
-from repro.simulation.base import simulate_rows
+from repro.simulation.base import CircuitSimulator
 from repro.simulation.opamp_sim import OpAmpSimulator
 
 
@@ -81,26 +81,14 @@ def test_row_keys_equal_netlist_keys(build):
     name = netlists[0].name
     expected = [reference_key(name, row) for row in rows]
     assert cache._quantize(name, rows) == expected
-    assert cache._keys(netlists) == expected
+    assert [
+        cache._quantize(netlist.layout.name, netlist.parameter_array()[None])[0]
+        for netlist in netlists
+    ] == expected
     assert len(set(expected)) == len(expected)
 
 
-def test_mixed_batch_falls_back_to_per_netlist_keys():
-    opamp, lna = build_two_stage_opamp(), build_common_source_lna()
-    opamp_nets = _netlists(opamp, _edge_rows(opamp, count=3))
-    lna_nets = _netlists(lna, _edge_rows(lna, count=3, seed=1))
-    mixed = [opamp_nets[0], lna_nets[0], opamp_nets[1], lna_nets[1], lna_nets[2], opamp_nets[2]]
-    # Same name, another layout: a device with one parameter more.
-    grown = opamp.fresh_netlist()
-    next(iter(grown)).parameters["extra"] = 1.0
-    mixed.append(grown)
-    cache = SimulationCache(OpAmpSimulator())
-    assert cache._keys(mixed) == [
-        reference_key(netlist.name, netlist.parameter_array()) for netlist in mixed
-    ]
-
-
-def test_simulate_rows_matches_simulate_batch():
+def test_simulate_rows_matches_a_loop_of_simulate():
     """Results, counters and LRU order, over batches with repeats and evictions."""
     benchmark = build_two_stage_opamp()
     space = benchmark.design_space
@@ -116,8 +104,8 @@ def test_simulate_rows_matches_simulate_batch():
             space.apply_to_netlist(netlist, sizing)
             netlists.append(netlist)
         rows = np.array([netlist.parameter_array() for netlist in netlists])
-        got = simulate_rows(by_rows, netlists, rows)
-        want = by_netlists.simulate_batch(netlists)
+        got = by_rows.simulate_rows(netlists[0].layout, rows)
+        want = [by_netlists.simulate(netlist) for netlist in netlists]
         assert [(r.specs, r.details, r.valid) for r in got] == [
             (r.specs, r.details, r.valid) for r in want
         ]
@@ -126,61 +114,41 @@ def test_simulate_rows_matches_simulate_batch():
     assert by_rows.stats.evictions > 0 and by_rows.stats.hits > 0
 
 
-class _Counting(SimulationCache):
+class RowsSpy(SimulationCache):
     def __init__(self, simulator):
         super().__init__(simulator)
         self.calls = []
 
-
-class RowsSpy(_Counting):
-    def simulate_rows(self, netlists, rows):
-        self.calls.append("rows")
-        return super().simulate_rows(netlists, rows)
+    def simulate_rows(self, layout, rows):
+        self.calls.append(rows.copy())
+        return super().simulate_rows(layout, rows)
 
 
-class BatchOverride(RowsSpy):
-    """Overrides ``simulate_batch`` below ``simulate_rows``: must not be bypassed."""
-
-    def simulate_batch(self, netlists):
-        self.calls.append("batch")
-        return super().simulate_batch(netlists)
-
-
-class SimulateOverride(_Counting):
-    """Overrides ``simulate`` below both batch entries: must get a loop."""
-
-    def simulate(self, netlist):
-        self.calls.append("simulate")
-        return super().simulate(netlist)
-
-
-@pytest.mark.parametrize(
-    "cls, calls_per_step",
-    [(RowsSpy, ["rows"]), (BatchOverride, ["batch"]), (SimulateOverride, ["simulate"] * 3)],
-    ids=["rows", "batch-override", "simulate-override"],
-)
-def test_engine_respects_the_override_rule(cls, calls_per_step):
+def test_engine_hands_its_rows_in_one_call_per_step():
+    """A step is one ``simulate_rows`` call; its rows are the lanes' parameter rows."""
     template = repro.make_env("opamp-p2s-v0", seed=0, max_steps=4)
-    cache = cls(OpAmpSimulator())
+    cache = RowsSpy(OpAmpSimulator())
     template.simulator = cache
     vector_env = repro.parallel.VectorCircuitEnv.from_env(template, num_envs=3, seed=0)
     vector_env.reset()
     cache.calls.clear()
     vector_env.step(np.ones((3, vector_env.num_parameters), dtype=np.int64))
-    assert cache.calls == calls_per_step
+    (rows,) = cache.calls
+    expected = np.array([env.netlist.parameter_array() for env in vector_env.envs])
+    assert rows.tobytes() == expected.tobytes()
 
 
-class _Recording:
-    """Records the parameter row of every netlist it simulates."""
+class _Recording(CircuitSimulator):
+    """Records every parameter row it simulates."""
 
     def __init__(self, inner):
         self.inner = inner
         self.name = inner.name
         self.rows = []
 
-    def simulate(self, netlist):
-        self.rows.append(netlist.parameter_array())
-        return self.inner.simulate(netlist)
+    def simulate_rows(self, layout, rows):
+        self.rows.extend(rows.copy())
+        return self.inner.simulate_rows(layout, rows)
 
 
 def _exact(simulator):

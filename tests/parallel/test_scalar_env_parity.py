@@ -21,7 +21,7 @@ import pytest
 
 import repro
 from repro.parallel import VectorCircuitEnv
-from repro.simulation.base import SimulationResult
+from repro.simulation.base import CircuitSimulator, SimulationResult
 from step_reference import ReferenceCircuitEnv, ReferenceVectorEnv, spec_feature_vector
 from test_step_parity import assert_observations_equal, assert_outputs_equal, assert_states_equal
 
@@ -97,7 +97,7 @@ def test_spec_features_match_the_reference(measured):
     assert observation.spec_features.tobytes() == expected
 
 
-class FixedSimulator:
+class FixedSimulator(CircuitSimulator):
     """Reports the same specs for every netlist."""
 
     name = "fixed"
@@ -105,8 +105,8 @@ class FixedSimulator:
     def __init__(self, specs, valid=True):
         self.specs, self.valid = specs, valid
 
-    def simulate(self, netlist):
-        return SimulationResult(specs=dict(self.specs), valid=self.valid)
+    def simulate_rows(self, layout, rows):
+        return [SimulationResult(specs=dict(self.specs), valid=self.valid) for _ in rows]
 
 
 def test_scalar_errors_match_reference():

@@ -6,11 +6,11 @@ import pytest
 
 from repro.circuits.library.two_stage_opamp import build_two_stage_opamp
 from repro.parallel import CacheStats, SimulationCache
-from repro.simulation.base import SimulationResult
+from repro.simulation.base import CircuitSimulator, SimulationResult
 from repro.simulation.opamp_sim import OpAmpSimulator
 
 
-class CountingSimulator:
+class CountingSimulator(CircuitSimulator):
     """Deterministic stub simulator that counts its invocations."""
 
     name = "counting"
@@ -18,10 +18,15 @@ class CountingSimulator:
     def __init__(self) -> None:
         self.calls = 0
 
-    def simulate(self, netlist) -> SimulationResult:
-        self.calls += 1
-        width = netlist.get_parameter("M1", "width")
-        return SimulationResult(specs={"gain": width * 1e7}, details={"calls": self.calls})
+    def simulate_rows(self, layout, rows):
+        (width,) = layout.columns((("M1", "width"),))
+        results = []
+        for row in rows.tolist():
+            self.calls += 1
+            results.append(
+                SimulationResult(specs={"gain": row[width] * 1e7}, details={"calls": self.calls})
+            )
+        return results
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ import pytest
 
 import repro
 from repro.parallel import SimulationCache, VectorCircuitEnv
+from repro.simulation.base import CircuitSimulator
 from repro.simulation.opamp_sim import OpAmpSimulator
 from step_reference import ReferenceVectorEnv
 
@@ -181,29 +182,26 @@ def test_vectors_sharing_one_simulator_step_interleaved(env_id, tmp_path):
             assert_states_equal(single, reference)
 
 
-class OtherSimulator:
-    """A simulator with no ``simulate_batch``: the step's batch loops ``simulate``."""
+class RowByRow(CircuitSimulator):
+    """A simulator outside the library: it evaluates its rows one at a time."""
 
-    name = "other"
+    name = "row_by_row"
 
     def __init__(self):
         self._inner = OpAmpSimulator()
 
-    def simulate(self, netlist):
-        return self._inner.simulate(netlist)
-
-
-class TweakedOpAmp(OpAmpSimulator):
-    """A subclass of a batched simulator: it inherits the batch entry."""
+    def simulate_rows(self, layout, rows):
+        return [self._inner.simulate_rows(layout, rows[i : i + 1])[0] for i in range(len(rows))]
 
 
 class ScaledOpAmp(OpAmpSimulator):
-    """A subclass that overrides only ``simulate``: the step must call it."""
+    """A subclass that overrides the one entry: the step and the reference see it."""
 
-    def simulate(self, netlist):
-        result = super().simulate(netlist)
-        result.specs["gain"] *= 1.5
-        return result
+    def simulate_rows(self, layout, rows):
+        results = super().simulate_rows(layout, rows)
+        for result in results:
+            result.specs["gain"] *= 1.5
+        return results
 
 
 class CountingCache(SimulationCache):
@@ -213,30 +211,23 @@ class CountingCache(SimulationCache):
         super().__init__(simulator, max_entries=16)
         self.miss_calls = 0
 
-    def _simulate_misses(self, keys, netlists):
-        self.miss_calls += len(netlists)
-        return super()._simulate_misses(keys, netlists)
+    def _simulate_misses(self, layout, keys, rows):
+        self.miss_calls += len(rows)
+        return super()._simulate_misses(layout, keys, rows)
 
 
 @pytest.mark.parametrize(
     "make_simulator",
     [
-        OtherSimulator,
-        TweakedOpAmp,
+        RowByRow,
         ScaledOpAmp,
         lambda: CountingCache(OpAmpSimulator()),
         lambda: CountingCache(ScaledOpAmp()),
     ],
-    ids=[
-        "unknown-type",
-        "batched-subclass",
-        "simulate-override",
-        "cache-subclass",
-        "cache-of-simulate-override",
-    ],
+    ids=["row-by-row", "subclass", "cache-subclass", "cache-of-subclass"],
 )
 @pytest.mark.parametrize("cache_size", [24, None])
-def test_per_lane_dispatch(make_simulator, cache_size):
+def test_custom_simulators_match_the_reference(make_simulator, cache_size):
     vectors = []
     for cls in (VectorCircuitEnv, ReferenceVectorEnv):
         template = repro.make_env("opamp-p2s-v0", seed=None, max_steps=MAX_STEPS)

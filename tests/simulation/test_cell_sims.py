@@ -14,6 +14,11 @@ from repro.circuits.library.current_mirror_ota import build_current_mirror_ota
 from repro.circuits.library.folded_cascode import build_folded_cascode
 from repro.simulation import CmOtaSimulator, FoldedCascodeSimulator, LnaSimulator
 
+def lane_values(simulator, netlist):
+    """The netlist's values of ``simulator.reads``: what ``operating_point`` reads."""
+    return netlist.layout.lanes(netlist.parameter_array()[None], simulator.reads)[0]
+
+
 
 @pytest.fixture
 def folded_cascode_sim():
@@ -64,7 +69,9 @@ class TestFoldedCascodeSimulator:
         assert result_big.specs["bandwidth"] > result_small.specs["bandwidth"]
 
     def test_cascoding_beats_two_stage_output_resistance(self, folded_cascode_sim):
-        op = folded_cascode_sim.operating_point(build_folded_cascode().fresh_netlist())
+        op = folded_cascode_sim.operating_point(
+            lane_values(folded_cascode_sim, build_folded_cascode().fresh_netlist())
+        )
         # The defining property: the cascoded output resistance is far above
         # a single ro at the same current.
         assert op.output_resistance > 3.0 / (0.5 * op.output_branch_current)
@@ -77,7 +84,9 @@ class TestCmOtaSimulator:
         assert set(result.specs) == {"gain", "bandwidth", "slew_rate", "power"}
 
     def test_unit_mirrors_at_uniform_sizing(self, ota_sim):
-        op = ota_sim.operating_point(build_current_mirror_ota().fresh_netlist())
+        op = ota_sim.operating_point(
+            lane_values(ota_sim, build_current_mirror_ota().fresh_netlist())
+        )
         assert op.mirror_ratio_up == pytest.approx(1.0)
         assert op.mirror_ratio_down == pytest.approx(1.0)
 
@@ -88,8 +97,8 @@ class TestCmOtaSimulator:
         # Double both output branches: M6 (source) and M9 (sink).
         doubled.set_parameter("M6", "width", 80e-6)
         doubled.set_parameter("M9", "width", 80e-6)
-        op_unit = ota_sim.operating_point(unit)
-        op_doubled = ota_sim.operating_point(doubled)
+        op_unit = ota_sim.operating_point(lane_values(ota_sim, unit))
+        op_doubled = ota_sim.operating_point(lane_values(ota_sim, doubled))
         assert op_doubled.mirror_ratio_up == pytest.approx(2.0)
         assert op_doubled.mirror_ratio_down == pytest.approx(2.0)
         assert op_doubled.slew_rate == pytest.approx(2.0 * op_unit.slew_rate)
@@ -99,8 +108,8 @@ class TestCmOtaSimulator:
         benchmark = build_current_mirror_ota()
         lopsided = benchmark.fresh_netlist()
         lopsided.set_parameter("M6", "width", 80e-6)   # strong source path only
-        op = ota_sim.operating_point(lopsided)
-        balanced = ota_sim.operating_point(benchmark.fresh_netlist())
+        op = ota_sim.operating_point(lane_values(ota_sim, lopsided))
+        balanced = ota_sim.operating_point(lane_values(ota_sim, benchmark.fresh_netlist()))
         assert op.slew_rate == pytest.approx(balanced.slew_rate)
 
 
@@ -129,8 +138,8 @@ class TestLnaSimulator:
         light.set_parameter("LS", "value", 0.1e-9)
         heavy = benchmark.fresh_netlist()
         heavy.set_parameter("LS", "value", 2.0e-9)
-        op_light = lna_sim.operating_point(light)
-        op_heavy = lna_sim.operating_point(heavy)
+        op_light = lna_sim.operating_point(lane_values(lna_sim, light))
+        op_heavy = lna_sim.operating_point(lane_values(lna_sim, heavy))
         assert op_heavy.gain < op_light.gain
         assert op_heavy.input_resistance > op_light.input_resistance
 

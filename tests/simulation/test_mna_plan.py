@@ -538,8 +538,9 @@ class TestMnaSimulators:
 
 def _reference_simulate(simulator, netlist):
     """``simulate`` with the small-signal sweep run by the per-frequency engine."""
-    op = simulator.operating_point(netlist)
-    circuit = simulator.build_small_signal_circuit(netlist, op)
+    values = netlist.layout.lanes(netlist.parameter_array()[None], simulator.reads)[0]
+    op = simulator.operating_point(values)
+    circuit = simulator.build_small_signal_circuit(op)
     solution = reference.ac_analysis(circuit, SWEEP_FREQUENCIES)
     gain, bandwidth, phase_margin = frequency_response_metrics(
         SWEEP_FREQUENCIES, solution.voltage("out")

@@ -39,6 +39,11 @@ _COMPENSATED_SIZINGS = {
     },
 }
 
+def lane_values(simulator, netlist):
+    """The netlist's values of ``simulator.reads``: what ``operating_point`` reads."""
+    return netlist.layout.lanes(netlist.parameter_array()[None], simulator.reads)[0]
+
+
 
 @pytest.fixture(params=sorted(_COMPENSATED_SIZINGS))
 def sized_netlist(request):
@@ -77,8 +82,8 @@ class TestSmallSignalCircuit:
         benchmark = build_two_stage_opamp()
         simulator = OpAmpSimulator()
         netlist = benchmark.fresh_netlist()
-        op = simulator.operating_point(netlist)
-        circuit = simulator.build_small_signal_circuit(netlist, op)
+        op = simulator.operating_point(lane_values(simulator, netlist))
+        circuit = simulator.build_small_signal_circuit(op)
         solution = circuit.ac_analysis([1.0, 10.0])
         gain = np.abs(solution.voltage("out")[0])
         expected = op.first_stage_gain * op.second_stage_gain
@@ -88,7 +93,9 @@ class TestSmallSignalCircuit:
         benchmark = build_two_stage_opamp()
         simulator = OpAmpSimulator()
         netlist = benchmark.fresh_netlist()
-        circuit = simulator.build_small_signal_circuit(netlist)
+        circuit = simulator.build_small_signal_circuit(
+            simulator.operating_point(lane_values(simulator, netlist))
+        )
         solution = circuit.ac_analysis(np.logspace(1, 10, 40))
         magnitude = np.abs(solution.voltage("out"))
         assert magnitude[0] > magnitude[-1]

@@ -10,6 +10,11 @@ from hypothesis import strategies as st
 from repro.circuits import build_two_stage_opamp
 from repro.simulation.opamp_sim import OpAmpSimulator
 
+def lane_values(simulator, netlist):
+    """The netlist's values of ``simulator.reads``: what ``operating_point`` reads."""
+    return netlist.layout.lanes(netlist.parameter_array()[None], simulator.reads)[0]
+
+
 
 def sized_netlist(overrides=None):
     """Fresh op-amp netlist with optional (device, attribute) overrides."""
@@ -88,7 +93,7 @@ class TestDesignTrends:
 class TestOperatingPoint:
     def test_power_matches_supply_times_current(self, opamp_simulator):
         netlist = sized_netlist()
-        op = opamp_simulator.operating_point(netlist)
+        op = opamp_simulator.operating_point(lane_values(opamp_simulator, netlist))
         expected = 1.2 * (
             op.tail_current + op.second_stage_current + opamp_simulator.bias_overhead_current
         )
@@ -96,13 +101,13 @@ class TestOperatingPoint:
 
     def test_gbw_formula(self, opamp_simulator):
         netlist = sized_netlist()
-        op = opamp_simulator.operating_point(netlist)
+        op = opamp_simulator.operating_point(lane_values(opamp_simulator, netlist))
         cc = netlist.get_parameter("CC", "value")
         assert op.unity_gain_bandwidth_hz == pytest.approx(op.gm1 / (2 * np.pi * cc))
 
     def test_zero_frequency_is_gm6_over_cc(self, opamp_simulator):
         netlist = sized_netlist()
-        op = opamp_simulator.operating_point(netlist)
+        op = opamp_simulator.operating_point(lane_values(opamp_simulator, netlist))
         cc = netlist.get_parameter("CC", "value")
         assert op.zero_hz == pytest.approx(op.gm6 / (2 * np.pi * cc))
 

@@ -8,6 +8,16 @@ import pytest
 from repro.circuits import build_rf_pa
 from repro.simulation.pa_sim import RfPaCoarseSimulator
 
+def lane_values(simulator, netlist):
+    """The netlist's values of ``simulator.reads``: what ``operating_point`` reads."""
+    return netlist.layout.lanes(netlist.parameter_array()[None], simulator.reads)[0]
+
+
+def _driver_chain(simulator, netlist):
+    models = simulator._device_models(lane_values(simulator, netlist))
+    return simulator.analyze_driver_chain(models, netlist.get_parameter("VBIAS1", "voltage"))
+
+
 
 def sized_netlist(overrides=None):
     benchmark = build_rf_pa()
@@ -61,7 +71,7 @@ class TestFineSimulator:
         )
 
     def test_driver_chain_analysis(self, pa_fine_simulator):
-        chain = pa_fine_simulator.analyze_driver_chain(sized_netlist())
+        chain = _driver_chain(pa_fine_simulator, sized_netlist())
         assert chain.drive_amplitude > 0.0
         assert len(chain.stage_amplitudes) == 6
         assert len(chain.quiescent_currents) == 6
@@ -72,8 +82,8 @@ class TestFineSimulator:
     def test_undersized_final_driver_limits_drive(self, pa_fine_simulator):
         weak = sized_netlist({("DF", "width"): 16e-6, ("DF", "fingers"): 1})
         strong = sized_netlist({("DF", "width"): 80e-6, ("DF", "fingers"): 8})
-        weak_chain = pa_fine_simulator.analyze_driver_chain(weak)
-        strong_chain = pa_fine_simulator.analyze_driver_chain(strong)
+        weak_chain = _driver_chain(pa_fine_simulator, weak)
+        strong_chain = _driver_chain(pa_fine_simulator, strong)
         assert strong_chain.drive_amplitude >= weak_chain.drive_amplitude
 
     def test_table1_spec_space_is_reachable(self, pa_fine_simulator, rf_pa_benchmark):
@@ -114,7 +124,9 @@ class TestCoarseSimulator:
     def test_mismatch_factor_bounded(self, pa_coarse_simulator):
         for width in (20e-6, 47e-6, 83e-6):
             netlist = sized_netlist({("M1", "width"): width})
-            factor = pa_coarse_simulator._mismatch_factor(netlist)
+            factor = pa_coarse_simulator.operating_point(
+                lane_values(pa_coarse_simulator, netlist)
+            ).mismatch_factor
             mismatch = pa_coarse_simulator.mismatch
             assert 1.0 - mismatch <= factor <= 1.0 + mismatch
 

@@ -7,14 +7,14 @@ import pytest
 
 from repro import make_env
 from repro.parallel import DiskSimulationCache
-from repro.simulation.base import SimulationResult
+from repro.simulation.base import CircuitSimulator, SimulationResult
 from repro.surrogate import SurrogateConfig, TieredSimulator, harvest_corpus
 
 #: Small-but-learnable knobs shared by the warm-path tests.
 FAST_CONFIG = dict(hidden=(16, 16), epochs=120, min_train_points=8, ensemble_size=2)
 
 
-class CountingSimulator:
+class CountingSimulator(CircuitSimulator):
     """Deterministic stand-in simulator that counts real evaluations."""
 
     name = "counting"
@@ -22,9 +22,12 @@ class CountingSimulator:
     def __init__(self):
         self.calls = 0
 
-    def simulate(self, netlist):
+    def simulate_rows(self, layout, rows):
+        return [self._row(row) for row in rows]
+
+    def _row(self, row):
         self.calls += 1
-        total = float(np.sum(netlist.parameter_array()))
+        total = float(np.sum(row))
         return SimulationResult(
             specs={"gain": total, "power": total * 0.5},
             details={},
@@ -162,8 +165,8 @@ class TestWarmTier:
 class TestFeedbackLoop:
     def test_observations_buffer_only_valid_results(self, lna_env):
         class SometimesInvalid(CountingSimulator):
-            def simulate(self, netlist):
-                result = super().simulate(netlist)
+            def _row(self, row):
+                result = super()._row(row)
                 if self.calls % 2 == 0:
                     return SimulationResult(result.specs, result.details, valid=False)
                 return result
