@@ -48,15 +48,6 @@ class DeviceType(Enum):
     def is_passive(self) -> bool:
         return self in (DeviceType.RESISTOR, DeviceType.CAPACITOR, DeviceType.INDUCTOR)
 
-    @property
-    def is_source(self) -> bool:
-        return self in (
-            DeviceType.SUPPLY,
-            DeviceType.GROUND,
-            DeviceType.BIAS,
-            DeviceType.CURRENT_SOURCE,
-        )
-
 
 #: Canonical ordering used for one-hot node-type encodings.
 DEVICE_TYPE_ORDER: Tuple[DeviceType, ...] = tuple(DeviceType)

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.circuits.devices import Device, DeviceType
+from repro.circuits.devices import Device
 
 #: A parameter's address in a netlist: ``(device name, parameter key)``.
 ParameterRead = Tuple[str, str]
@@ -107,13 +107,6 @@ class Netlist:
             return self._devices[name]
         except KeyError as exc:
             raise KeyError(f"netlist '{self.name}' has no device '{name}'") from exc
-
-    def devices_of_type(self, dtype: DeviceType) -> List[Device]:
-        return [d for d in self._devices.values() if d.dtype is dtype]
-
-    @property
-    def transistors(self) -> List[Device]:
-        return [d for d in self._devices.values() if d.dtype.is_transistor]
 
     # ------------------------------------------------------------------
     # Nets and connectivity

@@ -88,12 +88,6 @@ class DesignParameter:
         levels = int(np.clip(levels, 0, self.num_levels - 1))
         return self.clip(self.minimum + levels * self.step)
 
-    def apply_delta(self, value: float, direction: int) -> float:
-        """Move ``value`` by ``direction`` steps (−1, 0, +1) within bounds."""
-        if direction not in (-1, 0, 1):
-            raise ValueError(f"direction must be -1, 0 or +1, got {direction}")
-        return self.snap(value + direction * self.step)
-
     def normalize(self, value: float) -> float:
         """Map a value into [0, 1] relative to the bounds."""
         return (self.clip(value) - self.minimum) / (self.maximum - self.minimum)

@@ -196,9 +196,6 @@ class AcSolution:
         vout = self.voltage(output_node)
         return vout / vin
 
-    def magnitude_db(self, node: str) -> np.ndarray:
-        return 20.0 * np.log10(np.abs(self.voltage(node)) + 1e-300)
-
 
 def frequency_response_metrics(
     frequencies: np.ndarray, response: np.ndarray

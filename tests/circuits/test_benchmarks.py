@@ -36,11 +36,11 @@ class TestTwoStageOpAmp:
 
     def test_topology_has_seven_transistors_and_bias_nodes(self, opamp_benchmark):
         netlist = opamp_benchmark.netlist
-        assert [t.name for t in netlist.transistors] == list(OPAMP_TRANSISTORS)
-        assert len(netlist.devices_of_type(DeviceType.SUPPLY)) == 1
-        assert len(netlist.devices_of_type(DeviceType.GROUND)) == 1
-        assert len(netlist.devices_of_type(DeviceType.BIAS)) == 1
-        assert len(netlist.devices_of_type(DeviceType.CAPACITOR)) == 2  # CC and CL
+        assert [t.name for t in netlist if t.dtype.is_transistor] == list(OPAMP_TRANSISTORS)
+        assert len([d for d in netlist if d.dtype is DeviceType.SUPPLY]) == 1
+        assert len([d for d in netlist if d.dtype is DeviceType.GROUND]) == 1
+        assert len([d for d in netlist if d.dtype is DeviceType.BIAS]) == 1
+        assert len([d for d in netlist if d.dtype is DeviceType.CAPACITOR]) == 2  # CC and CL
 
     def test_differential_pair_shares_tail_node(self, opamp_benchmark):
         netlist = opamp_benchmark.netlist
@@ -108,9 +108,9 @@ class TestRfPa:
 
     def test_supply_ground_bias_nodes_present(self, rf_pa_benchmark):
         netlist = rf_pa_benchmark.netlist
-        assert len(netlist.devices_of_type(DeviceType.SUPPLY)) == 2
-        assert len(netlist.devices_of_type(DeviceType.GROUND)) == 1
-        assert len(netlist.devices_of_type(DeviceType.BIAS)) == 2
+        assert len([d for d in netlist if d.dtype is DeviceType.SUPPLY]) == 2
+        assert len([d for d in netlist if d.dtype is DeviceType.GROUND]) == 1
+        assert len([d for d in netlist if d.dtype is DeviceType.BIAS]) == 2
 
     def test_load_resistor_value_in_metadata(self, rf_pa_benchmark):
         assert rf_pa_benchmark.netlist.get_parameter("RLOAD", "value") == pytest.approx(

@@ -29,9 +29,6 @@ class TestDeviceType:
         assert DeviceType.CAPACITOR.is_passive
         assert DeviceType.RESISTOR.is_passive
         assert DeviceType.INDUCTOR.is_passive
-        assert DeviceType.SUPPLY.is_source
-        assert DeviceType.GROUND.is_source
-        assert DeviceType.BIAS.is_source
         assert not DeviceType.NMOS.is_passive
         assert not DeviceType.CAPACITOR.is_transistor
 

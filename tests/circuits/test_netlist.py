@@ -36,8 +36,8 @@ class TestConstruction:
             small_netlist.device("M99")
 
     def test_type_queries(self, small_netlist):
-        assert [d.name for d in small_netlist.transistors] == ["M1"]
-        assert [d.name for d in small_netlist.devices_of_type(DeviceType.CAPACITOR)] == ["CL"]
+        assert [d.name for d in small_netlist if d.dtype.is_transistor] == ["M1"]
+        assert [d.name for d in small_netlist if d.dtype is DeviceType.CAPACITOR] == ["CL"]
 
 
 class TestConnectivity:

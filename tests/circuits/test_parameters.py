@@ -52,14 +52,6 @@ class TestDesignParameter:
         assert finger_parameter.snap(7.3) == 7
         assert finger_parameter.clip(100) == 32
 
-    def test_apply_delta_respects_bounds(self, width_parameter):
-        assert width_parameter.apply_delta(1e-6, -1) == pytest.approx(1e-6)
-        assert width_parameter.apply_delta(100e-6, +1) == pytest.approx(100e-6)
-        assert width_parameter.apply_delta(50e-6, +1) == pytest.approx(51e-6)
-        assert width_parameter.apply_delta(50e-6, 0) == pytest.approx(50e-6)
-        with pytest.raises(ValueError):
-            width_parameter.apply_delta(50e-6, 2)
-
     def test_normalize_roundtrip(self, width_parameter):
         assert width_parameter.normalize(1e-6) == pytest.approx(0.0)
         assert width_parameter.normalize(100e-6) == pytest.approx(1.0)
@@ -128,10 +120,11 @@ class TestActionDeltas:
     value=st.floats(min_value=-1e-3, max_value=1e-3),
     direction=st.sampled_from([-1, 0, 1]),
 )
-def test_property_apply_delta_stays_on_grid_and_in_bounds(value, direction):
+def test_property_apply_actions_stays_on_grid_and_in_bounds(value, direction):
     """Any starting value, after one action, lands on a grid point in bounds."""
     parameter = DesignParameter("p", "d", "a", minimum=1e-6, maximum=100e-6, step=1e-6)
-    result = parameter.apply_delta(value, direction)
+    space = DesignSpace([parameter])
+    (result,) = space.apply_actions(np.array([value]), np.array([ACTION_DELTAS.index(direction)]))
     assert parameter.minimum - 1e-12 <= result <= parameter.maximum + 1e-12
     levels = (result - parameter.minimum) / parameter.step
     assert abs(levels - round(levels)) < 1e-6
