@@ -39,9 +39,6 @@ class ParameterLayout:
         self._columns = columns
         self._resolved: Dict[Tuple[ParameterRead, ...], np.ndarray] = {}
 
-    def __len__(self) -> int:
-        return len(self._columns)
-
     def columns(self, reads: Tuple[ParameterRead, ...]) -> np.ndarray:
         """The columns of ``reads``, resolved once per layout."""
         columns = self._resolved.get(reads)

@@ -90,14 +90,12 @@ class OperatingPointSimulator(CircuitSimulator):
         )
 
     def operating_point(self, values: Sequence[float]):
+        """The lane's operating point from its values of :attr:`reads`."""
         raise NotImplementedError
 
     def results(self, operating_points: Sequence) -> List[SimulationResult]:
-        """One result per operating point, in order."""
+        """One result per operating point, in order (each from ``_result``)."""
         return [self._result(op) for op in operating_points]
-
-    def _result(self, op) -> SimulationResult:
-        raise NotImplementedError
 
 
 def transistor_reads(names: Sequence[str]) -> Tuple[ParameterRead, ...]:
