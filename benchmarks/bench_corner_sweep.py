@@ -1,7 +1,7 @@
 """Corner-lane batched PVT sweeps: K corners in one shot vs K clone calls.
 
 ``repro.corners`` claims that a five-corner sweep as the lanes of one
-``simulate_batch`` call (each lane's operating point from that corner's
+``simulate_rows`` call (each lane's operating point from that corner's
 clone, one stacked MNA sweep) beats looping a per-corner simulator clone
 (identical physics per ``tests/corners``'s bitwise parity suite).  This
 bench measures sweeps-per-second of :class:`~repro.corners.CornerSimulator`

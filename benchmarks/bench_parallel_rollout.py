@@ -124,7 +124,7 @@ def _compiled_vs_interpreted(env_id: str, steps: int = 25, seed: int = 0) -> tup
     """Steps/s of the same uncached vector env: batched step vs reference loop.
 
     ``cache_size=None`` keeps every step in the simulator (the regime
-    ``simulate_batch`` accelerates); both sides consume identical action
+    ``simulate_rows`` accelerates); both sides consume identical action
     streams.
     """
     throughput = {}

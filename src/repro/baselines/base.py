@@ -132,9 +132,14 @@ class SizingProblem:
         return self._evaluations
 
     def simulate(self, parameters: np.ndarray) -> Dict[str, float]:
-        """Evaluate a parameter vector into specs (one simulator call)."""
-        rows = self._rows(self.benchmark.design_space.clip_vector(parameters)[None])
-        result = self.simulator.simulate_rows(self._layout, rows)[0]
+        """Evaluate a parameter vector into specs (one ``simulator.simulate`` call).
+
+        One sizing is handed over as a netlist, through the simulator's
+        one-sizing entry; populations go through :meth:`_exact_objectives`.
+        """
+        netlist = self.benchmark.fresh_netlist()
+        self.benchmark.design_space.apply_to_netlist(netlist, parameters)
+        result = self.simulator.simulate(netlist)
         self._evaluations += 1
         return dict(result.specs)
 
@@ -242,7 +247,7 @@ class SizingProblem:
             prescreener.stats.bypassed += count
             return None
         # The surrogate consumes full device-parameter rows (the corpus
-        # layout), the rows simulate() hands the simulator.
+        # layout), the rows the exact path simulates.
         full = self._rows(parameters)
         if not prescreener.matches(self._layout.name, full.shape[1]):
             prescreener.stats.bypassed += count

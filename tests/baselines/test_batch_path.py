@@ -2,8 +2,8 @@
 
 ``SizingProblem.objective_from_unit_batch`` builds the population's
 parameter rows (the template's row with the knob columns written) and hands
-them to one ``simulate_rows`` call; the scalar ``simulate`` is a call with
-one row.  A cache-wrapped simulator batches its misses through the inner
+them to one ``simulate_rows`` call; the scalar path hands one netlist to
+``simulate``, a batch of one row.  A cache-wrapped simulator batches its misses through the inner
 simulator, and a simulator that loops its rows one at a time agrees.  Every path must give the same values, trace and
 simulation count (the goldens in ``test_sizing_goldens.py`` pin them
 bitwise).
@@ -74,22 +74,26 @@ def _ga(problem, generations=3):
 def test_each_ga_generation_is_one_simulate_rows_call(monkeypatch):
     problem = _problem()
     batches = _CallCounter(monkeypatch, problem.simulator, "simulate_rows")
+    scalars = _CallCounter(monkeypatch, problem.simulator, "simulate")
     result = _ga(problem, generations=3)
     # The initial population plus three generations, then the final
-    # re-simulation of the best design: a batch of one row.
+    # re-simulation of the best design: a scalar call, a batch of one row.
     assert [len(args[1]) for args in batches.calls] == [8, 8, 8, 8, 1]
+    assert len(scalars.calls) == 1
     assert result.num_simulations == 4 * 8 + 1
 
 
-def test_bo_iterations_simulate_one_row_and_reach_ac_analysis(monkeypatch):
+def test_bo_iterations_call_scalar_simulate_and_reach_ac_analysis(monkeypatch):
     problem = _problem()
     batches = _CallCounter(monkeypatch, problem.simulator, "simulate_rows")
+    scalars = _CallCounter(monkeypatch, problem.simulator, "simulate")
     sweeps = _CallCounter(monkeypatch, MnaCircuit, "ac_analysis")
     config = BayesianOptimizationConfig(num_initial=6, num_iterations=5, stop_when_met=False)
     result = BayesianOptimization(config, seed=0).optimize(problem)
     # The initial design, then five iterations and the final re-simulation,
-    # each a batch of one row, one MNA sweep.
+    # each a scalar call: a batch of one row, one MNA sweep.
     assert [len(args[1]) for args in batches.calls] == [6] + [1] * (5 + 1)
+    assert len(scalars.calls) == 5 + 1
     assert [len(kwargs["lane_values"]) for kwargs in sweeps.keywords] == [6] + [1] * (5 + 1)
     assert result.num_simulations == 6 + 5 + 1
 
