@@ -22,9 +22,9 @@ The baselines reproduce the prior RL methods as the paper describes them
   specification context and normalized device parameters; no circuit graph.
 * **Baseline B** (GCN-RL [11]) — a GNN over the circuit graph but *without*
   the specification-coupling FCNN branch; the raw specification vector is
-  appended to the graph embedding just before the output layers.  Flags allow
-  the original paper's weaker variants (partial topology, static technology
-  node features) to be reproduced for the ablation benches.
+  appended to the graph embedding just before the output layers.  A flag
+  reproduces the original paper's weaker static-technology node features for
+  the ablation benches; the graph is always the full topology.
 
 Every forward is batch-first: the trunks, heads and action distribution run
 over a :class:`~repro.env.spaces.BatchedObservation`, with one autograd path

@@ -10,12 +10,11 @@ adjacency matrix and the plan that reads the dynamic features.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import networkx as nx
 import numpy as np
 
-from repro.circuits.devices import DeviceType
 from repro.circuits.netlist import Netlist
 from repro.graph.features import (
     device_feature_vector,
@@ -32,24 +31,13 @@ class CircuitGraph:
     ----------
     netlist:
         The circuit.  The graph keeps a reference; the dynamic node
-        features are read from a sizing by the episode engine.
-    exclude_types:
-        Device types to drop from the graph.  The paper's Baseline B uses a
-        *partial* topology that excludes supply and bias nodes; passing
-        ``(DeviceType.SUPPLY, DeviceType.GROUND, DeviceType.BIAS)`` reproduces
-        that ablation.  The full graph (default) is the paper's contribution.
+        features are read from a sizing by the episode engine.  Every
+        device is a node: the full topology is the paper's contribution.
     """
 
-    def __init__(
-        self,
-        netlist: Netlist,
-        exclude_types: Sequence[DeviceType] = (),
-    ) -> None:
+    def __init__(self, netlist: Netlist) -> None:
         self._netlist = netlist
-        self._excluded = tuple(exclude_types)
-        self._node_names: List[str] = [
-            device.name for device in netlist if device.dtype not in self._excluded
-        ]
+        self._node_names: List[str] = [device.name for device in netlist]
         if len(self._node_names) < 2:
             raise ValueError("circuit graph needs at least two nodes")
         self._index: Dict[str, int] = {name: i for i, name in enumerate(self._node_names)}
@@ -91,10 +79,9 @@ class CircuitGraph:
         size = len(self._node_names)
         adjacency = np.zeros((size, size))
         for first, second in self._netlist.connections():
-            if first in self._index and second in self._index:
-                i, j = self._index[first], self._index[second]
-                adjacency[i, j] = 1.0
-                adjacency[j, i] = 1.0
+            i, j = self._index[first], self._index[second]
+            adjacency[i, j] = 1.0
+            adjacency[j, i] = 1.0
         return adjacency
 
     # ------------------------------------------------------------------

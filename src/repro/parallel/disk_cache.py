@@ -230,10 +230,6 @@ class DiskSimulationCache(SimulationCache):
     # ------------------------------------------------------------------
     # Disk-tier management
     # ------------------------------------------------------------------
-    def disk_entries(self) -> int:
-        """Number of persisted entries currently in the directory."""
-        return sum(1 for _ in self.directory.glob("*.json"))
-
     def prune(self) -> int:
         """Enforce ``max_disk_entries``, dropping the oldest files first.
 

@@ -4,8 +4,8 @@ This package replaces the proprietary simulators the paper relies on
 (Cadence Spectre for the op-amp, Keysight ADS harmonic balance for the RF PA)
 with from-scratch equivalents:
 
-* :mod:`repro.simulation.mna` — a modified-nodal-analysis DC/AC engine
-  (:class:`BatchedMNAPlan` solves one or many same-topology circuits),
+* :mod:`repro.simulation.mna` — a modified-nodal-analysis small-signal AC
+  engine (:class:`BatchedMNAPlan` sweeps one or many lanes of one circuit),
 * :mod:`repro.simulation.opamp_sim` — the two-stage op-amp evaluator,
 * :mod:`repro.simulation.pa_sim` — fine (HB-like) and coarse (DC-estimate)
   RF PA evaluators used by the transfer-learning workflow.
@@ -22,7 +22,6 @@ from repro.simulation.mna import (
     AcSolution,
     BatchedMNAPlan,
     ConvergenceError,
-    DcSolution,
     MnaCircuit,
 )
 from repro.simulation.mosfet import MosfetModel, OperatingPoint, Region
@@ -45,7 +44,6 @@ __all__ = [
     "CmOtaSimulator",
     "CmosTechnology",
     "ConvergenceError",
-    "DcSolution",
     "DriverChainResult",
     "FoldedCascodeOperatingPoint",
     "FoldedCascodeSimulator",

@@ -1,25 +1,22 @@
-"""Modified nodal analysis (MNA) engine — the repository's mini-SPICE.
+"""Modified nodal analysis (MNA) engine — the repository's small-signal mini-SPICE.
 
-The paper's design environment invokes Cadence Spectre for AC/DC analysis of
-the op-amp.  This module provides the equivalent substrate: a small circuit
-simulator supporting
-
-* **DC operating-point analysis** with Newton–Raphson iteration over
-  nonlinear square-law MOSFETs (linear elements are stamped directly), and
-* **AC small-signal analysis** over a frequency sweep, including linearized
-  MOSFETs, resistors, capacitors, inductors, controlled sources and
-  independent sources.
+The paper's design environment invokes Cadence Spectre for the op-amp's AC
+figures (gain, bandwidth, phase margin).  This module provides the
+equivalent substrate: an **AC small-signal analysis** over a frequency sweep
+of linear circuits built from resistors, capacitors, inductors,
+voltage-controlled current sources and independent AC sources.  Operating
+points are computed analytically by the circuit evaluators, which hand this
+engine their small-signal equivalent circuits.
 
 There is one stamping and solve implementation, :class:`BatchedMNAPlan`.
-It analyses ``K`` circuits of one topology at once.  Node ordering, stamp
-lists and element columns depend only on the circuit structure, so they are
-built once per :meth:`MnaCircuit.structure_signature` and kept in a bounded
+It sweeps ``K`` lanes of one circuit at once.  Node ordering, stamp lists
+and element columns depend only on the circuit structure, so they are built
+once per :meth:`MnaCircuit.structure_signature` and kept in a bounded
 cache; a plan only stacks the ``(K, V)`` element values.
-:meth:`MnaCircuit.dc_operating_point` and :meth:`MnaCircuit.ac_analysis` are
-that plan at ``K = 1``.  ``ac_analysis`` with ``lane_values`` — behind the
-op-amp and OTA ``results``, through :func:`template_sweep_metrics` —
-drives the same plan with one lane per circuit, restamping element values
-through :meth:`BatchedMNAPlan.restamp`.
+:meth:`MnaCircuit.ac_analysis` is that plan: a sweep of one lane holding the
+circuit's own values, or, with ``lane_values`` — behind the op-amp and OTA
+``results``, through :func:`template_sweep_metrics` — one lane per entry,
+restamped through :meth:`BatchedMNAPlan.restamp`.
 
 Schur-form AC sweep
 -------------------
@@ -41,28 +38,22 @@ system that is singular at every frequency.
 
 Numerical contract
 ------------------
-DC is bitwise identical to the original one-solve-per-Newton-iteration loop
-(kept in the tests as a reference): stamps accumulate in a fixed element
-order (resistors → VCCS → MOSFETs → sources → branch rows), each entry from
-``0.0``, and Newton iterates only the not-yet-converged circuits, which is
-exact because circuits are independent.
+AC is held to a tolerance against a dense solve per frequency (kept in the
+tests as a reference): at every frequency the largest node-voltage error is
+at most ``1e-9`` times the largest reference node voltage.  Measured maxima:
+1.8e-10 on a two-pole amplifier with gm up to 8 mS (its non-normal ``G⁻¹C``
+costs the digits), 3.4e-14 on an RLC branch, 2.5e-14 on the
+equal-time-constant cascade, 3.5e-12 on a DC-floating node (shifted).  The
+error is normwise: a node far smaller than the largest one (a DC-floating
+node's neighbour at low frequency) can carry a larger relative error.  On
+the op-amp and OTA output nodes, 303 design points gave at most 2.4e-11
+pointwise; over 508 points, ``simulate`` specs moved by at most 2.0e-11
+relative (3.4e-13 at the golden probe points), with no validity flip.
 
-AC is held to a tolerance against the reference's dense solve per
-frequency: at every frequency the largest node-voltage error is at most
-``1e-9`` times the largest reference node voltage.  Measured maxima: 1.8e-10
-on a two-pole amplifier with gm up to 8 mS (its non-normal ``G⁻¹C`` costs
-the digits), 3.4e-14 on an RLC branch, 2.5e-14 on the equal-time-constant
-cascade, 3.5e-12 on a DC-floating node (shifted), 2.2e-16 with a linearized
-MOSFET.  The error is normwise: a node far smaller than the largest one
-(a DC-floating node's neighbour at low frequency) can carry a larger
-relative error.  On the op-amp and OTA output nodes, 303 design points gave
-at most 2.4e-11 pointwise; over 508 points, ``simulate`` specs moved by at
-most 2.0e-11 relative (3.4e-13 at the golden probe points), with no
-validity flip.
-
-A circuit's AC result is still bitwise independent of which batch it is
-solved in, so the batched and scalar routes agree exactly: the reductions
-are per-circuit LAPACK calls, and the sweep is elementwise across lanes.
+A lane's AC result is bitwise independent of the batch it is swept in, so
+the batched and scalar routes agree exactly: stamps accumulate in one fixed
+element order, the reductions are per-lane LAPACK calls, and the sweep is
+elementwise across lanes.
 
 The engine is deliberately dense-matrix based: analog cells have tens of
 nodes, so dense LAPACK is both simple and fast.  It backs the
@@ -82,9 +73,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg.lapack import dgesv, zgees, zgesv
 
-
-from repro.simulation.mosfet import MosfetModel
-
 #: Net names treated as the global reference node.
 GROUND_NAMES = ("0", "gnd", "vgnd", "ground")
 
@@ -94,7 +82,7 @@ SWEEP_FREQUENCIES.flags.writeable = False
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the Newton iteration fails to converge."""
+    """Raised when an AC system is singular, at one sweep frequency or at all."""
 
 
 @dataclass
@@ -126,7 +114,6 @@ class _VoltageSource:
     name: str
     n_plus: str
     n_minus: str
-    dc: float
     ac: float
 
 
@@ -135,7 +122,6 @@ class _CurrentSource:
     name: str
     n_plus: str
     n_minus: str
-    dc: float
     ac: float
 
 
@@ -152,34 +138,11 @@ class _Vccs:
 
 
 @dataclass
-class _Mosfet:
-    name: str
-    drain: str
-    gate: str
-    source: str
-    model: MosfetModel
-
-
-@dataclass
-class DcSolution:
-    """Result of a DC operating-point analysis."""
-
-    node_voltages: Dict[str, float]
-    source_currents: Dict[str, float]
-    iterations: int
-
-    def voltage(self, node: str) -> float:
-        if node.lower() in GROUND_NAMES:
-            return 0.0
-        return self.node_voltages[node]
-
-
-@dataclass
 class AcSolution:
     """Result of an AC sweep: complex node voltages per frequency.
 
     A lane sweep (``MnaCircuit.ac_analysis`` with ``lane_values``) puts a
-    leading lane axis on every node voltage.
+    leading lane axis on every node voltage, the ground node's included.
     """
 
     frequencies: np.ndarray
@@ -187,7 +150,8 @@ class AcSolution:
 
     def voltage(self, node: str) -> np.ndarray:
         if node.lower() in GROUND_NAMES:
-            return np.zeros_like(self.frequencies, dtype=np.complex128)
+            shape = next(iter(self.node_voltages.values()), self.frequencies).shape
+            return np.zeros(shape, dtype=np.complex128)
         return self.node_voltages[node]
 
     def transfer(self, output_node: str, input_node: str) -> np.ndarray:
@@ -230,7 +194,7 @@ def frequency_response_metrics(
 
 
 class MnaCircuit:
-    """A circuit assembled element by element and solved with MNA."""
+    """A linear circuit assembled element by element and swept with MNA."""
 
     def __init__(self, name: str = "circuit") -> None:
         self.name = name
@@ -240,7 +204,6 @@ class MnaCircuit:
         self._vsources: List[_VoltageSource] = []
         self._isources: List[_CurrentSource] = []
         self._vccs: List[_Vccs] = []
-        self._mosfets: List[_Mosfet] = []
         self._names: set[str] = set()
 
     # ------------------------------------------------------------------
@@ -269,27 +232,21 @@ class MnaCircuit:
         self._register(name)
         self._inductors.append(_Inductor(name, n1, n2, float(value)))
 
-    def add_voltage_source(self, name: str, n_plus: str, n_minus: str, dc: float = 0.0,
-                           ac: float = 0.0) -> None:
+    def add_voltage_source(self, name: str, n_plus: str, n_minus: str, ac: float = 0.0) -> None:
         self._register(name)
-        self._vsources.append(_VoltageSource(name, n_plus, n_minus, float(dc), float(ac)))
+        self._vsources.append(_VoltageSource(name, n_plus, n_minus, float(ac)))
 
-    def add_current_source(self, name: str, n_plus: str, n_minus: str, dc: float = 0.0,
-                           ac: float = 0.0) -> None:
+    def add_current_source(self, name: str, n_plus: str, n_minus: str, ac: float = 0.0) -> None:
         self._register(name)
-        self._isources.append(_CurrentSource(name, n_plus, n_minus, float(dc), float(ac)))
+        self._isources.append(_CurrentSource(name, n_plus, n_minus, float(ac)))
 
     def add_vccs(self, name: str, out_plus: str, out_minus: str, in_plus: str, in_minus: str,
                  gm: float) -> None:
         self._register(name)
         self._vccs.append(_Vccs(name, out_plus, out_minus, in_plus, in_minus, float(gm)))
 
-    def add_mosfet(self, name: str, drain: str, gate: str, source: str, model: MosfetModel) -> None:
-        self._register(name)
-        self._mosfets.append(_Mosfet(name, drain, gate, source, model))
-
     # ------------------------------------------------------------------
-    # Structural introspection (read-only views used by BatchedMNAPlan)
+    # Structural introspection (read-only views)
     # ------------------------------------------------------------------
     @property
     def resistors(self) -> Tuple[_Resistor, ...]:
@@ -315,18 +272,13 @@ class MnaCircuit:
     def vccs_elements(self) -> Tuple[_Vccs, ...]:
         return tuple(self._vccs)
 
-    @property
-    def mosfets(self) -> Tuple[_Mosfet, ...]:
-        return tuple(self._mosfets)
-
     def structure_signature(self) -> Tuple:
         """Hashable topology signature: element kinds, names and node wiring.
 
         Two circuits with equal signatures have identical sparsity patterns,
-        node orderings and stamp orders — exactly the precondition for
-        analysing them in one :class:`BatchedMNAPlan`, which builds that
-        topology once per signature.  Element *values* are deliberately
-        excluded: they are the per-step restamped quantities.
+        node orderings and stamp orders, so :class:`BatchedMNAPlan` builds
+        that topology once per signature.  Element *values* are deliberately
+        excluded: they are the per-lane restamped quantities.
         """
         return (
             tuple(("r", r.name, r.n1, r.n2) for r in self._resistors),
@@ -338,10 +290,6 @@ class MnaCircuit:
                 ("g", g.name, g.out_plus, g.out_minus, g.in_plus, g.in_minus)
                 for g in self._vccs
             ),
-            tuple(
-                ("m", m.name, m.drain, m.gate, m.source, m.model.polarity)
-                for m in self._mosfets
-            ),
         )
 
     def _value_row(self) -> List[float]:
@@ -350,9 +298,7 @@ class MnaCircuit:
             [r.value for r in self._resistors]
             + [c.value for c in self._capacitors]
             + [e.value for e in self._inductors]
-            + [v.dc for v in self._vsources]
             + [v.ac for v in self._vsources]
-            + [s.dc for s in self._isources]
             + [s.ac for s in self._isources]
             + [g.gm for g in self._vccs]
         )
@@ -362,67 +308,37 @@ class MnaCircuit:
         return list(_topology(self.structure_signature()).nodes)
 
     # ------------------------------------------------------------------
-    # Analyses (one-circuit calls into BatchedMNAPlan)
+    # Analysis
     # ------------------------------------------------------------------
-    def dc_operating_point(
-        self,
-        max_iterations: int = 200,
-        tolerance: float = 1e-9,
-        initial_guess: Optional[Dict[str, float]] = None,
-        damping: float = 1.0,
-        max_voltage_step: float = 0.3,
-    ) -> DcSolution:
-        """Solve the nonlinear DC operating point with Newton–Raphson.
-
-        Capacitors are open and inductors are shorts (modelled as 0 V
-        sources) at DC.  Each MOSFET is replaced by its companion model —
-        a conductance/current-source linearization around the present
-        voltage estimate — and the resulting linear system is re-solved until
-        the node voltages stop changing.  See
-        :meth:`BatchedMNAPlan.dc_operating_points` for the arguments.
-        """
-        plan = BatchedMNAPlan.from_circuits([self])
-        return plan.dc_operating_points(
-            max_iterations=max_iterations,
-            tolerance=tolerance,
-            initial_guess=[initial_guess],
-            damping=damping,
-            max_voltage_step=max_voltage_step,
-        )[0]
-
     def ac_analysis(
         self,
         frequencies: Sequence[float],
-        operating_point: Optional[DcSolution] = None,
         lane_values: Optional[Sequence[Mapping[str, float]]] = None,
     ) -> AcSolution:
         """Small-signal frequency sweep.
 
-        Every MOSFET is linearized around ``operating_point`` (which is
-        computed on the fly if not supplied and any MOSFET is present).
-        Independent sources contribute their ``ac`` amplitude; DC values are
-        zeroed as usual for small-signal analysis.
-
-        ``lane_values`` sweeps one copy of this (linear) circuit per entry,
-        each with the elements the entry names restamped to its values
-        (every entry names the same elements), in one
-        :class:`BatchedMNAPlan`; each node voltage then has a leading lane
-        axis.  Lane ``k`` is bitwise the sweep of its own circuit.
+        Independent sources contribute their ``ac`` amplitude.  Without
+        ``lane_values`` this is a sweep of one lane holding the circuit's own
+        values, and each node voltage has shape ``(F,)``.  ``lane_values``
+        sweeps one copy of the circuit per entry, each with the elements the
+        entry names restamped to its values (every entry names the same
+        elements), in one :class:`BatchedMNAPlan`; each node voltage then has
+        a leading lane axis.  Lane ``k`` is bitwise the sweep of its own
+        circuit.
         """
-        if lane_values is None:
-            operating_points = None if operating_point is None else [operating_point]
-            return BatchedMNAPlan.from_circuits([self]).ac_sweep(frequencies, operating_points)[0]
-        plan = BatchedMNAPlan.from_template(self, len(lane_values))
-        plan.restamp(lane_values)
-        frequencies, voltages = plan._sweep(frequencies)
-        return AcSolution(frequencies, dict(zip(plan._topology.nodes, voltages.transpose(1, 0, 2))))
+        plan = BatchedMNAPlan(self, 1 if lane_values is None else len(lane_values))
+        if lane_values is not None:
+            plan.restamp(lane_values)
+        frequencies, voltages = plan.sweep(frequencies)
+        voltages = voltages[0] if lane_values is None else voltages.transpose(1, 0, 2)
+        return AcSolution(frequencies, dict(zip(plan.nodes, voltages)))
 
 
 @dataclass(frozen=True)
 class _Stamps:
-    """One analysis's stamps into a flat per-circuit system vector.
+    """The AC stamps into a flat per-lane system vector.
 
-    Each circuit's system is stored flat as its matrices followed by its
+    Each lane's system is stored flat as its matrices followed by its
     right-hand side.  Stamp ``r`` adds ``signs[r] * table[:, columns[r]]``
     at ``positions[r]``; every entry starts at ``0.0`` and accumulates its
     stamps in order.  The right-hand-side entries ``assigned`` (voltage
@@ -459,7 +375,7 @@ class _Stamps:
         """The ``(K, length)`` stacked systems for the value ``table``."""
         K = table.shape[0]
         # bincount adds its weights in input order, so each entry sums its
-        # own circuit's stamps in stamp order, whatever K is.
+        # own lane's stamps in stamp order, whatever K is.
         bins = (np.arange(K)[:, None] * self.length + self.positions).ravel()
         weights = (table[:, self.columns] * self.signs).ravel()
         system = np.bincount(bins, weights, minlength=K * self.length)
@@ -469,34 +385,25 @@ class _Stamps:
 
 
 #: Value kinds of one circuit's value row, in order (see ``MnaCircuit._value_row``).
-_VALUE_KINDS = ("res", "cap", "ind", "vsrc_dc", "vsrc_ac", "isrc_dc", "isrc_ac", "vccs")
+_VALUE_KINDS = ("res", "cap", "ind", "vsrc", "isrc", "vccs")
 
 
 @dataclass(frozen=True)
 class _Topology:
     """Everything an MNA plan derives from a circuit's structure alone.
 
-    A plan stamps from a value table with one row per circuit: the element
+    A plan stamps from a value table with one row per lane: the element
     values in :data:`_VALUE_KINDS` order (resistances replaced by
-    conductances), then the linearized MOSFET ``gm`` and ``gds``, then a
-    constant ``1.0`` for the branch-row incidence stamps.  The AC system is
-    ``[G | C | b]`` (``n × n``, ``n × n``, ``n``) for ``(G + jωC) x = b``;
-    the DC system is ``[G | b]``, capacitors open and inductors shorted.
+    conductances), then a constant ``1.0`` for the branch-row incidence
+    stamps.  The system is ``[G | C | b]`` (``n × n``, ``n × n``, ``n``) for
+    ``(G + jωC) x = b``.
     """
 
     nodes: Tuple[str, ...]
-    index: Mapping[str, int]
     size: int
-    branch_names: Tuple[str, ...]
     resistor_columns: slice
     element_columns: Mapping[str, int]  # restampable element -> value-row column
-    mosfet_nodes: Tuple[Tuple[Optional[int], Optional[int], Optional[int]], ...]
-    ac: _Stamps
-    dc: _Stamps
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
+    stamps: _Stamps
 
 
 @functools.lru_cache(maxsize=64)
@@ -504,15 +411,15 @@ def _topology(signature: Tuple) -> _Topology:
     """The plan topology of one :meth:`MnaCircuit.structure_signature`, built once.
 
     Nodes are numbered in first-appearance order over resistors, capacitors,
-    inductors, voltage sources, current sources, VCCSs and MOSFETs; stamps
-    follow the same element order, so every matrix entry accumulates its
-    contributions in one fixed order.
+    inductors, voltage sources, current sources and VCCSs.  Stamps go in one
+    fixed order — the C block (capacitors, then inductors), resistors,
+    VCCSs, branch rows, current sources — so every matrix entry accumulates
+    its contributions in that order.
     """
-    resistors, capacitors, inductors, vsources, isources, vccs, mosfets = signature
+    resistors, capacitors, inductors, vsources, isources, vccs = signature
     nodes: Dict[str, None] = {}
     for group, width in (
-        (resistors, 2), (capacitors, 2), (inductors, 2), (vsources, 2), (isources, 2),
-        (vccs, 4), (mosfets, 3),
+        (resistors, 2), (capacitors, 2), (inductors, 2), (vsources, 2), (isources, 2), (vccs, 4),
     ):
         for entry in group:
             for net in entry[2:2 + width]:
@@ -522,18 +429,19 @@ def _topology(signature: Tuple) -> _Topology:
     num_nodes = len(index)
     size = num_nodes + len(vsources) + len(inductors)
     matrix = size * size
+    rhs_offset = 2 * matrix
 
-    groups = (resistors, capacitors, inductors, vsources, vsources, isources, isources, vccs)
+    groups = (resistors, capacitors, inductors, vsources, isources, vccs)
     starts = np.cumsum([0] + [len(group) for group in groups]).tolist()
     kind_start = dict(zip(_VALUE_KINDS, starts))
-    gm_start = starts[-1]
-    gds_start = gm_start + len(mosfets)
-    one = gds_start + len(mosfets)
+    one = starts[-1]
 
     def node(net: str) -> Optional[int]:
         return None if net.lower() in GROUND_NAMES else index[net]
 
-    def admittance(stamps: list, offset: int, column: int, n1: str, n2: str) -> None:
+    stamps: List[Tuple[int, int, float]] = []
+
+    def admittance(offset: int, column: int, n1: str, n2: str) -> None:
         i, j = node(n1), node(n2)
         if i is not None:
             stamps.append((offset + i * size + i, column, 1.0))
@@ -543,60 +451,36 @@ def _topology(signature: Tuple) -> _Topology:
             stamps.append((offset + i * size + j, column, -1.0))
             stamps.append((offset + j * size + i, column, -1.0))
 
-    def transconductance(stamps: list, column: int, out_plus: str, out_minus: str,
-                         in_plus: str, in_minus: str) -> None:
+    for idx, (_, _, n1, n2) in enumerate(capacitors):
+        admittance(matrix, kind_start["cap"] + idx, n1, n2)
+    for branch in range(len(inductors)):
+        row = num_nodes + len(vsources) + branch
+        stamps.append((matrix + row * size + row, kind_start["ind"] + branch, -1.0))
+    for idx, (_, _, n1, n2) in enumerate(resistors):
+        admittance(0, kind_start["res"] + idx, n1, n2)
+    for idx, (_, _, out_plus, out_minus, in_plus, in_minus) in enumerate(vccs):
         for out_node, out_sign in ((node(out_plus), 1.0), (node(out_minus), -1.0)):
             if out_node is None:
                 continue
             for in_node, in_sign in ((node(in_plus), 1.0), (node(in_minus), -1.0)):
                 if in_node is not None:
-                    stamps.append((out_node * size + in_node, column, out_sign * in_sign))
-
-    def branch_rows(stamps: list, row: int, n_plus: str, n_minus: str) -> None:
+                    stamps.append((out_node * size + in_node, kind_start["vccs"] + idx,
+                                   out_sign * in_sign))
+    # Branch rows: voltage sources, then inductors.
+    for branch, (_, _, n_plus, n_minus) in enumerate(vsources + inductors):
+        row = num_nodes + branch
         for n, sign in ((node(n_plus), 1.0), (node(n_minus), -1.0)):
             if n is not None:
                 stamps.append((n * size + row, one, sign))
                 stamps.append((row * size + n, one, sign))
-
-    def system(analysis: str, rhs_offset: int, stamps: list) -> _Stamps:
-        """Append the ``G`` stamps shared by AC and DC, then the sources."""
-        for idx, (_, _, n1, n2) in enumerate(resistors):
-            admittance(stamps, 0, kind_start["res"] + idx, n1, n2)
-        for idx, (_, _, op, om, ip, im) in enumerate(vccs):
-            transconductance(stamps, kind_start["vccs"] + idx, op, om, ip, im)
-        if analysis == "ac":
-            # Linearized MOSFETs; at DC their companion stamps are live.
-            for idx, (_, _, drain, gate, source, _) in enumerate(mosfets):
-                transconductance(stamps, gm_start + idx, drain, source, gate, source)
-                admittance(stamps, 0, gds_start + idx, drain, source)
-        # Branch rows: voltage sources, then inductors (0 V sources at DC).
-        for branch, (_, _, n_plus, n_minus) in enumerate(vsources + inductors):
-            branch_rows(stamps, num_nodes + branch, n_plus, n_minus)
-        for idx, (_, _, n_plus, n_minus) in enumerate(isources):
-            for n, sign in ((node(n_plus), -1.0), (node(n_minus), 1.0)):
-                if n is not None:
-                    stamps.append((rhs_offset + n, kind_start[f"isrc_{analysis}"] + idx, sign))
-        return _Stamps.of(
-            rhs_offset + size,
-            stamps,
-            [rhs_offset + num_nodes + branch for branch in range(len(vsources))],
-            [kind_start[f"vsrc_{analysis}"] + branch for branch in range(len(vsources))],
-        )
-
-    # The AC list starts with the C block; no C stamp shares an entry with
-    # a G stamp, so G accumulates in the same order as at DC.
-    capacitance: list = []
-    for idx, (_, _, n1, n2) in enumerate(capacitors):
-        admittance(capacitance, matrix, kind_start["cap"] + idx, n1, n2)
-    for branch in range(len(inductors)):
-        row = num_nodes + len(vsources) + branch
-        capacitance.append((matrix + row * size + row, kind_start["ind"] + branch, -1.0))
+    for idx, (_, _, n_plus, n_minus) in enumerate(isources):
+        for n, sign in ((node(n_plus), -1.0), (node(n_minus), 1.0)):
+            if n is not None:
+                stamps.append((rhs_offset + n, kind_start["isrc"] + idx, sign))
 
     return _Topology(
         nodes=tuple(index),
-        index=MappingProxyType(index),
         size=size,
-        branch_names=tuple(entry[1] for entry in vsources + inductors),
         resistor_columns=slice(kind_start["res"], kind_start["cap"]),
         element_columns=MappingProxyType({
             entry[1]: kind_start[kind] + idx
@@ -604,11 +488,12 @@ def _topology(signature: Tuple) -> _Topology:
                                 ("ind", inductors), ("vccs", vccs))
             for idx, entry in enumerate(group)
         }),
-        mosfet_nodes=tuple(
-            (node(drain), node(gate), node(source)) for _, _, drain, gate, source, _ in mosfets
+        stamps=_Stamps.of(
+            rhs_offset + size,
+            stamps,
+            [rhs_offset + num_nodes + branch for branch in range(len(vsources))],
+            [kind_start["vsrc"] + branch for branch in range(len(vsources))],
         ),
-        ac=system("ac", 2 * matrix, capacitance),
-        dc=system("dc", matrix, []),
     )
 
 
@@ -618,68 +503,27 @@ def _keep_order(eigenvalue: complex) -> int:
 
 
 class BatchedMNAPlan:
-    """Stacked AC/DC evaluation of ``K`` structurally identical circuits.
+    """Stacked AC sweep of ``num_lanes`` lanes of one circuit.
 
-    Build it with :meth:`from_circuits` (concrete circuits, MOSFETs allowed)
-    or :meth:`from_template` (one linear circuit whose element values are
-    then restamped per lane with :meth:`restamp`).
-    Node ordering and stamps come from the shared topology of the circuits'
-    :meth:`~MnaCircuit.structure_signature`, built once per signature; a
-    plan itself only holds the ``(K, V)`` element values.  A singular system
-    raises :class:`ConvergenceError` naming the circuit and, for AC, the
-    first singular frequency.
+    Every lane starts at the circuit's element values; :meth:`restamp`
+    gives each lane its own.  Node ordering and stamps come from the
+    topology of the circuit's :meth:`~MnaCircuit.structure_signature`, built
+    once per signature; a plan itself only holds the ``(K, V)`` element
+    values.  A singular system raises :class:`ConvergenceError` naming the
+    circuit and the first singular frequency.
     """
 
-    def __init__(
-        self,
-        topology: _Topology,
-        values: np.ndarray,
-        name: str,
-        circuits: Optional[List[MnaCircuit]] = None,
-    ) -> None:
-        self._topology = topology
-        self._values = values
-        self._name = name
-        self._circuits = circuits
-        self.num_circuits = values.shape[0]
-        self.num_nodes = topology.num_nodes
-        self.size = topology.size
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_circuits(cls, circuits: Sequence[MnaCircuit]) -> "BatchedMNAPlan":
-        """Plan over concrete circuits (stacks their element values)."""
-        circuits = list(circuits)
-        if not circuits:
-            raise ValueError("BatchedMNAPlan requires at least one circuit")
-        signature = circuits[0].structure_signature()
-        for circuit in circuits[1:]:
-            if circuit.structure_signature() != signature:
-                raise ValueError(f"circuit '{circuit.name}' does not match the plan topology")
-        values = np.array([circuit._value_row() for circuit in circuits], dtype=np.float64)
-        return cls(_topology(signature), values, circuits[0].name, circuits)
-
-    @classmethod
-    def from_template(cls, template: MnaCircuit, num_circuits: int) -> "BatchedMNAPlan":
-        """Plan from one template circuit; restamp values via :meth:`restamp`.
-
-        Template mode carries no per-circuit MOSFET models, so nonlinear
-        circuits must use :meth:`from_circuits`.
-        """
-        if template.mosfets:
-            raise ValueError(
-                "template-mode BatchedMNAPlan does not support MOSFETs; use from_circuits"
-            )
-        if num_circuits <= 0:
-            raise ValueError("BatchedMNAPlan requires at least one circuit")
-        row = np.array(template._value_row(), dtype=np.float64)
-        values = np.tile(row, (int(num_circuits), 1))
-        return cls(_topology(template.structure_signature()), values, template.name)
+    def __init__(self, circuit: MnaCircuit, num_lanes: int) -> None:
+        if num_lanes <= 0:
+            raise ValueError("BatchedMNAPlan requires at least one lane")
+        self._topology = _topology(circuit.structure_signature())
+        row = np.array(circuit._value_row(), dtype=np.float64)
+        self._values = np.tile(row, (int(num_lanes), 1))
+        self._name = circuit.name
+        self.nodes = self._topology.nodes
 
     def restamp(self, lane_values: Sequence[Mapping[str, float]]) -> None:
-        """Restamp circuit ``k`` from ``lane_values[k]``, in one assignment.
+        """Restamp lane ``k`` from ``lane_values[k]``, in one assignment.
 
         Every lane names the same elements (the per-step hot path of
         :func:`template_sweep_metrics`).
@@ -693,58 +537,23 @@ class BatchedMNAPlan:
             [values[name] for name in names] for values in lane_values
         ]
 
-    def _value_table(self, mosfet_lin: Optional[Dict[str, np.ndarray]] = None) -> np.ndarray:
-        """Per-circuit stamp values: element values, MOSFET ``gm``/``gds``, ``1.0``."""
+    def _value_table(self) -> np.ndarray:
+        """Per-lane stamp values: element values (conductances for resistors), ``1.0``."""
         K, num_values = self._values.shape
-        num_mos = len(self._topology.mosfet_nodes)
-        table = np.zeros((K, num_values + 2 * num_mos + 1))
+        table = np.zeros((K, num_values + 1))
         table[:, :num_values] = self._values
         resistors = self._topology.resistor_columns
         table[:, resistors] = 1.0 / self._values[:, resistors]
-        if mosfet_lin is not None:
-            table[:, num_values:num_values + num_mos] = mosfet_lin["mos_gm"]
-            table[:, num_values + num_mos:-1] = mosfet_lin["mos_gds"]
         table[:, -1] = 1.0
         return table
 
-    def _circuit_name(self, k: int) -> str:
-        if self._circuits is not None:
-            return self._circuits[k].name
-        return self._name
+    def sweep(self, frequencies: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+        """Every lane's sweep as ``(frequencies, voltages)``.
 
-    # ------------------------------------------------------------------
-    # AC analysis
-    # ------------------------------------------------------------------
-    def ac_sweep(
-        self,
-        frequencies: Sequence[float],
-        operating_points: Optional[Sequence[DcSolution]] = None,
-    ) -> List[AcSolution]:
-        """Small-signal sweep of every circuit over ``frequencies``.
-
-        MOSFETs are linearized around ``operating_points`` (one per circuit),
-        computed with :meth:`dc_operating_points` when not supplied.
-        """
-        frequencies, voltages = self._sweep(frequencies, operating_points)
-        return [
-            AcSolution(
-                frequencies=frequencies.copy(),
-                node_voltages=dict(zip(self._topology.nodes, voltages[k])),
-            )
-            for k in range(self.num_circuits)
-        ]
-
-    def _sweep(
-        self,
-        frequencies: Sequence[float],
-        operating_points: Optional[Sequence[DcSolution]] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The sweep of :meth:`ac_sweep` as ``(frequencies, voltages)``.
-
-        ``voltages`` is ``(K, nodes, F)``.  Each circuit's
-        ``(G + jωC) x = b`` is reduced once (see the module's "Schur-form AC
-        sweep") and every frequency is then one back-substitution,
-        vectorised over the circuits and the sweep.
+        ``voltages`` is ``(K, nodes, F)``.  Each lane's ``(G + jωC) x = b``
+        is reduced once (see the module's "Schur-form AC sweep") and every
+        frequency is then one back-substitution, vectorised over the lanes
+        and the sweep.
         """
         frequencies = np.array(frequencies, dtype=np.float64)
         if frequencies.ndim != 1 or frequencies.size == 0:
@@ -752,15 +561,9 @@ class BatchedMNAPlan:
         if frequencies.min() <= 0:
             raise ValueError("AC analysis requires positive frequencies")
 
-        mosfet_lin = None
-        if self._topology.mosfet_nodes:
-            if operating_points is None:
-                operating_points = self.dc_operating_points()
-            mosfet_lin = self._linearize_mosfets(operating_points)
-
         topology = self._topology
-        K, n, num_nodes = self.num_circuits, self.size, self.num_nodes
-        system = topology.ac.apply(self._value_table(mosfet_lin))
+        K, n, num_nodes = self._values.shape[0], topology.size, len(topology.nodes)
+        system = topology.stamps.apply(self._value_table())
         matrices = system[:, :2 * n * n].reshape(K, 2, n, n)
 
         shift = np.zeros(K)
@@ -768,7 +571,7 @@ class BatchedMNAPlan:
         basis = np.empty((K, num_nodes, n), dtype=np.complex128)
         projected = np.empty((K, n), dtype=np.complex128)
         for k in range(K):
-            reduced = self._schur_reduce(k, matrices[k, 0], matrices[k, 1], system[k, -n:],
+            reduced = self._schur_reduce(matrices[k, 0], matrices[k, 1], system[k, -n:],
                                          frequencies)
             if reduced is None:
                 basis[k] = projected[k] = np.nan
@@ -793,9 +596,9 @@ class BatchedMNAPlan:
         return frequencies, voltages
 
     def _schur_reduce(
-        self, k: int, g: np.ndarray, c: np.ndarray, b: np.ndarray, frequencies: np.ndarray
+        self, g: np.ndarray, c: np.ndarray, b: np.ndarray, frequencies: np.ndarray
     ) -> Optional[Tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
-        """One circuit's ``(σ, T, Q, Qᴴw)``: ``(G + jσC)⁻¹C = QTQᴴ``, ``w = (G + jσC)⁻¹b``.
+        """One lane's ``(σ, T, Q, Qᴴw)``: ``(G + jσC)⁻¹C = QTQᴴ``, ``w = (G + jσC)⁻¹b``.
 
         ``σ = 0`` unless ``G`` is singular (a node reached only through
         capacitors); then ``σ`` is the geometric centre of the sweep's
@@ -816,16 +619,13 @@ class BatchedMNAPlan:
             *_, reduced, info = zgesv(g + (1j * shift) * c, operands)
             if info > 0:
                 raise ConvergenceError(
-                    f"singular AC MNA matrix in '{self._circuit_name(k)}' "
-                    f"at f={frequencies[0]:.3g} Hz"
+                    f"singular AC MNA matrix in '{self._name}' at f={frequencies[0]:.3g} Hz"
                 )
         if not np.isfinite(reduced).all():
             return None
         schur, _, _, vectors, _, info = zgees(_keep_order, reduced[:, :n])
         if info != 0:
-            raise ConvergenceError(
-                f"Schur reduction of the AC MNA system in '{self._circuit_name(k)}' failed"
-            )
+            raise ConvergenceError(f"Schur reduction of the AC MNA system in '{self._name}' failed")
         return shift, schur, vectors, vectors.conj().T @ reduced[:, n]
 
     def _check_pivots(
@@ -849,182 +649,10 @@ class BatchedMNAPlan:
             return
         vanished = (np.abs(pivots) <= tolerance[:, :, None] * np.abs(s)).any(axis=0)
         if vanished.any():
-            k, f_index = np.argwhere(vanished)[0]
+            f_index = np.argwhere(vanished)[0][1]
             raise ConvergenceError(
-                f"singular AC MNA matrix in '{self._circuit_name(int(k))}' "
-                f"at f={frequencies[f_index]:.3g} Hz"
+                f"singular AC MNA matrix in '{self._name}' at f={frequencies[f_index]:.3g} Hz"
             )
-
-    def _linearize_mosfets(self, operating_points: Sequence[DcSolution]) -> Dict[str, np.ndarray]:
-        assert self._circuits is not None, "MOSFET plans require from_circuits"
-        num_mos = len(self._topology.mosfet_nodes)
-        gm = np.zeros((self.num_circuits, num_mos))
-        gds = np.zeros((self.num_circuits, num_mos))
-        for k, circuit in enumerate(self._circuits):
-            op_point = operating_points[k]
-            for m_idx, m in enumerate(circuit.mosfets):
-                vg = op_point.voltage(m.gate)
-                vd = op_point.voltage(m.drain)
-                vs = op_point.voltage(m.source)
-                op = m.model.operating_point(vg - vs, vd - vs)
-                gm[k, m_idx] = op.gm
-                gds[k, m_idx] = max(op.gds, 1e-12)
-        return {"mos_gm": gm, "mos_gds": gds}
-
-    # ------------------------------------------------------------------
-    # DC analysis (batched Newton over the not-yet-converged slice)
-    # ------------------------------------------------------------------
-    def dc_operating_points(
-        self,
-        max_iterations: int = 200,
-        tolerance: float = 1e-9,
-        initial_guess: Optional[Sequence[Optional[Mapping[str, float]]]] = None,
-        damping: float = 1.0,
-        max_voltage_step: float = 0.3,
-    ) -> List[DcSolution]:
-        """Newton–Raphson DC operating point of every circuit.
-
-        ``initial_guess`` holds one optional ``{net: voltage}`` start point
-        per circuit (nets not in the circuit are ignored; the rest start at
-        0 V).  Each iteration's node-voltage update is scaled down so that no
-        node moves more than ``max_voltage_step`` (SPICE-style limiting, so
-        Newton cannot oscillate across the square-law region boundaries of
-        high-gain stages), then multiplied by ``damping``; a circuit has
-        converged once its largest node update is below ``tolerance``.
-        """
-        topology = self._topology
-        K, size, num_nodes = self.num_circuits, self.size, self.num_nodes
-        has_mosfets = bool(topology.mosfet_nodes)
-        if has_mosfets and self._circuits is None:
-            raise ValueError("MOSFET DC analysis requires a from_circuits plan")
-        if initial_guess is not None and len(initial_guess) != K:
-            raise ValueError(f"{len(initial_guess)} initial guesses for {K} circuits")
-
-        system = topology.dc.apply(self._value_table())
-        base_matrix = system[:, :size * size].reshape(K, size, size)
-        base_rhs = system[:, size * size:]
-
-        solution = np.zeros((K, size))
-        for k, guess in enumerate(initial_guess or ()):
-            for net, value in (guess or {}).items():
-                if net in topology.index:
-                    solution[k, topology.index[net]] = value
-        iterations = np.zeros(K, dtype=np.int64)
-        active = np.arange(K)
-        for iteration in range(1, max_iterations + 1):
-            matrix = base_matrix[active].copy()
-            rhs = base_rhs[active].copy()
-            if has_mosfets:
-                assert self._circuits is not None
-                for pos, k in enumerate(active):
-                    self._stamp_mosfet_companions(
-                        self._circuits[k], solution[k], matrix[pos], rhs[pos]
-                    )
-            try:
-                # RHS as an explicit (B, n, 1) column: a plain (B, n) would be
-                # read as one (m, n) matrix by the solve gufunc, not a stack.
-                new_solution = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                self._raise_singular_dc(matrix, active)
-                raise
-            delta = new_solution - solution[active]
-            node_delta = delta[:, :num_nodes]
-            if num_nodes:
-                largest = np.max(np.abs(node_delta), axis=1)
-            else:
-                largest = np.zeros(len(active))
-            if max_voltage_step > 0.0:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    scale = np.where(largest > max_voltage_step, max_voltage_step / largest, 1.0)
-                delta = delta * scale[:, None]
-            solution[active] = solution[active] + damping * delta
-            converged = np.max(np.abs(delta[:, :num_nodes]), axis=1) < tolerance
-            iterations[active[converged]] = iteration
-            active = active[~converged]
-            if active.size == 0:
-                break
-        else:
-            name = self._circuit_name(int(active[0]))
-            raise ConvergenceError(
-                f"DC analysis of '{name}' did not converge in {max_iterations} iterations"
-            )
-
-        results = []
-        for k in range(K):
-            node_voltages = {
-                node: float(solution[k, topology.index[node]]) for node in topology.nodes
-            }
-            source_currents = {
-                name: float(solution[k, num_nodes + b])
-                for b, name in enumerate(topology.branch_names)
-            }
-            results.append(
-                DcSolution(
-                    node_voltages=node_voltages,
-                    source_currents=source_currents,
-                    iterations=int(iterations[k]),
-                )
-            )
-        return results
-
-    def _raise_singular_dc(self, matrix: np.ndarray, active: np.ndarray) -> None:
-        for pos in range(matrix.shape[0]):
-            try:
-                np.linalg.solve(matrix[pos], np.zeros(self.size))
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(
-                    f"singular MNA matrix in '{self._circuit_name(int(active[pos]))}'"
-                ) from exc
-        raise ConvergenceError(f"singular MNA matrix in '{self._name}'")
-
-    def _stamp_mosfet_companions(
-        self,
-        circuit: MnaCircuit,
-        solution_row: np.ndarray,
-        matrix: np.ndarray,
-        rhs: np.ndarray,
-    ) -> None:
-        """One circuit's MOSFET companion stamps around its Newton iterate.
-
-        Each MOSFET becomes its small-signal linearization at the present
-        estimate: a gate/source-controlled ``gm`` VCCS, a drain–source
-        ``gds`` conductance, and the companion current source
-        ``i_eq = I_D - gm*vgs - gds*vds`` (signed drain → source).
-        """
-
-        def voltage_of(idx: Optional[int]) -> float:
-            return 0.0 if idx is None else float(solution_row[idx])
-
-        for m, (d_idx, g_idx, s_idx) in zip(circuit.mosfets, self._topology.mosfet_nodes):
-            vg = voltage_of(g_idx)
-            vd = voltage_of(d_idx)
-            vs = voltage_of(s_idx)
-            vgs, vds = vg - vs, vd - vs
-            op = m.model.operating_point(vgs, vds)
-            current = m.model.drain_current(vgs, vds)
-            gm, gds = op.gm, max(op.gds, 1e-12)
-            i_eq = current - gm * vgs - gds * vds
-            # VCCS stamp (drain/source controlled by gate/source).
-            for out_node, out_sign in ((d_idx, 1.0), (s_idx, -1.0)):
-                if out_node is None:
-                    continue
-                for in_node, in_sign in ((g_idx, 1.0), (s_idx, -1.0)):
-                    if in_node is None:
-                        continue
-                    matrix[out_node, in_node] += out_sign * in_sign * gm
-            # gds conductance between drain and source.
-            if d_idx is not None:
-                matrix[d_idx, d_idx] += gds
-            if s_idx is not None:
-                matrix[s_idx, s_idx] += gds
-            if d_idx is not None and s_idx is not None:
-                matrix[d_idx, s_idx] -= gds
-                matrix[s_idx, d_idx] -= gds
-            # Companion current source from drain to source.
-            if d_idx is not None:
-                rhs[d_idx] -= i_eq
-            if s_idx is not None:
-                rhs[s_idx] += i_eq
 
 
 def template_sweep_metrics(

@@ -33,9 +33,9 @@ equations.  It reads a lane's values of :attr:`OpAmpSimulator.reads`,
 sliced out of the ``(n, P)`` rows once per ``simulate_rows`` call (the
 columns are resolved once per layout), never a netlist.
 :meth:`OpAmpSimulator.results` is the only evaluation path: for
-``method="mna"`` it sweeps every lane's small-signal circuit in one
-:class:`~repro.simulation.mna.BatchedMNAPlan`.  ``simulate`` is a batch of
-one; a lane's sweep does not depend on its batch, so each lane is bitwise
+``method="mna"`` it sweeps every lane's small-signal circuit as one lane
+of a single :meth:`~repro.simulation.mna.MnaCircuit.ac_analysis` call.
+``simulate`` is a batch of one; a lane's sweep does not depend on its batch, so each lane is bitwise
 ``simulate`` of its netlist.
 """
 
@@ -104,7 +104,7 @@ def _small_signal_values(op: OpAmpOperatingPoint) -> Dict[str, float]:
 def _small_signal_circuit(values: Dict[str, float]) -> MnaCircuit:
     """The two-stage small-signal equivalent with the given element values."""
     circuit = MnaCircuit("opamp_small_signal")
-    circuit.add_voltage_source("VIN", "in", "0", dc=0.0, ac=1.0)
+    circuit.add_voltage_source("VIN", "in", "0", ac=1.0)
     # First stage: gm1 from input into the mid node.
     circuit.add_vccs("GM1", "mid", "0", "in", "0", gm=values["GM1"])
     circuit.add_resistor("R1", "mid", "0", values["R1"])

@@ -19,8 +19,8 @@ As for the op-amp, :meth:`CmOtaSimulator.operating_point` is the only copy
 of the circuit equations, and it reads a lane's values of
 :attr:`CmOtaSimulator.reads` out of the rows, never a netlist;
 :meth:`CmOtaSimulator.results` sweeps the ``method="mna"`` lanes in one
-:class:`~repro.simulation.mna.BatchedMNAPlan`, and ``simulate`` is a batch
-of one.
+:meth:`~repro.simulation.mna.MnaCircuit.ac_analysis` call, and ``simulate``
+is a batch of one.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def _small_signal_values(op: CmOtaOperatingPoint) -> Dict[str, float]:
 def _small_signal_circuit(values: Dict[str, float]) -> MnaCircuit:
     """The single-stage small-signal equivalent with the given element values."""
     circuit = MnaCircuit("cm_ota_small_signal")
-    circuit.add_voltage_source("VIN", "in", "0", dc=0.0, ac=1.0)
+    circuit.add_voltage_source("VIN", "in", "0", ac=1.0)
     circuit.add_vccs("GM", "out", "0", "in", "0", gm=values["GM"])
     circuit.add_resistor("ROUT", "out", "0", values["ROUT"])
     circuit.add_capacitor("CL", "out", "0", values["CL"])

@@ -58,7 +58,7 @@ def test_disk_hits_survive_process_boundaries(tmp_path, netlists):
     first = DiskSimulationCache(sim_a, tmp_path / "cache")
     results = [first.simulate(netlist) for netlist in netlists]
     assert sim_a.calls == len(netlists)
-    assert first.disk_entries() == len(netlists)
+    assert len(list(first.directory.glob("*.json"))) == len(netlists)
 
     second = DiskSimulationCache(sim_b, tmp_path / "cache")
     replayed = [second.simulate(netlist) for netlist in netlists]
@@ -114,10 +114,10 @@ def test_prune_bounds_the_directory(tmp_path, netlists):
     )
     for netlist in netlists:
         cache.simulate(netlist)
-    assert cache.disk_entries() == len(netlists)  # below the periodic check
+    assert len(list(cache.directory.glob("*.json"))) == len(netlists)  # below the periodic check
     removed = cache.prune()
     assert removed == len(netlists) - 2
-    assert cache.disk_entries() == 2
+    assert len(list(cache.directory.glob("*.json"))) == 2
 
 
 def test_invalid_limits_rejected(tmp_path):

@@ -1,12 +1,12 @@
-"""Per-frequency MNA reference: the scalar DC/AC loops the engine must match.
+"""Per-frequency MNA reference: the scalar AC loop the engine must match.
 
-These are the original interpreted ``MnaCircuit.dc_operating_point`` and
-``MnaCircuit.ac_analysis`` bodies, kept only in the test suite: one dense
-``(n, n)`` system is stamped element by element and solved per Newton
-iteration or per frequency.  The stacked :class:`~repro.simulation.mna.
-BatchedMNAPlan` is asserted bitwise-identical to them (values, iteration
-counts and ``ConvergenceError`` messages).  ``response_metrics`` is the
-op-amp simulator's original AC post-processing, the reference for
+This is the original interpreted ``MnaCircuit.ac_analysis`` body, kept only
+in the test suite: one dense ``(n, n)`` system is stamped element by element
+and solved per frequency.  The Schur-form sweep of
+:class:`~repro.simulation.mna.BatchedMNAPlan` is held to it within the
+tolerance contract of :mod:`repro.simulation.mna`, and its
+``ConvergenceError`` messages are asserted equal.  ``response_metrics`` is
+the op-amp simulator's original AC post-processing, the reference for
 :func:`~repro.simulation.mna.frequency_response_metrics`.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from repro.simulation.mna import (
     GROUND_NAMES,
     AcSolution,
     ConvergenceError,
-    DcSolution,
     MnaCircuit,
 )
 
@@ -40,144 +39,13 @@ def _stamp_vccs(matrix: np.ndarray, node_idx, out_plus: str, out_minus: str,
             matrix[out_node, in_node] += out_sign * in_sign * gm
 
 
-def dc_operating_point(
-    circuit: MnaCircuit,
-    max_iterations: int = 200,
-    tolerance: float = 1e-9,
-    initial_guess: Optional[Dict[str, float]] = None,
-    damping: float = 1.0,
-    max_voltage_step: float = 0.3,
-) -> DcSolution:
-    """Newton–Raphson DC operating point, one dense solve per iteration."""
-    nodes = circuit.node_names
-    index = {node: i for i, node in enumerate(nodes)}
-    num_nodes = len(nodes)
-    # Branch unknowns: every voltage source and every inductor (short).
-    branch_elements: List[Tuple[str, str, str, float]] = [
-        (v.name, v.n_plus, v.n_minus, v.dc) for v in circuit.vsources
-    ] + [(l.name, l.n1, l.n2, 0.0) for l in circuit.inductors]  # noqa: E741
-    num_branches = len(branch_elements)
-    size = num_nodes + num_branches
-
-    def node_idx(net: str) -> Optional[int]:
-        if net.lower() in GROUND_NAMES:
-            return None
-        return index[net]
-
-    voltages = np.zeros(num_nodes)
-    if initial_guess:
-        for net, value in initial_guess.items():
-            if net in index:
-                voltages[index[net]] = value
-
-    def voltage_of(net: str, vec: np.ndarray) -> float:
-        idx = node_idx(net)
-        return 0.0 if idx is None else float(vec[idx])
-
-    solution = np.zeros(size)
-    solution[:num_nodes] = voltages
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        matrix = np.zeros((size, size))
-        rhs = np.zeros(size)
-
-        def stamp_conductance(n1: str, n2: str, g: float) -> None:
-            i, j = node_idx(n1), node_idx(n2)
-            if i is not None:
-                matrix[i, i] += g
-            if j is not None:
-                matrix[j, j] += g
-            if i is not None and j is not None:
-                matrix[i, j] -= g
-                matrix[j, i] -= g
-
-        def stamp_current(n_plus: str, n_minus: str, current: float) -> None:
-            # Current flows from n_plus through the source to n_minus
-            # (i.e. it is injected into n_minus and drawn from n_plus).
-            i, j = node_idx(n_plus), node_idx(n_minus)
-            if i is not None:
-                rhs[i] -= current
-            if j is not None:
-                rhs[j] += current
-
-        for r in circuit.resistors:
-            stamp_conductance(r.n1, r.n2, 1.0 / r.value)
-        for g in circuit.vccs_elements:
-            _stamp_vccs(matrix, node_idx, g.out_plus, g.out_minus, g.in_plus, g.in_minus, g.gm)
-        for src in circuit.isources:
-            stamp_current(src.n_plus, src.n_minus, src.dc)
-
-        # MOSFET companion models.
-        for m in circuit.mosfets:
-            vg = voltage_of(m.gate, solution)
-            vd = voltage_of(m.drain, solution)
-            vs = voltage_of(m.source, solution)
-            vgs, vds = vg - vs, vd - vs
-            op = m.model.operating_point(vgs, vds)
-            current = m.model.drain_current(vgs, vds)
-            gm, gds = op.gm, max(op.gds, 1e-12)
-            # Companion current source: i_eq = I_D - gm*vgs - gds*vds
-            # (signed drain->source current).
-            i_eq = current - gm * vgs - gds * vds
-            _stamp_vccs(matrix, node_idx, m.drain, m.source, m.gate, m.source, gm)
-            stamp_conductance(m.drain, m.source, gds)
-            stamp_current(m.drain, m.source, i_eq)
-
-        # Voltage sources and inductors as branch equations.
-        for branch, (name, n_plus, n_minus, value) in enumerate(branch_elements):
-            row = num_nodes + branch
-            i, j = node_idx(n_plus), node_idx(n_minus)
-            if i is not None:
-                matrix[i, row] += 1.0
-                matrix[row, i] += 1.0
-            if j is not None:
-                matrix[j, row] -= 1.0
-                matrix[row, j] -= 1.0
-            rhs[row] = value
-
-        try:
-            new_solution = np.linalg.solve(matrix, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular MNA matrix in '{circuit.name}'") from exc
-        delta = new_solution - solution
-        # Limit per-iteration node-voltage updates (standard SPICE-style
-        # damping) so Newton cannot oscillate across the square-law
-        # region boundaries of high-gain stages.
-        node_delta = delta[:num_nodes]
-        largest = np.max(np.abs(node_delta)) if num_nodes else 0.0
-        if max_voltage_step > 0.0 and largest > max_voltage_step:
-            delta = delta * (max_voltage_step / largest)
-        solution = solution + damping * delta
-        if np.max(np.abs(delta[:num_nodes])) < tolerance:
-            break
-    else:
-        raise ConvergenceError(
-            f"DC analysis of '{circuit.name}' did not converge in {max_iterations} iterations"
-        )
-
-    node_voltages = {node: float(solution[index[node]]) for node in nodes}
-    source_currents = {
-        name: float(solution[num_nodes + k])
-        for k, (name, _, _, _) in enumerate(branch_elements)
-    }
-    return DcSolution(node_voltages=node_voltages, source_currents=source_currents,
-                      iterations=iterations)
-
-
-def ac_analysis(
-    circuit: MnaCircuit,
-    frequencies: Sequence[float],
-    operating_point: Optional[DcSolution] = None,
-) -> AcSolution:
+def ac_analysis(circuit: MnaCircuit, frequencies: Sequence[float]) -> AcSolution:
     """Small-signal sweep, one dense complex solve per frequency."""
     frequencies = np.asarray(list(frequencies), dtype=np.float64)
     if frequencies.ndim != 1 or frequencies.size == 0:
         raise ValueError("frequencies must be a non-empty 1-D sequence")
     if np.any(frequencies <= 0):
         raise ValueError("AC analysis requires positive frequencies")
-
-    if circuit.mosfets and operating_point is None:
-        operating_point = dc_operating_point(circuit)
 
     nodes = circuit.node_names
     index = {node: i for i, node in enumerate(nodes)}
@@ -191,16 +59,6 @@ def ac_analysis(
         if net.lower() in GROUND_NAMES:
             return None
         return index[net]
-
-    # Pre-compute linearized MOSFET parameters.
-    linearized = []
-    for m in circuit.mosfets:
-        assert operating_point is not None
-        vg = operating_point.voltage(m.gate)
-        vd = operating_point.voltage(m.drain)
-        vs = operating_point.voltage(m.source)
-        op = m.model.operating_point(vg - vs, vd - vs)
-        linearized.append((m, op.gm, max(op.gds, 1e-12)))
 
     results = {node: np.zeros(frequencies.size, dtype=np.complex128) for node in nodes}
     for f_index, frequency in enumerate(frequencies):
@@ -224,9 +82,6 @@ def ac_analysis(
             stamp_admittance(c.n1, c.n2, 1j * omega * c.value)
         for g in circuit.vccs_elements:
             _stamp_vccs(matrix, node_idx, g.out_plus, g.out_minus, g.in_plus, g.in_minus, g.gm)
-        for m, gm, gds in linearized:
-            _stamp_vccs(matrix, node_idx, m.drain, m.source, m.gate, m.source, gm)
-            stamp_admittance(m.drain, m.source, gds)
         for src in circuit.isources:
             i, j = node_idx(src.n_plus), node_idx(src.n_minus)
             if i is not None:

@@ -1,12 +1,11 @@
-"""BatchedMNAPlan against the per-frequency reference engine.
+"""The MNA lane sweep against the per-frequency reference engine.
 
-``mna_reference`` holds the original one-system-per-frequency loops.  DC
-analysis must reproduce them bit for bit.  The AC sweep reduces each circuit
-to Schur form once instead of solving every frequency, so it rounds
-differently and is held to the tolerance contract in the "Numerical
-contract" section of ``repro.simulation.mna`` (``AC_RTOL`` below).  What
-stays bitwise is lane invariance: a circuit's sweep does not depend on the
-batch it is solved in.
+``mna_reference`` holds the original one-system-per-frequency loop.  The
+sweep reduces each lane to Schur form once instead of solving every
+frequency, so it rounds differently and is held to the tolerance contract in
+the "Numerical contract" section of ``repro.simulation.mna`` (``AC_RTOL``
+below).  What stays bitwise is lane invariance: a circuit's sweep does not
+depend on the lanes it is swept with.
 """
 
 from __future__ import annotations
@@ -21,14 +20,13 @@ import repro
 from repro.parallel.cache import SimulationCache
 from repro.simulation.mna import (
     SWEEP_FREQUENCIES,
-    BatchedMNAPlan,
+    AcSolution,
     ConvergenceError,
     MnaCircuit,
+    _topology,
     frequency_response_metrics,
 )
-from repro.simulation.mosfet import MosfetModel
 from repro.simulation.opamp_sim import OpAmpSimulator
-from repro.simulation.technology import CMOS_45NM
 
 FREQUENCIES = np.logspace(1, 9, 57)
 
@@ -41,7 +39,7 @@ AC_RTOL = 1e-9
 def _two_pole_circuit(gm=1e-3, r1=5e4, c1=2e-12, r2=2e5, c2=1e-12) -> MnaCircuit:
     """Linear two-stage small-signal circuit (vsource, VCCS, RC loads)."""
     circuit = MnaCircuit("two_pole")
-    circuit.add_voltage_source("VIN", "in", "0", dc=0.0, ac=1.0)
+    circuit.add_voltage_source("VIN", "in", "0", ac=1.0)
     circuit.add_vccs("GM1", "mid", "0", "in", "0", gm=-gm)
     circuit.add_resistor("R1", "mid", "0", r1)
     circuit.add_capacitor("C1", "mid", "0", c1)
@@ -51,32 +49,26 @@ def _two_pole_circuit(gm=1e-3, r1=5e4, c1=2e-12, r2=2e5, c2=1e-12) -> MnaCircuit
     return circuit
 
 
+def _two_pole_lane(gm=1e-3, r1=5e4, c1=2e-12, r2=2e5, c2=1e-12) -> dict:
+    """The element values of ``_two_pole_circuit`` with the same arguments."""
+    return {"GM1": -gm, "R1": r1, "C1": c1, "GM2": 2.0 * gm, "R2": r2, "C2": c2}
+
+
 def _rlc_circuit(inductance=1e-6) -> MnaCircuit:
     """Inductor branch rows, a current source and a floating capacitor."""
     circuit = MnaCircuit("rlc")
-    circuit.add_voltage_source("VIN", "in", "0", dc=1.0, ac=1.0)
+    circuit.add_voltage_source("VIN", "in", "0", ac=1.0)
     circuit.add_inductor("L1", "in", "mid", inductance)
     circuit.add_capacitor("C1", "mid", "out", 1e-9)
     circuit.add_resistor("R1", "out", "0", 10.0)
-    circuit.add_current_source("I1", "0", "out", dc=1e-3, ac=0.5)
-    return circuit
-
-
-def _mosfet_amplifier(width=2e-6, vg=0.7) -> MnaCircuit:
-    """Nonlinear common-source stage: DC Newton + linearized AC."""
-    circuit = MnaCircuit("cs_amp")
-    circuit.add_voltage_source("VDD", "vdd", "0", dc=1.1)
-    circuit.add_voltage_source("VG", "g", "0", dc=vg, ac=1.0)
-    circuit.add_resistor("RD", "vdd", "d", 2e4)
-    circuit.add_capacitor("CL", "d", "0", 1e-13)
-    circuit.add_mosfet("M1", "d", "g", "0", MosfetModel(CMOS_45NM, "nmos", width, 2))
+    circuit.add_current_source("I1", "0", "out", ac=0.5)
     return circuit
 
 
 def _cascade(resistance=1e4, capacitance=1e-12) -> MnaCircuit:
     """Two identical RC stages: ``G⁻¹C`` has one eigenvalue in a Jordan block."""
     circuit = MnaCircuit("cascade")
-    circuit.add_voltage_source("VIN", "in", "0", dc=0.0, ac=1.0)
+    circuit.add_voltage_source("VIN", "in", "0", ac=1.0)
     circuit.add_vccs("GM1", "mid", "0", "in", "0", gm=-1e-3)
     circuit.add_resistor("R1", "mid", "0", resistance)
     circuit.add_capacitor("C1", "mid", "0", capacitance)
@@ -89,14 +81,17 @@ def _cascade(resistance=1e4, capacitance=1e-12) -> MnaCircuit:
 def _dc_floating(capacitance=1e-12) -> MnaCircuit:
     """Current source → series C → R: node ``a`` has no DC path, so G is singular."""
     circuit = MnaCircuit("dc_floating")
-    circuit.add_current_source("I1", "0", "a", dc=0.0, ac=1.0)
+    circuit.add_current_source("I1", "0", "a", ac=1.0)
     circuit.add_capacitor("C1", "a", "b", capacitance)
     circuit.add_resistor("R1", "b", "0", 1e3)
     return circuit
 
 
-def _variants(build, key, values):
-    return [build(**{key: value}) for value in values]
+def _lane(solution: AcSolution, k: int) -> AcSolution:
+    """Lane ``k`` of a lane sweep, as a one-circuit solution."""
+    return AcSolution(
+        solution.frequencies, {node: values[k] for node, values in solution.node_voltages.items()}
+    )
 
 
 def _assert_ac_equal(solution, expected) -> None:
@@ -119,36 +114,29 @@ def _assert_ac_close(solution, expected) -> None:
     assert _normwise_error(solution, expected) <= AC_RTOL
 
 
-def _bits(values: dict):
-    return list(values), np.array(list(values.values()), dtype=np.float64).tobytes()
-
-
-def _assert_dc_equal(solution, expected) -> None:
-    assert _bits(solution.node_voltages) == _bits(expected.node_voltages)
-    assert _bits(solution.source_currents) == _bits(expected.source_currents)
-    assert solution.iterations == expected.iterations
-
-
 class TestAcContract:
     @pytest.mark.parametrize(
-        "build, key, values",
+        "build, key, values, elements",
         [
-            (_two_pole_circuit, "gm", [5e-4, 1e-3, 2.5e-3, 8e-3]),
-            (_rlc_circuit, "inductance", [1e-7, 1e-6, 1e-5]),
-            (_mosfet_amplifier, "width", [1e-6, 2e-6, 4e-6]),
-            (_cascade, "resistance", [1e3, 1e4, 2e4]),
-            (_dc_floating, "capacitance", [1e-15, 1e-12, 1e-9]),
+            (_two_pole_circuit, "gm", [5e-4, 1e-3, 2.5e-3, 8e-3],
+             lambda gm: {"GM1": -gm, "GM2": 2.0 * gm}),
+            (_rlc_circuit, "inductance", [1e-7, 1e-6, 1e-5], lambda value: {"L1": value}),
+            (_cascade, "resistance", [1e3, 1e4, 2e4], lambda value: {"R1": value, "R2": value}),
+            (_dc_floating, "capacitance", [1e-15, 1e-12, 1e-9], lambda value: {"C1": value}),
         ],
-        ids=["two_pole", "rlc", "mosfet", "cascade", "dc_floating"],
+        ids=["two_pole", "rlc", "cascade", "dc_floating"],
     )
-    def test_stacked_sweep_meets_the_contract(self, build, key, values):
-        circuits = _variants(build, key, values)
-        plan = BatchedMNAPlan.from_circuits(circuits)
-        for circuit, solution in zip(circuits, plan.ac_sweep(FREQUENCIES)):
-            _assert_ac_close(solution, reference.ac_analysis(circuit, FREQUENCIES))
+    def test_stacked_sweep_meets_the_contract(self, build, key, values, elements):
+        """Each lane of one template's sweep meets the contract for its own circuit."""
+        solution = build().ac_analysis(FREQUENCIES, lane_values=[elements(v) for v in values])
+        for k, value in enumerate(values):
+            expected = reference.ac_analysis(build(**{key: value}), FREQUENCIES)
+            _assert_ac_close(_lane(solution, k), expected)
 
     @pytest.mark.parametrize(
-        "build", [_two_pole_circuit, _rlc_circuit, _mosfet_amplifier, _cascade, _dc_floating]
+        "build",
+        [_two_pole_circuit, _rlc_circuit, _cascade, _dc_floating],
+        ids=["two_pole", "rlc", "cascade", "dc_floating"],
     )
     def test_single_circuit_ac_analysis_meets_the_contract(self, build):
         circuit = build()
@@ -173,24 +161,16 @@ class TestAcContract:
         error = np.abs(got - want).max(axis=0) / np.abs(want).max(axis=0)
         assert error.max() <= AC_RTOL
 
-    def test_supplied_operating_point_is_used(self):
-        circuit = _mosfet_amplifier()
-        op = reference.dc_operating_point(circuit, initial_guess={"d": 0.9})
-        _assert_ac_close(
-            circuit.ac_analysis(FREQUENCIES, operating_point=op),
-            reference.ac_analysis(circuit, FREQUENCIES, operating_point=op),
-        )
-
     @pytest.mark.parametrize("num_circuits", [8, 64])
     def test_stacked_sweep_is_bitwise_lane_invariant(self, num_circuits):
-        """Each lane of a K-circuit sweep equals that circuit swept alone (K = 1).
+        """Each lane of a K-lane sweep equals that circuit swept alone (K = 1).
 
         Lanes mix regular circuits with ones whose R1 is infinite, whose G
         is singular and takes the shifted reduction.
         """
         rng = np.random.default_rng(num_circuits)
-        circuits = [
-            _two_pole_circuit(
+        lanes = [
+            dict(
                 gm=10 ** rng.uniform(-5, -2),
                 r1=np.inf if k % 3 == 2 else 10 ** rng.uniform(3, 7),
                 c1=10 ** rng.uniform(-14, -11),
@@ -199,27 +179,32 @@ class TestAcContract:
             )
             for k in range(num_circuits)
         ]
-        stacked = BatchedMNAPlan.from_circuits(circuits).ac_sweep(FREQUENCIES)
-        for circuit, solution in zip(circuits, stacked):
-            _assert_ac_equal(solution, circuit.ac_analysis(FREQUENCIES))
-        floating = _variants(_dc_floating, "capacitance", 10 ** rng.uniform(-15, -9, 8))
-        stacked = BatchedMNAPlan.from_circuits(floating).ac_sweep(FREQUENCIES)
-        for circuit, solution in zip(floating, stacked):
-            _assert_ac_equal(solution, circuit.ac_analysis(FREQUENCIES))
+        stacked = _two_pole_circuit().ac_analysis(
+            FREQUENCIES, lane_values=[_two_pole_lane(**lane) for lane in lanes]
+        )
+        for k, lane in enumerate(lanes):
+            _assert_ac_equal(_lane(stacked, k), _two_pole_circuit(**lane).ac_analysis(FREQUENCIES))
+        capacitances = 10 ** rng.uniform(-15, -9, 8)
+        stacked = _dc_floating().ac_analysis(
+            FREQUENCIES, lane_values=[{"C1": value} for value in capacitances]
+        )
+        for k, value in enumerate(capacitances):
+            _assert_ac_equal(_lane(stacked, k), _dc_floating(value).ac_analysis(FREQUENCIES))
 
     def test_non_finite_values_give_nan_only_in_their_lane(self):
-        circuits = [_two_pole_circuit(), _two_pole_circuit(c2=np.inf), _two_pole_circuit()]
-        solutions = BatchedMNAPlan.from_circuits(circuits).ac_sweep(FREQUENCIES)
-        assert np.isnan(solutions[1].voltage("out")).all()
-        _assert_ac_equal(solutions[0], circuits[0].ac_analysis(FREQUENCIES))
-        _assert_ac_equal(solutions[2], solutions[0])
+        lanes = [{"C2": 1e-12}, {"C2": np.inf}, {"C2": 1e-12}]
+        solution = _two_pole_circuit().ac_analysis(FREQUENCIES, lane_values=lanes)
+        assert np.isnan(solution.voltage("out")[1]).all()
+        _assert_ac_equal(_lane(solution, 0), _two_pole_circuit().ac_analysis(FREQUENCIES))
+        _assert_ac_equal(_lane(solution, 2), _lane(solution, 0))
 
     def test_ac_input_validation(self):
-        plan = BatchedMNAPlan.from_circuits([_two_pole_circuit()])
-        with pytest.raises(ValueError):
-            plan.ac_sweep([])
-        with pytest.raises(ValueError):
-            plan.ac_sweep([0.0, 10.0])
+        circuit = _two_pole_circuit()
+        for lane_values in (None, [{"R2": 1e5}]):
+            with pytest.raises(ValueError):
+                circuit.ac_analysis([], lane_values=lane_values)
+            with pytest.raises(ValueError):
+                circuit.ac_analysis([0.0, 10.0], lane_values=lane_values)
 
     def test_singular_system_reports_circuit_and_frequency(self):
         # Node "a" sees only the current source: its matrix row is all
@@ -239,76 +224,33 @@ class TestAcContract:
         An undamped tank with L = 1 H and C = 1 F has its poles at ±j rad/s.
         At the middle point, f = 1/(2π) Hz, the reference's G + jωC is
         singular and the engine's pivot 1 + jω·tᵢᵢ vanishes to rounding.
-        Stacked behind a tank resonating far off the sweep, the singular
-        one is the second circuit.
+        Swept behind a lane resonating far off the sweep, the singular one
+        is the second lane of the template.
         """
         frequencies = [0.01, 1.0 / (2.0 * np.pi), 100.0]
 
-        def tank(name, inductance, capacitance):
-            circuit = MnaCircuit(name)
+        def tank(inductance, capacitance):
+            circuit = MnaCircuit("tank")
             circuit.add_current_source("I1", "0", "a", ac=1.0)
             circuit.add_inductor("L1", "a", "0", inductance)
             circuit.add_capacitor("C1", "a", "0", capacitance)
             return circuit
 
-        singular = tank("resonant_tank", 1.0, 1.0)
-        regular = tank("detuned_tank", 1e-6, 1e-12)
+        singular = tank(1.0, 1.0)
+        regular = tank(1e-6, 1e-12)
         with pytest.raises(ConvergenceError) as interpreted:
             reference.ac_analysis(singular, frequencies)
         assert "f=0.159 Hz" in str(interpreted.value)
         with pytest.raises(ConvergenceError) as single:
             singular.ac_analysis(frequencies)
         with pytest.raises(ConvergenceError) as stacked:
-            BatchedMNAPlan.from_circuits([regular, singular]).ac_sweep(frequencies)
+            regular.ac_analysis(
+                frequencies, lane_values=[{"L1": 1e-6, "C1": 1e-12}, {"L1": 1.0, "C1": 1.0}]
+            )
         assert str(single.value) == str(interpreted.value)
         assert str(stacked.value) == str(interpreted.value)
         reference.ac_analysis(regular, frequencies)
         regular.ac_analysis(frequencies)
-
-
-class TestDcParity:
-    def test_linear_dc_is_bitwise_per_circuit(self):
-        circuits = _variants(_two_pole_circuit, "r1", [1e4, 5e4, 9e4])
-        plan = BatchedMNAPlan.from_circuits(circuits)
-        for circuit, solution in zip(circuits, plan.dc_operating_points()):
-            _assert_dc_equal(solution, reference.dc_operating_point(circuit))
-
-    def test_inductor_short_dc_is_bitwise(self):
-        circuit = _rlc_circuit()
-        _assert_dc_equal(circuit.dc_operating_point(), reference.dc_operating_point(circuit))
-
-    def test_newton_dc_is_bitwise_per_circuit(self):
-        """MOSFET circuits converge per-slice exactly like the scalar Newton."""
-        circuits = _variants(_mosfet_amplifier, "vg", [0.5, 0.7, 0.9, 1.05])
-        plan = BatchedMNAPlan.from_circuits(circuits)
-        for circuit, solution in zip(circuits, plan.dc_operating_points()):
-            # Converging circuits at different iteration counts exercises the
-            # not-yet-converged active-slice bookkeeping.
-            _assert_dc_equal(solution, reference.dc_operating_point(circuit))
-
-    def test_per_circuit_initial_guesses(self):
-        circuits = _variants(_mosfet_amplifier, "vg", [0.6, 0.8, 1.0])
-        guesses = [{"d": 0.9}, None, {"d": 0.2, "not_a_net": 5.0}]
-        plan = BatchedMNAPlan.from_circuits(circuits)
-        for circuit, guess, solution in zip(
-            circuits, guesses, plan.dc_operating_points(initial_guess=guesses)
-        ):
-            _assert_dc_equal(
-                solution, reference.dc_operating_point(circuit, initial_guess=guess)
-            )
-
-    def test_initial_guess_count_must_match(self):
-        plan = BatchedMNAPlan.from_circuits([_mosfet_amplifier()])
-        with pytest.raises(ValueError):
-            plan.dc_operating_points(initial_guess=[None, None])
-
-    def test_nonconvergence_message_matches_reference(self):
-        circuit = _mosfet_amplifier()
-        with pytest.raises(ConvergenceError) as planned:
-            circuit.dc_operating_point(max_iterations=2)
-        with pytest.raises(ConvergenceError) as interpreted:
-            reference.dc_operating_point(circuit, max_iterations=2)
-        assert str(planned.value) == str(interpreted.value)
 
 
 def test_response_metrics_match_reference_bitwise():
@@ -337,14 +279,15 @@ def test_sweep_grid_is_one_read_only_constant():
     assert solution.frequencies.flags.writeable  # each solution owns a copy
 
 
-class TestPlanConstruction:
+class TestLaneSweep:
     def test_restamp_restamps_one_element(self):
-        """Template lanes restamped with restamp sweep like the circuits alone."""
-        plan = BatchedMNAPlan.from_template(_two_pole_circuit(), 3)
-        plan.restamp([{"R2": 1e5}, {"R2": 2e5}, {"R2": 4e5}])
-        circuits = [_two_pole_circuit(r2=r) for r in (1e5, 2e5, 4e5)]
-        for circuit, solution in zip(circuits, plan.ac_sweep(FREQUENCIES)):
-            _assert_ac_equal(solution, circuit.ac_analysis(FREQUENCIES))
+        """Lanes restamped through ``lane_values`` sweep like the circuits alone."""
+        resistances = (1e5, 2e5, 4e5)
+        solution = _two_pole_circuit().ac_analysis(
+            FREQUENCIES, lane_values=[{"R2": r} for r in resistances]
+        )
+        for k, r in enumerate(resistances):
+            _assert_ac_equal(_lane(solution, k), _two_pole_circuit(r2=r).ac_analysis(FREQUENCIES))
 
     def test_lane_ac_analysis_is_bitwise_each_circuit(self):
         """``ac_analysis(lane_values=...)`` stacks each lane's own sweep."""
@@ -358,32 +301,36 @@ class TestPlanConstruction:
             for node, voltages in expected.node_voltages.items():
                 assert solution.voltage(node)[k].tobytes() == voltages.tobytes(), node
 
+    def test_lane_sweep_ground_voltage_has_the_lane_axis(self):
+        circuit = MnaCircuit("rc")
+        circuit.add_voltage_source("VIN", "in", "0", ac=1.0)
+        circuit.add_resistor("R1", "in", "out", 1e3)
+        circuit.add_capacitor("C1", "out", "0", 1e-9)
+        frequencies = [1e3, 1e5, 1e7]
+        solution = circuit.ac_analysis(frequencies, lane_values=[{"R1": 1e3}, {"R1": 2e3}])
+        for ground in ("gnd", "0"):
+            assert solution.voltage(ground).shape == solution.voltage("out").shape == (2, 3)
+            assert not solution.voltage(ground).any()
+        assert circuit.ac_analysis(frequencies).voltage("gnd").shape == (3,)
+
     def test_topology_is_built_once_per_signature(self):
-        first = BatchedMNAPlan.from_circuits([_two_pole_circuit(gm=1e-3)])
-        second = BatchedMNAPlan.from_template(_two_pole_circuit(gm=5e-3), 4)
-        other = BatchedMNAPlan.from_circuits([_rlc_circuit()])
-        assert first._topology is second._topology
-        assert first._topology is not other._topology
-        assert list(first._topology.nodes) == _two_pole_circuit().node_names
+        first, second, other = _two_pole_circuit(gm=1e-3), _two_pole_circuit(gm=5e-3), _rlc_circuit()
+        first.ac_analysis(FREQUENCIES)
+        misses = _topology.cache_info().misses
+        second.ac_analysis(FREQUENCIES, lane_values=[{"R2": 1e5}] * 4)
+        assert _topology.cache_info().misses == misses
+        built = _topology(first.structure_signature())
+        assert built is _topology(second.structure_signature())
+        assert built is not _topology(other.structure_signature())
+        assert list(built.nodes) == first.node_names
 
     def test_restamp_unknown_element(self):
-        plan = BatchedMNAPlan.from_template(_two_pole_circuit(), 2)
         with pytest.raises(KeyError):
-            plan.restamp([{"R99": 0.0}, {"R99": 0.0}])
-
-    def test_topology_mismatch_is_rejected(self):
-        other = _two_pole_circuit()
-        other.add_resistor("REXTRA", "out", "0", 1e6)
-        with pytest.raises(ValueError):
-            BatchedMNAPlan.from_circuits([_two_pole_circuit(), other])
-
-    def test_template_mode_rejects_mosfets(self):
-        with pytest.raises(ValueError):
-            BatchedMNAPlan.from_template(_mosfet_amplifier(), 2)
+            _two_pole_circuit().ac_analysis(FREQUENCIES, lane_values=[{"R99": 0.0}, {"R99": 0.0}])
 
     def test_empty_batch_is_rejected(self):
         with pytest.raises(ValueError):
-            BatchedMNAPlan.from_circuits([])
+            _two_pole_circuit().ac_analysis(FREQUENCIES, lane_values=[])
 
 
 # sha256 prefixes of each simulate() result (spec values, detail values,
