@@ -314,7 +314,8 @@ class TestLaneSweep:
         assert circuit.ac_analysis(frequencies).voltage("gnd").shape == (3,)
 
     def test_topology_is_built_once_per_signature(self):
-        first, second, other = _two_pole_circuit(gm=1e-3), _two_pole_circuit(gm=5e-3), _rlc_circuit()
+        first, second = _two_pole_circuit(gm=1e-3), _two_pole_circuit(gm=5e-3)
+        other = _rlc_circuit()
         first.ac_analysis(FREQUENCIES)
         misses = _topology.cache_info().misses
         second.ac_analysis(FREQUENCIES, lane_values=[{"R2": 1e5}] * 4)
