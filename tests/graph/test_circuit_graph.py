@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.circuits.devices import nmos
+from repro.circuits.devices import nmos, resistor
 from repro.circuits.netlist import Netlist
 from repro.graph import CircuitGraph
 
@@ -57,6 +57,29 @@ class TestFullGraph:
         exported = graph.to_networkx()
         assert exported.number_of_nodes() == graph.num_nodes
         assert exported.number_of_edges() == graph.num_edges
+
+
+    def test_every_device_is_a_node_in_netlist_order(self, opamp_benchmark, rf_pa_benchmark):
+        for netlist in (opamp_benchmark.netlist, rf_pa_benchmark.netlist):
+            graph = CircuitGraph(netlist)
+            assert graph.node_names == [device.name for device in netlist]
+
+    def test_two_devices_make_the_smallest_graph(self):
+        shared = Netlist("pair", [
+            nmos("M1", "d", "g", "s", width=10e-6, fingers=4),
+            resistor("R1", "d", "vdd", 1e3),
+        ])
+        graph = CircuitGraph(shared)
+        assert graph.num_nodes == 2 and graph.num_edges == 1
+        assert graph.neighbors("M1") == ["R1"]
+        assert graph.is_connected()
+        apart = Netlist("apart", [
+            nmos("M1", "d", "g", "s", width=10e-6, fingers=4),
+            resistor("R1", "x", "y", 1e3),
+        ])
+        graph = CircuitGraph(apart)
+        assert graph.num_edges == 0
+        assert not graph.is_connected()
 
 
 class TestFeatureMatrices:

@@ -21,10 +21,12 @@ from repro.parallel.cache import SimulationCache
 from repro.simulation.mna import (
     SWEEP_FREQUENCIES,
     AcSolution,
+    BatchedMNAPlan,
     ConvergenceError,
     MnaCircuit,
     _topology,
     frequency_response_metrics,
+    template_sweep_metrics,
 )
 from repro.simulation.opamp_sim import OpAmpSimulator
 
@@ -114,18 +116,25 @@ def _assert_ac_close(solution, expected) -> None:
     assert _normwise_error(solution, expected) <= AC_RTOL
 
 
+#: ``(build, key, values, elements)``: lane ``k`` of ``build()`` restamped
+#: with ``elements(values[k])`` is the circuit ``build(key=values[k])``.
+#: Between them the cases restamp every restampable kind: VCCS, inductor,
+#: resistor and capacitor.
+_LANE_CASES = pytest.mark.parametrize(
+    "build, key, values, elements",
+    [
+        (_two_pole_circuit, "gm", [5e-4, 1e-3, 2.5e-3, 8e-3],
+         lambda gm: {"GM1": -gm, "GM2": 2.0 * gm}),
+        (_rlc_circuit, "inductance", [1e-7, 1e-6, 1e-5], lambda value: {"L1": value}),
+        (_cascade, "resistance", [1e3, 1e4, 2e4], lambda value: {"R1": value, "R2": value}),
+        (_dc_floating, "capacitance", [1e-15, 1e-12, 1e-9], lambda value: {"C1": value}),
+    ],
+    ids=["two_pole", "rlc", "cascade", "dc_floating"],
+)
+
+
 class TestAcContract:
-    @pytest.mark.parametrize(
-        "build, key, values, elements",
-        [
-            (_two_pole_circuit, "gm", [5e-4, 1e-3, 2.5e-3, 8e-3],
-             lambda gm: {"GM1": -gm, "GM2": 2.0 * gm}),
-            (_rlc_circuit, "inductance", [1e-7, 1e-6, 1e-5], lambda value: {"L1": value}),
-            (_cascade, "resistance", [1e3, 1e4, 2e4], lambda value: {"R1": value, "R2": value}),
-            (_dc_floating, "capacitance", [1e-15, 1e-12, 1e-9], lambda value: {"C1": value}),
-        ],
-        ids=["two_pole", "rlc", "cascade", "dc_floating"],
-    )
+    @_LANE_CASES
     def test_stacked_sweep_meets_the_contract(self, build, key, values, elements):
         """Each lane of one template's sweep meets the contract for its own circuit."""
         solution = build().ac_analysis(FREQUENCIES, lane_values=[elements(v) for v in values])
@@ -324,6 +333,66 @@ class TestLaneSweep:
         assert built is _topology(second.structure_signature())
         assert built is not _topology(other.structure_signature())
         assert list(built.nodes) == first.node_names
+
+    @_LANE_CASES
+    def test_restamped_lanes_are_bitwise_their_circuits(self, build, key, values, elements):
+        solution = build().ac_analysis(FREQUENCIES, lane_values=[elements(v) for v in values])
+        for k, value in enumerate(values):
+            _assert_ac_equal(_lane(solution, k), build(**{key: value}).ac_analysis(FREQUENCIES))
+
+    def test_lanes_start_at_the_circuit_values(self):
+        """A plan's unrestamped lanes each hold the circuit's own sweep."""
+        circuit = _rlc_circuit()
+        plan = BatchedMNAPlan(circuit, 3)
+        assert plan.nodes == tuple(circuit.node_names)
+        frequencies, voltages = plan.sweep(FREQUENCIES)
+        expected = circuit.ac_analysis(FREQUENCIES)
+        assert frequencies.tobytes() == expected.frequencies.tobytes()
+        assert voltages.shape == (3, len(plan.nodes), FREQUENCIES.size)
+        for k in range(3):
+            for i, node in enumerate(plan.nodes):
+                assert voltages[k, i].tobytes() == expected.voltage(node).tobytes(), (k, node)
+
+    def test_lane_sweep_leaves_the_template_unchanged(self):
+        template = _two_pole_circuit()
+        before = template.ac_analysis(FREQUENCIES)
+        template.ac_analysis(FREQUENCIES, lane_values=[{"R2": 1e3, "GM1": -5e-3}] * 2)
+        assert [r.value for r in template.resistors] == [5e4, 2e5]
+        _assert_ac_equal(template.ac_analysis(FREQUENCIES), before)
+
+    def test_sources_are_not_restampable(self):
+        with pytest.raises(KeyError, match="VIN"):
+            _two_pole_circuit().ac_analysis(FREQUENCIES, lane_values=[{"VIN": 2.0}])
+        with pytest.raises(KeyError, match="I1"):
+            _rlc_circuit().ac_analysis(FREQUENCIES, lane_values=[{"I1": 2.0}])
+
+    def test_every_lane_names_the_first_lanes_elements(self):
+        with pytest.raises(KeyError):
+            _two_pole_circuit().ac_analysis(
+                FREQUENCIES, lane_values=[{"R2": 1e5}, {"C2": 1e-12}]
+            )
+
+    def test_lane_sweep_singular_everywhere_names_the_circuit(self):
+        circuit = MnaCircuit("floating")
+        circuit.add_current_source("I1", "a", "0", ac=1.0)
+        circuit.add_resistor("R1", "b", "0", 1e3)
+        with pytest.raises(ConvergenceError) as interpreted:
+            reference.ac_analysis(circuit, [10.0, 100.0])
+        with pytest.raises(ConvergenceError) as stacked:
+            circuit.ac_analysis([10.0, 100.0], lane_values=[{"R1": 1e3}, {"R1": 2e3}])
+        assert str(stacked.value) == str(interpreted.value)
+
+    def test_template_sweep_metrics_are_each_lanes_metrics(self):
+        gms = (2e-4, 1e-3, 4e-3)
+        lanes = [_two_pole_lane(gm=gm) for gm in gms]
+        got = template_sweep_metrics(_two_pole_circuit(), lanes)
+        assert len(got) == len(gms)
+        for metrics, gm in zip(got, gms):
+            response = _two_pole_circuit(gm=gm).ac_analysis(SWEEP_FREQUENCIES).voltage("out")
+            want = frequency_response_metrics(SWEEP_FREQUENCIES, response)
+            assert np.array(metrics).tobytes() == np.array(want).tobytes()
+        mid = template_sweep_metrics(_two_pole_circuit(), lanes, node="mid")
+        assert mid != got
 
     def test_restamp_unknown_element(self):
         with pytest.raises(KeyError):
